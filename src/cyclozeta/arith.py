@@ -227,12 +227,15 @@ class DivisorMap:
         return f"DivisorMap(n={self.n}, {{{body}}})"
 
 
+def divisor_sums(n: int, w: Mapping[int, object]) -> dict[int, object]:
+    """{g: sum of w[d] over d | g} for every divisor g of n; the caller
+    normalises the values (an integral Fraction stays a Fraction here)."""
+    return {g: sum(w[d] for d in divisors(g)) for g in divisors(n)}
+
+
 def mobius_transform(e: DivisorMap) -> DivisorMap:
     """Divisor-sum transform: output(d) = sum of e(d') over d' | d."""
-    out = {}
-    for d in divisors(e.n):
-        out[d] = as_exact(sum(e[dp] for dp in divisors(d)))
-    return DivisorMap(e.n, out)
+    return DivisorMap(e.n, divisor_sums(e.n, e.values))
 
 
 def inverse_mobius_transform(x: DivisorMap) -> DivisorMap:
@@ -351,10 +354,6 @@ def named_function(name: str, *params: int) -> ArithmeticFunction:
         fn = {"klee": _klee, "rho": _rho, "rho_prime": _rho_prime}[name]
         return ArithmeticFunction(name, (r,), lambda k, _r=r, _f=fn: _f(k, _r))
     raise ValueError(f"unknown arithmetic function {name!r}")
-
-
-def dedekind_psi(k: int) -> int:
-    return _dedekind_psi(k)
 
 
 def liouville(k: int) -> int:

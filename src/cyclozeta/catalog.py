@@ -26,7 +26,7 @@ from importlib import resources
 from .arith import DivisorMap, divisors
 from .exactpoly import PolynomialQ
 from .report import Report
-from .zetaprod import EvenFunction, ZetaProduct, saito_transform
+from .zetaprod import EvenFunction, ZetaProduct, root_weights, saito_transform
 from .weights import WeightSystem, m_line_from_weights
 
 _EXPECTED_ANOMALIES = ("X_9", "J_10")
@@ -183,8 +183,7 @@ def verify_entry(entry: CatalogEntry) -> Report:
     bad_m = [d for d in entry.m_line if n % d != 0]
     if bad_m:
         return report.fail(error=f"m-line exponents {bad_m} do not divide {n}")
-    e = entry.exponents()
-    implied = {d: d * e[d] for d in divisors(n) if e[d]}
+    implied = {d: v for d, v in root_weights(entry.zeta_product(), "p").items() if v}
     problems = []
     for d in sorted(entry.p_line):
         if n % d != 0:

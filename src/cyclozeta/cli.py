@@ -21,7 +21,7 @@ from .dirichlet import (
     zeta_series,
 )
 from .exactpoly import ONE, PolynomialQ, RationalFunctionQ
-from .report import json_safe
+from .report import json_safe, merge_reports
 from .verify import SCOPE_SUITES, SuiteConfig, run_scope, summarize
 from .zetaprod import (
     ZetaParseError,
@@ -31,6 +31,7 @@ from .zetaprod import (
     parse_zeta_product,
     power_sums,
     ramanujan_coefficients,
+    root_weights,
     saito_dual,
     saito_transform,
     star_functions,
@@ -38,6 +39,14 @@ from .zetaprod import (
 )
 
 _SERIES_MAKERS = {"zeta": zeta_series, "unit": unit_series, "mobius": mobius_series}
+
+_SHOWN_MISMATCHES = 5
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _analyze_payload(z: ZetaProduct) -> dict:
@@ -61,8 +70,8 @@ def _analyze_payload(z: ZetaProduct) -> dict:
         "ramanujan_m": [str(v) for v in r.values],
         "zeta": str(rf),
         "cyclotomic_exponents": {str(d): v for d, v in cyclotomic_exponents(rf, n).items()},
-        "m_line": {str(d): z.e[n // d] for d in sorted(z.e.values)},
-        "p_line": {str(d): d * z.e[d] for d in sorted(z.e.values)},
+        "m_line": {str(d): w for d, w in root_weights(z, "m").items()},
+        "p_line": {str(d): w for d, w in root_weights(z, "p").items()},
         "m_series_form": str(m_series),
         "p_series_form": str(p_series),
     }
@@ -152,10 +161,9 @@ def _cmd_catalog(args) -> int:
             reports = catalog_mod.verify_all(max_family_rank=12)
             reports.append(catalog_mod.saito_dual_pairs())
         failures = [r for r in reports if r.status == "fail"]
-        flags = [f for r in reports for f in r.flags]
-        status = "fail" if failures else ("flagged" if flags else "pass")
+        merged = merge_reports("catalog", reports)
         if args.format == "json":
-            _emit(args, "catalog", status, {"reports": [r.to_dict() for r in reports]})
+            _emit(args, "catalog", merged.status, {"reports": [r.to_dict() for r in reports]})
         else:
             for r in reports:
                 name = r.context.get("name", r.check)
@@ -164,7 +172,7 @@ def _cmd_catalog(args) -> int:
                     print(f"          flag: {f}")
                 for mm in r.mismatches:
                     print(f"          mismatch: {mm}")
-            print(f"status: {status}  flags: {len(flags)}  failures: {len(failures)}")
+            print(f"status: {merged.status}  flags: {len(merged.flags)}  failures: {len(failures)}")
         return 1 if failures else 0
     raise ValueError(f"unknown catalog action {args.action!r}")
 
@@ -195,8 +203,10 @@ def _cmd_verify(args) -> int:
             print(f"[{r.status.upper():7s}] {r.check}")
             for f in r.flags:
                 print(f"          flag: {f}")
-            for mm in r.mismatches[:5]:
+            for mm in r.mismatches[:_SHOWN_MISMATCHES]:
                 print(f"          mismatch: {json_safe(mm)}")
+            if len(r.mismatches) > _SHOWN_MISMATCHES:
+                print(f"          (+{len(r.mismatches) - _SHOWN_MISMATCHES} more)")
         print(
             f"status: {'pass' if summary['failures'] == 0 else 'fail'}"
             f"  flags: {summary['flags']}  failures: {summary['failures']}"
@@ -231,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--G", choices=sorted(_SERIES_MAKERS), default="zeta")
     p.add_argument("--kind", choices=("dirichlet", "power"), default="dirichlet")
-    p.add_argument("--order", type=int, default=200)
+    p.add_argument("--order", type=_positive_int, default=200)
     p.add_argument("--which", choices=("m", "p", "mstar", "pstar", "all"), default="all")
     p.set_defaults(func=_cmd_series)
 
@@ -244,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scope", choices=sorted(SCOPE_SUITES))
     p.add_argument("--index", type=int, default=None, help="proposition or example index")
     p.add_argument("--n", type=int, action="append", help="restrict to these conductors")
-    p.add_argument("--nmax", type=int, default=60)
-    p.add_argument("--order", type=int, default=200)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--nmax", type=_positive_int, default=60)
+    p.add_argument("--order", type=_positive_int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_verify)
     return parser

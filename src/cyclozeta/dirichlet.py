@@ -36,7 +36,7 @@ from .arith import (
 )
 from .exactpoly import PowerSeriesQ, RationalFunctionQ, combine_fractions, expand, q_integer
 from .report import Report
-from .zetaprod import ZetaProduct, multiplicities, power_sums
+from .zetaprod import ZetaProduct, multiplicities, power_sums, root_weights
 
 
 @lru_cache(maxsize=8)
@@ -171,10 +171,6 @@ def mobius_series(order: int) -> DirichletSeries:
     return DirichletSeries([mobius(k) for k in range(1, order + 1)])
 
 
-def from_function(fn: Callable[[int], object], order: int) -> DirichletSeries:
-    return DirichletSeries([fn(k) for k in range(1, order + 1)])
-
-
 def divisor_polynomial(coeffs: Mapping[int, object], order: int) -> DirichletSeries:
     """Finite Dirichlet polynomial with the given support."""
     out = [0] * order
@@ -200,25 +196,18 @@ class GTransforms(NamedTuple):
 
 def g_transforms(z: ZetaProduct, G: DirichletSeries) -> GTransforms:
     """The four series m_G, p_G, m*_G, p*_G attached to z and G."""
-    n, order = z.n, G.order
-    supports = {
-        "m": {d: z.e[n // d] for d in divisors(n)},
-        "p": {d: d * z.e[d] for d in divisors(n)},
-        "mstar": {d: z.e[d] for d in divisors(n)},
-        "pstar": {d: d * z.e[n // d] for d in divisors(n)},
-    }
-    out = {}
-    for key, supp in supports.items():
+    order, g = G.order, G.coeffs
+    out = []
+    for key in GTransforms._fields:
         coeffs = [0] * (order + 1)
-        for d, w in supp.items():
+        for d, w in root_weights(z, key).items():
             if w and d <= order:
-                g = G.coeffs
                 for j in range(1, order // d + 1):
                     gj = g[j - 1]
                     if gj:
                         coeffs[d * j] += w * gj
-        out[key] = DirichletSeries(coeffs[1:])
-    return GTransforms(out["m"], out["p"], out["mstar"], out["pstar"])
+        out.append(DirichletSeries(coeffs[1:]))
+    return GTransforms(*out)
 
 
 def ps_g_transforms(z: ZetaProduct, g: PowerSeriesQ) -> tuple[PowerSeriesQ, PowerSeriesQ]:
@@ -232,14 +221,11 @@ def ps_g_transforms(z: ZetaProduct, g: PowerSeriesQ) -> tuple[PowerSeriesQ, Powe
         raise ValueError("ps_g_transforms: the coefficient series must start at q^1")
     from .exactpoly import PolynomialQ
 
-    n, order = z.n, g.order
-    m_terms = [(PolynomialQ.constant(z.e[n // d]), q_integer(d)) for d in divisors(n)]
-    p_terms = [(PolynomialQ.constant(d * z.e[d]), q_integer(d)) for d in divisors(n)]
-    m_num, m_den = combine_fractions(m_terms)
-    p_num, p_den = combine_fractions(p_terms)
-    m_series = g * expand(RationalFunctionQ(m_num, m_den), order)
-    p_series = g * expand(RationalFunctionQ(p_num, p_den), order)
-    return m_series, p_series
+    def transform(kind):
+        terms = [(PolynomialQ.constant(w), q_integer(d)) for d, w in root_weights(z, kind).items()]
+        return g * expand(RationalFunctionQ(*combine_fractions(terms)), g.order)
+
+    return transform("m"), transform("p")
 
 
 # ---------------------------------------------------------------------------

@@ -23,30 +23,29 @@ def json_safe(value):
 class Report:
     """Outcome of one identity check or verification sweep.
 
-    status is "pass", "flagged" (known, documented discrepancies only) or
-    "fail"; mismatches carry enough data to reproduce the first failure.
+    mismatches carry enough data to reproduce the first failure; flags are
+    known, documented discrepancies.
     """
 
     check: str
-    status: str = "pass"
     context: dict = field(default_factory=dict)
     mismatches: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return self.status != "fail"
+    def status(self) -> str:
+        """"fail" if there is a mismatch, else "flagged" if there is a flag, else "pass"."""
+        if self.mismatches:
+            return "fail"
+        return "flagged" if self.flags else "pass"
 
     def fail(self, **details) -> "Report":
-        self.status = "fail"
         self.mismatches.append(details)
         return self
 
     def flag(self, message: str) -> "Report":
         self.flags.append(message)
-        if self.status == "pass":
-            self.status = "flagged"
         return self
 
     def note(self, message: str) -> "Report":
@@ -68,11 +67,7 @@ def merge_reports(check: str, reports: list[Report], context: dict | None = None
     """Roll a list of reports into one; any failure fails the merge."""
     merged = Report(check, context=dict(context or {}))
     for r in reports:
-        if r.status == "fail":
-            merged.status = "fail"
-            merged.mismatches.extend(r.mismatches or [{"check": r.check}])
+        merged.mismatches.extend(r.mismatches)
         merged.flags.extend(r.flags)
         merged.notes.extend(r.notes)
-    if merged.status != "fail" and merged.flags:
-        merged.status = "flagged"
     return merged

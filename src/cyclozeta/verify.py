@@ -55,6 +55,7 @@ from .zetaprod import (
     ramanujan_reconstruct,
     random_even_function,
     random_zeta_product,
+    root_weights,
     saito_transform,
     star_functions,
     to_rational_function,
@@ -74,10 +75,10 @@ class SuiteConfig:
         return random.Random(f"{self.seed}:" + ":".join(str(k) for k in key))
 
     def pick_ns(self, default: tuple[int, ...]) -> tuple[int, ...]:
-        return self.ns if self.ns else default
+        return default if self.ns is None else self.ns
 
     def pick_trials(self, default: int) -> int:
-        return self.trials if self.trials else default
+        return default if self.trials is None else self.trials
 
 
 def suite_cyclotomic(cfg: SuiteConfig) -> Report:
@@ -254,7 +255,7 @@ def suite_pairings(cfg: SuiteConfig, which: int | None = None) -> Report:
         # the starred Fourier pair as a family member
         for n in ns:
             z = random_zeta_product(cfg.rng("pair-family-star", n), n)
-            F = DivisorMap(n, {d: d * z.e[n // d] for d in divisors(n)})
+            F = DivisorMap(n, root_weights(z, "pstar"))
             mstar, pstar = star_functions(z)
             sub = Report("star-fourier-pair", context={"n": n})
             for k in range(n):
@@ -293,7 +294,9 @@ def suite_examples(cfg: SuiteConfig) -> Report:
     """The twelve worked convolution identities on seeded random products."""
     ns = cfg.pick_ns((6, 12, 30))
     trials = cfg.pick_trials(20)
-    indices = [cfg.index] if cfg.index else sorted(TRANSFER_EXAMPLES)
+    if cfg.index is not None and cfg.index not in TRANSFER_EXAMPLES:
+        raise ValueError(f"example index must be 1..{len(TRANSFER_EXAMPLES)}, got {cfg.index}")
+    indices = sorted(TRANSFER_EXAMPLES) if cfg.index is None else [cfg.index]
     report = Report(
         "convolution-examples",
         context={"indices": indices, "ns": list(ns), "trials": trials, "order": cfg.order},
@@ -334,12 +337,9 @@ def suite_eta(cfg: SuiteConfig) -> Report:
     sign_seen = False
     for entry in entries:
         sub = check_eta_forms(entry.zeta_product(), order)
-        if sub.status == "fail":
-            report.status = "fail"
-            report.mismatches.extend(sub.mismatches)
-        elif sub.flags:
-            sign_seen = True
-    if report.status != "fail" and sign_seen:
+        report.mismatches.extend(sub.mismatches)
+        sign_seen |= sub.status == "flagged"
+    if report.status == "pass" and sign_seen:
         report.flag("eta sign: direct log derivative is the negative of the Lambert-form display")
     return report
 
@@ -363,7 +363,7 @@ def suite_weights(cfg: SuiteConfig) -> Report:
         line = {d: v for d, v in m_line_from_weights(w).items() if v}
         if line != entry.m_line:
             cross.fail(identity="m-line", name=name)
-        implied_p = {d: d * entry.exponents()[d] for d in divisors(w.n) if entry.exponents()[d]}
+        implied_p = {d: v for d, v in root_weights(entry.zeta_product(), "p").items() if v}
         p_line = {d: v for d, v in p_line_from_weights(w).items() if v}
         if p_line != implied_p:
             cross.fail(identity="p-line", name=name)
@@ -384,26 +384,13 @@ def suite_weights(cfg: SuiteConfig) -> Report:
 def suite_catalog(cfg: SuiteConfig) -> Report:
     """Every entry's internal consistency; exactly two expected anomalies."""
     reports = catalog_mod.verify_all(max_family_rank=12)
-    report = Report("catalog", context={"entries": len(reports)})
-    flagged = []
-    for sub in reports:
-        if sub.status == "fail":
-            report.status = "fail"
-            report.mismatches.extend(sub.mismatches)
-        elif sub.status == "flagged":
-            flagged.append(sub.context["name"])
-            report.flags.extend(sub.flags)
+    report = merge_reports("catalog", reports + [catalog_mod.saito_dual_pairs()], {"entries": len(reports)})
+    flagged = sorted(sub.context["name"] for sub in reports if sub.status == "flagged")
     expected = sorted(catalog_mod.expected_anomalies())
-    if sorted(flagged) != expected:
-        report.fail(identity="anomaly-set", found=sorted(flagged), expected=expected)
-    dual = catalog_mod.saito_dual_pairs()
-    if dual.status == "fail":
-        report.status = "fail"
-        report.mismatches.extend(dual.mismatches)
+    if flagged != expected:
+        report.fail(identity="anomaly-set", found=flagged, expected=expected)
     if not catalog_mod.p8_matches_weights():
         report.fail(identity="parabolic-weights-match")
-    if report.status == "pass" and report.flags:
-        report.status = "flagged"
     return report
 
 
@@ -448,7 +435,7 @@ def run_scope(scope: str, cfg: SuiteConfig) -> list[Report]:
     if scope not in SCOPE_SUITES:
         raise ValueError(f"unknown scope {scope!r}")
     names = SCOPE_SUITES[scope]
-    if scope == "prop" and cfg.index:
+    if scope == "prop" and cfg.index is not None:
         if cfg.index not in _PROP_INDEX_SUITE:
             raise ValueError(f"prop index must be 1..9, got {cfg.index}")
         names = [_PROP_INDEX_SUITE[cfg.index]]
@@ -456,7 +443,7 @@ def run_scope(scope: str, cfg: SuiteConfig) -> list[Report]:
     out = []
     for name in names:
         fn = table[name]
-        if scope == "prop" and cfg.index and name in ("mobius-pairings", "dirichlet-transfer"):
+        if scope == "prop" and cfg.index is not None and name in ("mobius-pairings", "dirichlet-transfer"):
             out.append(fn(cfg, which=cfg.index))
         else:
             out.append(fn(cfg))

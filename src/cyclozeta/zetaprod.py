@@ -25,6 +25,7 @@ from .arith import (
     DivisorMap,
     as_exact,
     div_exact,
+    divisor_sums,
     divisors,
     inverse_mobius_transform,
     jordan_totient,
@@ -132,7 +133,15 @@ def parse_zeta_product(text: str) -> ZetaProduct:
 
 
 def zeta_product_from_json(obj: Mapping) -> ZetaProduct:
-    return ZetaProduct(int(obj["n"]), {int(k): int(v) for k, v in obj["e"].items()})
+    """The JSON mirror {"n": <int>, "e": {"<d>": <int>, ...}}; like the text
+    grammar it refuses exponents that are not integers (booleans included)."""
+    n, e = obj["n"], obj["e"]
+    if not isinstance(e, dict):
+        raise ZetaParseError(f"e must be an object mapping divisors to exponents, got {json.dumps(e)}")
+    for label, v in [("n", n)] + [(f"e({k})", v) for k, v in e.items()]:
+        if type(v) is not int:
+            raise ZetaParseError(f"{label} must be an integer, got {json.dumps(v)}")
+    return ZetaProduct(n, {int(k): v for k, v in e.items()})
 
 
 def random_zeta_product(rng, n: int, span: int = 2) -> ZetaProduct:
@@ -170,11 +179,7 @@ class EvenFunction:
     @classmethod
     def from_divisor_map(cls, e: DivisorMap) -> "EvenFunction":
         """a(k) = sum of e(d) over d | gcd(k, n), with gcd(0, n) = n."""
-        n = e.n
-        by_gcd = {g: as_exact(sum(e[d] for d in divisors(g))) for g in divisors(n)}
-        vals = [by_gcd[math.gcd(k, n)] for k in range(n)]
-        vals[0] = by_gcd[n]
-        return cls(n, vals, _trusted=True)
+        return cls._from_gcd_table(e.n, divisor_sums(e.n, e.values))
 
     @classmethod
     def _from_gcd_table(cls, n: int, by_gcd: Mapping[int, object]) -> "EvenFunction":
@@ -221,19 +226,37 @@ def random_even_function(rng, n: int, span: int = 6) -> EvenFunction:
 # root data of a zeta product
 
 
+def root_weights(z: ZetaProduct, kind: str) -> dict[int, int]:
+    """Weights w(d), d | n, of the root-data function a(k) = sum of w(d) over d | (k, n).
+
+    kind "m": e(n/d), "p": d e(d), "mstar": e(d), "pstar": d e(n/d); the
+    starred weights swap e(d) and e(n/d), which is the Saito transform.
+    """
+    n, e = z.n, z.e.values
+    if kind == "m":
+        return {d: e[n // d] for d in e}
+    if kind == "p":
+        return {d: d * e[d] for d in e}
+    if kind == "mstar":
+        return dict(e)
+    if kind == "pstar":
+        return {d: d * e[n // d] for d in e}
+    raise ValueError(f"unknown root-weight kind {kind!r}")
+
+
+def _root_function(z: ZetaProduct, kind: str) -> EvenFunction:
+    return EvenFunction._from_gcd_table(z.n, divisor_sums(z.n, root_weights(z, kind)))
+
+
 def multiplicities(z: ZetaProduct) -> EvenFunction:
     """m(k) = sum of e(n/d) over d | (k, n): the sign-counted multiplicity of
     exp(2 pi i k / n) as a root of the product."""
-    n = z.n
-    by_gcd = {g: sum(z.e[n // d] for d in divisors(g)) for g in divisors(n)}
-    return EvenFunction._from_gcd_table(n, by_gcd)
+    return _root_function(z, "m")
 
 
 def power_sums(z: ZetaProduct) -> EvenFunction:
     """p(k) = sum of d e(d) over d | (k, n): sign-counted k-th power sums of roots."""
-    n = z.n
-    by_gcd = {g: sum(d * z.e[d] for d in divisors(g)) for g in divisors(n)}
-    return EvenFunction._from_gcd_table(n, by_gcd)
+    return _root_function(z, "p")
 
 
 def saito_transform(z: ZetaProduct) -> ZetaProduct:
@@ -249,15 +272,11 @@ def saito_dual(z: ZetaProduct) -> ZetaProduct:
 def star_functions(z: ZetaProduct) -> tuple[EvenFunction, EvenFunction]:
     """(m*, p*): multiplicities and power sums of the Saito transform.
 
-    m*(k) = sum of e(d), p*(k) = sum of d e(n/d), both over d | (k, n).
+    m*(k) = sum of e(d), p*(k) = sum of d e(n/d), both over d | (k, n).  Read
+    from the starred weights directly, not through :func:`saito_transform`,
+    so that comparing them with the root data of the transform is a check.
     """
-    n = z.n
-    m_star = {g: sum(z.e[d] for d in divisors(g)) for g in divisors(n)}
-    p_star = {g: sum(d * z.e[n // d] for d in divisors(g)) for g in divisors(n)}
-    return (
-        EvenFunction._from_gcd_table(n, m_star),
-        EvenFunction._from_gcd_table(n, p_star),
-    )
+    return _root_function(z, "mstar"), _root_function(z, "pstar")
 
 
 def to_rational_function(z: ZetaProduct) -> RationalFunctionQ:
@@ -343,32 +362,29 @@ def root_multiplicity_at_one(f: RationalFunctionQ) -> int:
 # Fourier analysis in Ramanujan sums
 
 
+def _ramanujan_synthesis(a: EvenFunction) -> dict[int, object]:
+    """{g: sum of a(n/d) c_d(g) over d | n} for every g | n."""
+    n = a.n
+    divs = divisors(n)
+    return {g: sum(a(n // d) * ramanujan_sum(d, g) for d in divs) for g in divs}
+
+
 def ramanujan_coefficients(a: EvenFunction) -> EvenFunction:
     """r(k) = (1/n) sum of a(n/d) c_d(k) over d | n."""
     n = a.n
-    divs = divisors(n)
-    by_gcd = {}
-    for g in divs:
-        total = sum(a(n // d) * ramanujan_sum(d, g) for d in divs)
-        by_gcd[g] = div_exact(total, n)
+    by_gcd = {g: div_exact(total, n) for g, total in _ramanujan_synthesis(a).items()}
     return EvenFunction._from_gcd_table(n, by_gcd)
 
 
 def ramanujan_reconstruct(r: EvenFunction) -> EvenFunction:
     """a(k) = sum of r(n/d) c_d(k) over d | n; inverse of :func:`ramanujan_coefficients`."""
-    n = r.n
-    divs = divisors(n)
-    by_gcd = {g: sum(r(n // d) * ramanujan_sum(d, g) for d in divs) for g in divs}
-    return EvenFunction._from_gcd_table(n, by_gcd)
+    return EvenFunction._from_gcd_table(r.n, _ramanujan_synthesis(r))
 
 
 def dft_power_sums(m: EvenFunction) -> EvenFunction:
     """p(l) = sum of m(n/d) c_d(l) over d | n: the even-function discrete
     Fourier transform sending multiplicities to power sums."""
-    n = m.n
-    divs = divisors(n)
-    by_gcd = {g: sum(m(n // d) * ramanujan_sum(d, g) for d in divs) for g in divs}
-    return EvenFunction._from_gcd_table(n, by_gcd)
+    return EvenFunction._from_gcd_table(m.n, _ramanujan_synthesis(m))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from cyclozeta.arith import (
     DivisorMap,
+    divisor_sums,
     divisors,
     euler_phi,
     inverse_mobius_transform,
@@ -108,6 +109,12 @@ def test_divisor_map_requires_full_key_set():
         DivisorMap(6, {1: 1, 2: 0, 3: 0, 6: 0, 4: 5})
     dm = DivisorMap.from_partial(6, {2: 7})
     assert dm[2] == 7 and dm[1] == 0
+
+
+def test_divisor_sums_examples():
+    assert divisor_sums(1, {1: 5}) == {1: 5}
+    assert divisor_sums(6, {1: 1, 2: 2, 3: 3, 6: 6}) == {1: 1, 2: 3, 3: 4, 6: 12}
+    assert divisor_sums(4, {1: Fraction(1, 2), 2: Fraction(1, 2), 4: 0}) == {1: Fraction(1, 2), 2: 1, 4: 1}
 
 
 def test_mobius_transform_examples():

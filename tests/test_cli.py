@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import cyclozeta.cli
 from cyclozeta.cli import main
+from cyclozeta.report import Report
+from cyclozeta.verify import SuiteConfig
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +56,18 @@ class TestAnalyze:
         assert code == 2 and "divisors" in err
         code, _, err = run_cli(capsys, "analyze", "x=3")
         assert code == 2 and "parse error" in err
+
+    @pytest.mark.parametrize("text, shown", [
+        ('{"n": 3, "e": {"1": 1.5, "3": 1}}', "e(1) must be an integer, got 1.5"),
+        ('{"n": 3, "e": {"1": true, "3": 1}}', "e(1) must be an integer, got true"),
+        ('{"n": 3, "e": {"1": -1, "3": "1"}}', 'e(3) must be an integer, got "1"'),
+        ('{"n": 3.0, "e": {"1": -1, "3": 1}}', "n must be an integer, got 3.0"),
+        ('{"n": true, "e": {"1": -1}}', "n must be an integer, got true"),
+    ])
+    def test_json_input_refuses_non_integers(self, capsys, text, shown):
+        code, out, err = run_cli(capsys, "analyze", text)
+        assert code == 2 and not out
+        assert "parse error" in err and shown in err
 
 
 class TestDualAndSeries:
@@ -133,6 +148,46 @@ class TestVerifyCommand:
         assert doc["summary"]["failures"] == 0
         assert doc["examples"][0]["example"] == 2
         assert doc["examples"][0]["first_mismatch"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--nmax", "0", "--order", "1"],
+        ["verify", "all", "--order", "0"],
+        ["verify", "prop", "--index", "2", "--trials", "0"],
+        ["verify", "example", "--trials", "-3"],
+        ["verify", "example", "--nmax", "x"],
+    ])
+    def test_sizes_below_one_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected an integer >= 1" in err
+
+    def test_zero_trials_and_conductors_are_not_replaced_by_defaults(self):
+        cfg = SuiteConfig(trials=0, ns=())
+        assert cfg.pick_trials(10) == 0 and cfg.pick_ns((6, 12)) == ()
+        assert SuiteConfig().pick_trials(10) == 10 and SuiteConfig().pick_ns((6, 12)) == (6, 12)
+
+    @pytest.mark.parametrize("index", ["13", "0", "-1"])
+    def test_example_index_out_of_range(self, capsys, index):
+        code, out, err = run_cli(capsys, "verify", "example", "--index", index, "--trials", "1")
+        assert code == 2 and not out
+        assert "1..12" in err and index in err
+
+    def test_prop_index_zero_is_out_of_range(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "prop", "--index", "0")
+        assert code == 2 and "1..9" in err
+
+    def test_text_mode_counts_mismatches_beyond_the_shown_five(self, capsys, monkeypatch):
+        report = Report("stub-suite")
+        for k in range(7):
+            report.fail(k=k)
+        monkeypatch.setattr(cyclozeta.cli, "run_scope", lambda scope, cfg: [report])
+        code, out, _ = run_cli(capsys, "verify", "all")
+        assert code == 1
+        assert out.count("mismatch:") == 5
+        assert "(+2 more)" in out
+        assert "status: fail  flags: 0  failures: 1" in out
 
     def test_bad_scope_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,7 +22,14 @@ from cyclozeta.dirichlet import (
     zeta_series,
 )
 from cyclozeta.exactpoly import PolynomialQ, PowerSeriesQ, RationalFunctionQ, combine_fractions, expand, q_integer
-from cyclozeta.zetaprod import ZetaProduct, multiplicities, power_sums, random_zeta_product, star_functions
+from cyclozeta.zetaprod import (
+    ZetaProduct,
+    multiplicities,
+    power_sums,
+    random_zeta_product,
+    root_weights,
+    star_functions,
+)
 
 N = 200
 A2 = ZetaProduct(3, {1: -1, 3: 1})
@@ -193,6 +200,16 @@ class TestGTransforms:
             assert t.mstar.coefficient(k) == mstar(k)
             assert t.pstar.coefficient(k) == pstar(k)
         assert t.pstar.coeffs[:6] == (1, 1, -2, 1, 1, -2)
+
+    def test_each_transform_is_G_times_its_weight_polynomial(self):
+        order = 120
+        for n in (1, 6, 12, 30, 60):
+            z = random_zeta_product(random.Random(f"g-weights:{n}"), n)
+            for G in (unit_series(order), zeta_series(order), mobius_series(order), zeta_series(order).shift()):
+                t = g_transforms(z, G)
+                for kind in t._fields:
+                    want = G * divisor_polynomial(root_weights(z, kind), order)
+                    assert getattr(t, kind) == want, (n, kind)
 
     def test_unit_supports_on_divisors(self):
         t = g_transforms(A2, unit_series(N))

@@ -1,5 +1,6 @@
 """Root data of cyclotomic products and the even-function machinery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from cyclozeta.zetaprod import (
     random_even_function,
     random_zeta_product,
     root_multiplicity_at_one,
+    root_weights,
     saito_dual,
     saito_transform,
     star_functions,
@@ -62,6 +64,30 @@ class TestRootData:
             assert multiplicities(z)(0) == z.mu_e
             mstar, _ = star_functions(z)
             assert mstar(0) == z.mu_e
+
+    def test_root_data_matches_per_index_divisor_sums(self):
+        """m, p, m*, p* against the per-k divisor sums, written out, with gcd(0, n) = n."""
+        for n in range(1, 61):
+            z = random_zeta_product(random.Random(f"per-k:{n}"), n)
+            e = z.e
+            m, p = multiplicities(z), power_sums(z)
+            mstar, pstar = star_functions(z)
+            for k in range(n):
+                g = math.gcd(k, n)
+                assert m(k) == sum(e[n // d] for d in divisors(g)), (n, k)
+                assert p(k) == sum(d * e[d] for d in divisors(g)), (n, k)
+                assert mstar(k) == sum(e[d] for d in divisors(g)), (n, k)
+                assert pstar(k) == sum(d * e[n // d] for d in divisors(g)), (n, k)
+
+    def test_root_weights(self):
+        assert root_weights(A2, "m") == {1: 1, 3: -1}
+        assert root_weights(A2, "p") == {1: -1, 3: 3}
+        assert root_weights(A2, "mstar") == {1: -1, 3: 1}
+        assert root_weights(A2, "pstar") == {1: 1, 3: -3}
+        root_weights(A2, "mstar")[1] = 99
+        assert A2.e[1] == -1
+        with pytest.raises(ValueError):
+            root_weights(A2, "q")
 
 
 class TestSaito:
