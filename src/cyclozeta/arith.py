@@ -211,9 +211,6 @@ class DivisorMap:
     def items(self):
         return self.values.items()
 
-    def map_values(self, fn: Callable) -> "DivisorMap":
-        return DivisorMap(self.n, {d: fn(v) for d, v in self.values.items()})
-
     def __eq__(self, other):
         if not isinstance(other, DivisorMap):
             return NotImplemented

@@ -124,10 +124,12 @@ def _cmd_series(args) -> int:
         from .exactpoly import PowerSeriesQ
         from .dirichlet import ps_g_transforms
 
+        if which in ("mstar", "pstar"):
+            raise ValueError(f"--kind power has only the m and p transforms, not {which!r}")
         g = PowerSeriesQ([0] + [1] * (args.order - 1), args.order)
         m_ps, p_ps = ps_g_transforms(z, g)
         table = {"m": m_ps, "p": p_ps}
-        for key in (["m", "p"] if which in ("all", "mstar", "pstar") else [which]):
+        for key in (["m", "p"] if which == "all" else [which]):
             payload[key] = [str(c) if not isinstance(c, int) else c for c in table[key].coeffs]
     _emit(args, "series", "pass", payload)
     return 0

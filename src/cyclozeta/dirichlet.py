@@ -196,18 +196,11 @@ class GTransforms(NamedTuple):
 
 def g_transforms(z: ZetaProduct, G: DirichletSeries) -> GTransforms:
     """The four series m_G, p_G, m*_G, p*_G attached to z and G."""
-    order, g = G.order, G.coeffs
-    out = []
-    for key in GTransforms._fields:
-        coeffs = [0] * (order + 1)
-        for d, w in root_weights(z, key).items():
-            if w and d <= order:
-                for j in range(1, order // d + 1):
-                    gj = g[j - 1]
-                    if gj:
-                        coeffs[d * j] += w * gj
-        out.append(DirichletSeries(coeffs[1:]))
-    return GTransforms(*out)
+    # the divisor-supported weights go on the left: the convolution skips
+    # their zero coefficients
+    return GTransforms(
+        *(divisor_polynomial(root_weights(z, kind), G.order) * G for kind in GTransforms._fields)
+    )
 
 
 def ps_g_transforms(z: ZetaProduct, g: PowerSeriesQ) -> tuple[PowerSeriesQ, PowerSeriesQ]:
@@ -443,9 +436,9 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
     if ex.needs_r and (r is None or r < 1):
         raise ValueError(f"example {index} needs a parameter r >= 1")
     G1, G2, h = ex.build(z.n, r if ex.needs_r else 0, order)
-    m_g1 = g_transforms(z, G1).m
-    pstar_g2 = g_transforms(z, G2).pstar
-    table = divisor_table(order)
+    lhs = g_transforms(z, G1).m.shift()
+    pstar = g_transforms(z, G2).pstar
+    rhs = DirichletSeries(h) * pstar
     report = Report(
         f"convolution-example-{index}",
         context={
@@ -456,23 +449,15 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
             "order": order,
         },
     )
-    for k in range(1, order + 1):
-        lhs = k * m_g1.coefficient(k)
-        rhs = sum(h[k // d - 1] * pstar_g2.coefficient(d) for d in table[k])
-        if lhs != rhs:
-            report.fail(k=k, lhs=str(lhs), rhs=str(rhs))
-            break
-    if index == 1 and report.status == "pass":
-        phi_inv = named_function("phi_inv")
-        hi = phi_inv.values(order)
-        m_series = g_transforms(z, zeta_series(order)).m
-        pstar = pstar_g2
-        for k in range(1, order + 1):
-            lhs = pstar.coefficient(k)
-            rhs = sum(hi[k // d - 1] * d * m_series.coefficient(d) for d in table[k])
-            if lhs != rhs:
-                report.fail(identity="inverse", k=k, lhs=str(lhs), rhs=str(rhs))
-                break
+    if lhs != rhs:
+        k = _first_mismatch(lhs, rhs)
+        report.fail(k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
+    elif index == 1:
+        phi_inv = DirichletSeries(named_function("phi_inv").values(order))
+        inverse = phi_inv * g_transforms(z, zeta_series(order)).m.shift()
+        if pstar != inverse:
+            k = _first_mismatch(pstar, inverse)
+            report.fail(identity="inverse", k=k, lhs=str(pstar.coefficient(k)), rhs=str(inverse.coefficient(k)))
     return report
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import divisors, ramanujan_sum, sigma
+from .dirichlet import DirichletSeries, divisor_polynomial, zeta_series
 from .exactpoly import (
     PolynomialQ,
     PowerSeriesQ,
@@ -91,40 +92,35 @@ def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:
             for idx in range(step, order, step):
                 direct[idx] -= weight
 
-    lambert = [0] * order
-    for d, ed in z.e.items():
-        if not ed:
-            continue
-        w = d * ed
-        for m in range(1, (order - 1) // d + 1):
-            lambert[m * d] += w * sigma(m)
+    # The closed forms are Dirichlet convolutions in the exponent of q.  Their
+    # series run over the exponents 1..order; q_series places them at
+    # q**1..q**(order-1) and drops q**order.
+    def q_series(ds: DirichletSeries) -> PowerSeriesQ:
+        return PowerSeriesQ((0,) + ds.coeffs, order)
+
+    sigmas = DirichletSeries([sigma(k) for k in range(1, order + 1)])
+    lambert = divisor_polynomial({d: d * ed for d, ed in z.e.items()}, order) * sigmas
 
     m = multiplicities(z)
-    cyclo = [0] * order
-    rama = [0] * order
+    cyclo = [0] * (order + 1)
+    rama = [0] * (order + 1)
     for d in divisors(n):
         md = m(n // d)
-        if not md:
-            continue
-        s_cyc = _logderiv_coeffs(d, order)
-        s_ram = _ramanujan_kernel_coeffs(d, order)
-        for k in range(1, order):
-            wk = md * k
-            for j in range(1, (order - 1) // k + 1):
-                cj = s_cyc[j]
-                if cj:
-                    cyclo[k * j] += wk * cj
-                rj = s_ram[j]
-                if rj:
-                    rama[k * j] += wk * rj
+        if md:
+            for j, c in enumerate(_logderiv_coeffs(d, order + 1)):
+                cyclo[j] += md * c
+            for j, r in enumerate(_ramanujan_kernel_coeffs(d, order + 1)):
+                rama[j] += md * r
+    # the chain-rule weight k of the kernel evaluated along q**k
+    weights = zeta_series(order).shift()
 
     return EtaExpansion(
         order=order,
         mu_e=z.mu_e,
         series=PowerSeriesQ(direct, order),
-        lambert_form=PowerSeriesQ(lambert, order),
-        cyclotomic_form=PowerSeriesQ(cyclo, order),
-        ramanujan_form=PowerSeriesQ(rama, order),
+        lambert_form=q_series(lambert),
+        cyclotomic_form=q_series(weights * DirichletSeries(cyclo[1:])),
+        ramanujan_form=q_series(weights * DirichletSeries(rama[1:])),
     )
 
 

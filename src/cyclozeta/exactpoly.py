@@ -45,15 +45,21 @@ def _neg(a: Sequence) -> list:
     return [-c for c in a]
 
 
-def _mul(a: Sequence, b: Sequence) -> list:
+def _mul(a: Sequence, b: Sequence, limit: int | None = None) -> list:
+    """Dense product; with ``limit``, only the coefficients below q**limit.
+
+    The one schoolbook product loop: polynomials and truncated series both
+    multiply here.
+    """
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
+    size = len(a) + len(b) - 1 if limit is None else limit
+    out = [0] * size
+    for i, ai in enumerate(a[:size]):
         if ai:
-            for j, bj in enumerate(b):
+            for k, bj in enumerate(b[: size - i], i):
                 if bj:
-                    out[i + j] += ai * bj
+                    out[k] += ai * bj
     return _trim(out)
 
 
@@ -438,11 +444,6 @@ class RationalFunctionQ:
     def is_polynomial(self) -> bool:
         return self.den == ONE
 
-    def as_polynomial(self) -> PolynomialQ:
-        if not self.is_polynomial:
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
     def _coerce(self, other):
         if isinstance(other, RationalFunctionQ):
             return other
@@ -571,10 +572,6 @@ class PowerSeriesQ:
     def zero(cls, order: int) -> "PowerSeriesQ":
         return cls((), order)
 
-    @classmethod
-    def from_polynomial(cls, p: PolynomialQ, order: int) -> "PowerSeriesQ":
-        return cls(p.coeffs, order)
-
     def coefficient(self, k: int):
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
@@ -614,14 +611,7 @@ class PowerSeriesQ:
     def __mul__(self, other):
         if isinstance(other, PowerSeriesQ):
             n = self._common(other)
-            out = [0] * n
-            for i, a in enumerate(self.coeffs[:n]):
-                if a:
-                    for j in range(n - i):
-                        b = other.coeffs[j]
-                        if b:
-                            out[i + j] += a * b
-            return PowerSeriesQ(out, n)
+            return PowerSeriesQ(_mul(self.coeffs, other.coeffs, n), n)
         if isinstance(other, (int, Fraction)):
             return PowerSeriesQ([c * other for c in self.coeffs], self.order)
         return NotImplemented
@@ -707,106 +697,50 @@ def necklace(d: int) -> PolynomialQ:
 
 
 # ---------------------------------------------------------------------------
-# tensor product of polynomials through resultants
+# tensor product of polynomials through power sums: the roots of f (x) g are
+# the products of a root of f and a root of g, so p_k(f (x) g) = p_k(f) p_k(g)
 
 
-def _det(rows: list[list]) -> object:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        pv = rows[col][col]
-        det = det * pv
-        for r in range(col + 1, n):
-            c = rows[r][col]
-            if c:
-                factor = div_exact(c, pv)
-                row = rows[r]
-                top = rows[col]
-                for j in range(col, n):
-                    row[j] -= factor * top[j]
-    return as_exact(det)
+def _power_sums(cs: Sequence, count: int) -> list:
+    """[0, p_1, ..., p_count] for the roots of the polynomial ``cs``, by Newton's identities."""
+    m = len(cs) - 1
+    a = [div_exact(cs[m - i], cs[m]) for i in range(m + 1)]  # monic, high to low
+    p = [0] * (count + 1)
+    for k in range(1, count + 1):
+        acc = k * a[k] if k <= m else 0
+        for i in range(1, min(k - 1, m) + 1):
+            acc += a[i] * p[k - i]
+        p[k] = -acc
+    return p
 
 
-def _interpolate(xs: list, ys: list) -> PolynomialQ:
-    """Newton-form interpolation through exact points."""
-    n = len(xs)
-    coef = [as_exact(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = div_exact(coef[i] - coef[i - 1], xs[i] - xs[i - j])
-    poly = ZERO
-    for i in range(n - 1, -1, -1):
-        poly = poly * (Q - xs[i]) + coef[i]
-    return poly
-
-
-def resultant_in_q(a_rows: list[PolynomialQ], b_coeffs: list) -> PolynomialQ:
-    """Resultant in t of A(t) (polynomial coefficients in q) and B(t) (constants).
-
-    A is given low-to-high as ``a_rows``; B low-to-high as rational constants.
-    Computed by evaluating the Sylvester determinant at enough rational points
-    and interpolating, which stays exact.
-    """
-    A = list(a_rows)
-    while A and A[-1].is_zero:
-        A.pop()
-    B = _trim([as_exact(c) for c in b_coeffs])
-    if not A or not B:
-        raise ValueError("resultant of a zero polynomial")
-    alpha, beta = len(A) - 1, len(B) - 1
-    if alpha == 0 and beta == 0:
-        return ONE
-    bound = beta * max(p.degree for p in A) + 1
-    dim = alpha + beta
-    xs = []
-    k = 0
-    while len(xs) < bound + 1:
-        xs.append(k)
-        if k > 0:
-            xs.append(-k)
-        k += 1
-    xs = xs[: bound + 1]
-    a_high = A[::-1]  # high-to-low rows of A
-    b_high = B[::-1]
-    ys = []
-    for x in xs:
-        a_vals = [p(x) for p in a_high]
-        rows = []
-        for i in range(beta):
-            rows.append([0] * i + a_vals + [0] * (dim - i - len(a_vals)))
-        for i in range(alpha):
-            rows.append([0] * i + list(b_high) + [0] * (dim - i - len(b_high)))
-        ys.append(_det(rows))
-    return _interpolate(xs, ys)
+def _from_power_sums(p: list) -> list:
+    """The monic polynomial of degree len(p) - 1 with power sums p[1], p[2], ...; p[0] is unused."""
+    n = len(p) - 1
+    b = [1] + [0] * n  # high to low
+    for k in range(1, n + 1):
+        acc = p[k]
+        for i in range(1, k):
+            acc += b[i] * p[k - i]
+        b[k] = div_exact(-acc, k)
+    return b[::-1]
 
 
 def tensor_product(f: PolynomialQ, g: PolynomialQ) -> PolynomialQ:
     """Polynomial whose roots are the pairwise products of the roots of f and g.
 
-    Computed exactly as the resultant in t of t**deg(f) f(q/t) and g(t);
-    the result is normalized to be monic whenever both inputs are monic and
-    has degree deg(f) * deg(g).
+    The result has degree deg(f) * deg(g).  It is monic when f and g are
+    both monic.  Otherwise it is the resultant in t of t**deg(f) f(q/t) and
+    g(t), which is (-1)**((m - s) l) lc(g)**(m - s) lc(f)**l times the monic
+    product, with m = deg f, l = deg g and s the valuation of f.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("tensor_product: zero polynomial has no root data")
-    m = f.degree
-    rows = [PolynomialQ.monomial(m - j, f.coeffs[m - j]) for j in range(m + 1)]
-    res = resultant_in_q(rows, list(g.coeffs))
-    if res.degree != f.degree * g.degree:
-        raise ArithmeticError(
-            f"tensor product degree {res.degree} != {f.degree * g.degree}; arithmetic bug"
-        )
-    if f.is_monic and g.is_monic and not res.is_monic:
-        res = res * div_exact(1, res.leading)
-    return res
+    m, l = f.degree, g.degree
+    pf, pg = _power_sums(f.coeffs, m * l), _power_sums(g.coeffs, m * l)
+    cs = _from_power_sums([a * b for a, b in zip(pf, pg)])
+    if not (f.is_monic and g.is_monic):
+        t = m - f.valuation()
+        scale = (-1) ** (t * l) * g.leading**t * f.leading**l
+        cs = [c * scale for c in cs]
+    return PolynomialQ(cs)

@@ -213,32 +213,32 @@ def suite_weighted_sums(cfg: SuiteConfig) -> Report:
     return merged
 
 
-def suite_pairings(cfg: SuiteConfig, which: int | None = None) -> Report:
-    """Totient, necklace, log-derivative and Ramanujan-kernel pairings."""
+def suite_pairings(cfg: SuiteConfig) -> Report:
+    """Totient, necklace, log-derivative and Ramanujan-kernel pairings;
+    ``cfg.index`` 3..7 keeps one proposition."""
     ns = cfg.pick_ns((6, 12, 30))
     trials = cfg.pick_trials(20)
-    which = which if which is not None else cfg.index
     report = Report("mobius-pairings", context={"ns": list(ns), "trials": trials})
     subreports = []
     for n in ns:
         for t in range(trials):
             z = random_zeta_product(cfg.rng("pairing", n, t), n)
-            if which in (None, 3):
+            if cfg.index in (None, 3):
                 subreports.append(check_totient_pairing(z, range(-2, 4)))
-            if which in (None, 4):
+            if cfg.index in (None, 4):
                 subreports.append(check_pairing_preset(z, "ones"))
                 xrng = cfg.rng("pairing-x", n, t)
                 x = {d: Fraction(xrng.randint(-9, 9), xrng.randint(1, 4)) for d in divisors(n)}
                 sub = check_mobius_pairing(z, x)
                 sub.context.pop("derived_z", None)
                 subreports.append(sub)
-            if which in (None, 5):
+            if cfg.index in (None, 5):
                 subreports.append(check_pairing_preset(z, "necklace"))
-            if which in (None, 6):
+            if cfg.index in (None, 6):
                 subreports.append(check_pairing_preset(z, "log-derivative"))
-            if which in (None, 7):
+            if cfg.index in (None, 7):
                 subreports.append(check_pairing_preset(z, "ramanujan"))
-    if which is None:
+    if cfg.index is None:
         # necklace polynomials invert the monomial sequence on every divisor lattice
         for dd in range(1, min(cfg.nmax, 60) + 1):
             acc = PolynomialQ()
@@ -268,21 +268,21 @@ def suite_pairings(cfg: SuiteConfig, which: int | None = None) -> Report:
     return merge_reports(report.check, subreports, report.context)
 
 
-def suite_dirichlet(cfg: SuiteConfig, which: int | None = None) -> Report:
-    """Star-transform series and the transfer identity, coefficientwise."""
+def suite_dirichlet(cfg: SuiteConfig) -> Report:
+    """Star-transform series and the transfer identity, coefficientwise;
+    ``cfg.index`` 8 or 9 keeps one proposition."""
     ns = cfg.pick_ns((6, 12, 30))
     trials = cfg.pick_trials(20)
-    which = which if which is not None else cfg.index
     report = Report("dirichlet-transfer", context={"ns": list(ns), "trials": trials, "order": cfg.order})
     subreports = []
     star_order = min(cfg.order, 120)
     for n in ns:
         for t in range(trials):
             z = random_zeta_product(cfg.rng("dirichlet", n, t), n)
-            if which in (None, 8):
+            if cfg.index in (None, 8):
                 for G in (unit_series(star_order), zeta_series(star_order), mobius_series(star_order)):
                     subreports.append(check_star_series(z, G))
-            if which in (None, 9):
+            if cfg.index in (None, 9):
                 subreports.append(check_transfer(z, zeta_series(cfg.order), zeta_series(cfg.order)))
                 subreports.append(
                     check_transfer(z, zeta_series(cfg.order), mobius_series(cfg.order))
@@ -435,19 +435,14 @@ def run_scope(scope: str, cfg: SuiteConfig) -> list[Report]:
     if scope not in SCOPE_SUITES:
         raise ValueError(f"unknown scope {scope!r}")
     names = SCOPE_SUITES[scope]
+    if cfg.index is not None and scope not in ("prop", "example"):
+        raise ValueError(f"--index applies to the scopes 'prop' and 'example' only, not {scope!r}")
     if scope == "prop" and cfg.index is not None:
         if cfg.index not in _PROP_INDEX_SUITE:
             raise ValueError(f"prop index must be 1..9, got {cfg.index}")
         names = [_PROP_INDEX_SUITE[cfg.index]]
     table = dict(SUITES)
-    out = []
-    for name in names:
-        fn = table[name]
-        if scope == "prop" and cfg.index is not None and name in ("mobius-pairings", "dirichlet-transfer"):
-            out.append(fn(cfg, which=cfg.index))
-        else:
-            out.append(fn(cfg))
-    return out
+    return [table[name](cfg) for name in names]
 
 
 def summarize(reports: list[Report]) -> dict:

@@ -27,7 +27,6 @@ from .arith import (
     div_exact,
     divisor_sums,
     divisors,
-    inverse_mobius_transform,
     jordan_totient,
     mobius,
     ramanujan_sum,
@@ -189,11 +188,6 @@ class EvenFunction:
 
     def __call__(self, k: int):
         return self.values[k % self.n]
-
-    def to_divisor_map(self) -> DivisorMap:
-        """Recover e with a(k) = sum of e(d) over d | (k, n), by Möbius inversion."""
-        table = DivisorMap(self.n, {d: self(d) for d in divisors(self.n)})
-        return inverse_mobius_transform(table)
 
     def __add__(self, other):
         if not isinstance(other, EvenFunction) or other.n != self.n:

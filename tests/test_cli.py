@@ -5,6 +5,7 @@ import json
 import pytest
 
 import cyclozeta.cli
+import cyclozeta.verify
 from cyclozeta.cli import main
 from cyclozeta.report import Report
 from cyclozeta.verify import SuiteConfig
@@ -84,6 +85,14 @@ class TestDualAndSeries:
         assert code == 0
         doc = json.loads(out)
         assert doc["payload"]["m"][:6] == [1, 1, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("which", ["mstar", "pstar"])
+    def test_power_series_refuses_starred_transforms(self, capsys, which):
+        code, out, err = run_cli(
+            capsys, "series", "n=3; e={1:-1,3:1}", "--kind", "power", "--which", which, "--order", "8",
+        )
+        assert code == 2 and not out
+        assert which in err and "--kind power" in err
 
 
 class TestCatalogCommand:
@@ -173,6 +182,31 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "example", "--index", index, "--trials", "1")
         assert code == 2 and not out
         assert "1..12" in err and index in err
+
+    @pytest.mark.parametrize("scope", ["all", "catalog", "eta", "weights"])
+    def test_index_is_refused_outside_prop_and_example(self, capsys, scope):
+        code, out, err = run_cli(capsys, "verify", scope, "--index", "9", "--nmax", "6", "--order", "30",
+                                 "--trials", "1")
+        assert code == 2 and not out
+        assert "--index" in err and scope in err
+
+    @pytest.mark.parametrize("index, transfer_calls, star_calls", [(9, 2 * 3, 0), (8, 0, 3 * 3)])
+    def test_prop_index_keeps_one_dirichlet_proposition(self, capsys, monkeypatch, index, transfer_calls,
+                                                          star_calls):
+        calls = {"transfer": 0, "star": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(cyclozeta.verify, "check_transfer", counting("transfer", cyclozeta.verify.check_transfer))
+        monkeypatch.setattr(cyclozeta.verify, "check_star_series", counting("star", cyclozeta.verify.check_star_series))
+        code, out, _ = run_cli(capsys, "verify", "prop", "--index", str(index), "--trials", "1", "--order", "40")
+        assert code == 0
+        assert out == "[PASS   ] dirichlet-transfer\nstatus: pass  flags: 0  failures: 0\n"
+        assert calls == {"transfer": transfer_calls, "star": star_calls}
 
     def test_prop_index_zero_is_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "verify", "prop", "--index", "0")

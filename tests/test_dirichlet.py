@@ -10,6 +10,7 @@ from cyclozeta.arith import divisors, liouville, mobius, named_function, ramanuj
 from cyclozeta.dirichlet import (
     DirichletSeries,
     TRANSFER_EXAMPLES,
+    TransferExample,
     check_star_series,
     check_transfer,
     convolution_example,
@@ -202,14 +203,19 @@ class TestGTransforms:
         assert t.pstar.coeffs[:6] == (1, 1, -2, 1, 1, -2)
 
     def test_each_transform_is_G_times_its_weight_polynomial(self):
+        """Each transform's k-th coefficient is the sum of w(d) G(k/d) over d | k, d | n."""
         order = 120
         for n in (1, 6, 12, 30, 60):
             z = random_zeta_product(random.Random(f"g-weights:{n}"), n)
             for G in (unit_series(order), zeta_series(order), mobius_series(order), zeta_series(order).shift()):
                 t = g_transforms(z, G)
                 for kind in t._fields:
-                    want = G * divisor_polynomial(root_weights(z, kind), order)
-                    assert getattr(t, kind) == want, (n, kind)
+                    w = root_weights(z, kind)
+                    want = [
+                        sum(w[d] * G.coefficient(k // d) for d in divisors(n) if k % d == 0)
+                        for k in range(1, order + 1)
+                    ]
+                    assert getattr(t, kind).coeffs == tuple(want), (n, kind)
 
     def test_unit_supports_on_divisors(self):
         t = g_transforms(A2, unit_series(N))
@@ -304,6 +310,51 @@ class TestConvolutionExamples:
                     z = random_zeta_product(rng, n)
                     rep = convolution_example(index, z, r=r, order=120)
                     assert rep.status == "pass", (index, n, r, rep.to_dict())
+
+    @staticmethod
+    def _corrupt_h(monkeypatch, index, k, delta):
+        ex = TRANSFER_EXAMPLES[index]
+
+        def build(n, r, order):
+            G1, G2, h = ex.build(n, r, order)
+            h = list(h)
+            h[k - 1] += delta
+            return G1, G2, h
+
+        monkeypatch.setitem(TRANSFER_EXAMPLES, index, TransferExample(index, ex.label, ex.needs_r, build))
+
+    @pytest.mark.parametrize("index, z, r, k, delta, first", [
+        (1, A2, None, 7, 1, {"k": 7, "lhs": "7", "rhs": "8"}),
+        (2, ZetaProduct(12, {1: 1, 2: -1, 3: 2, 4: 0, 6: 1, 12: -2}), 3, 5, -3, {"k": 5, "lhs": "0", "rhs": "6"}),
+        (5, A2, None, 4, Fraction(1, 2), {"k": 4, "lhs": "4", "rhs": "9/2"}),
+    ])
+    def test_corrupted_sequence_reports_the_first_bad_k(self, monkeypatch, index, z, r, k, delta, first):
+        self._corrupt_h(monkeypatch, index, k, delta)
+        rep = convolution_example(index, z, r=r, order=60)
+        assert rep.status == "fail"
+        assert rep.mismatches == [first]
+        assert example_report_json(rep)["first_mismatch"] == first
+
+    def test_corrupted_inverse_table_reports_the_inverse_identity(self, monkeypatch):
+        import cyclozeta.dirichlet as dirichlet_mod
+
+        real = dirichlet_mod.named_function
+
+        class Corrupted:
+            def __init__(self, fn):
+                self.fn = fn
+
+            def values(self, order):
+                v = list(self.fn.values(order))
+                v[4] += 2
+                return v
+
+        monkeypatch.setattr(
+            dirichlet_mod, "named_function",
+            lambda name, *params: Corrupted(real(name, *params)) if name == "phi_inv" else real(name, *params),
+        )
+        rep = convolution_example(1, A2, order=60)
+        assert rep.mismatches == [{"identity": "inverse", "k": 5, "lhs": "1", "rhs": "3"}]
 
     def test_requires_parameter(self):
         with pytest.raises(ValueError):

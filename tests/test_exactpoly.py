@@ -21,6 +21,9 @@ from cyclozeta.exactpoly import (
     poly_gcd,
     tensor_product,
 )
+from cyclozeta.exactpoly import _mul
+
+F = Fraction
 
 
 class TestPolynomialQ:
@@ -136,6 +139,48 @@ class TestTensorProduct:
         with pytest.raises(ValueError):
             tensor_product(ZERO, Q - 1)
 
+    # (f, g, f (x) g) low to high, f (x) g being the resultant in t of
+    # t**deg(f) f(q/t) and g(t) with its scaling, on non-monic, zero-root and
+    # constant inputs
+    PINNED = [
+        ([1, -3, 2], [-2, 3], [4, -18, 18]),
+        ([0, 2, 1], [-3, 0, 1], [0, 0, -12, 0, 1]),
+        ([0, 0, -1, 3], [1, 1, 2], [0, 0, 0, 0, 1, 3, 18]),
+        ([5], [1, 0, 1], [25]),
+        ([1, 0, 2], [7], [49]),
+        ([3], [4], [1]),
+        ([-1, F(2, 3), F(1, 2)], [F(2, 5), F(-1, 3), 0, 1],
+         [F(-4, 25), F(4, 45), F(1, 18), F(-14, 27), F(-13, 54), 0, F(1, 8)]),
+        ([0, -1, 1], [0, 4, 2], [0, 0, 0, 4, 2]),
+        ([1, 0, 1], [0, 0, 3], [0, 0, 0, 0, 9]),
+        ([0, 0, -2], [1, -1, 0, 5], [0, 0, 0, 0, 0, 0, -8]),
+        ([2, -1, 0, 1], [-1, 0, 0, 2], [-8, 0, 0, -22, 0, 0, -24, 0, 0, -8]),
+    ]
+
+    @pytest.mark.parametrize("f, g, want", PINNED)
+    def test_pinned_non_monic_zero_root_and_constant_inputs(self, f, g, want):
+        assert tensor_product(PolynomialQ(f), PolynomialQ(g)).coeffs == PolynomialQ(want).coeffs
+
+    def test_monic_inputs_match_the_sympy_resultant(self):
+        sympy = pytest.importorskip("sympy")
+        q, t = sympy.symbols("q t")
+        rng = random.Random(2024)
+        for _ in range(40):
+            f, g = (
+                PolynomialQ([0] * rng.randint(0, 1)
+                            + [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+                            + [1])
+                for _ in range(2)
+            )
+            m = f.degree
+            f_rev = sum(sympy.Rational(c.numerator, c.denominator) * q**i * t ** (m - i)
+                        for i, c in enumerate(map(F, f.coeffs)))
+            g_t = sum(sympy.Rational(c.numerator, c.denominator) * t**i
+                      for i, c in enumerate(map(F, g.coeffs)))
+            res = sympy.Poly(sympy.resultant(f_rev, g_t, t), q)
+            want = [F(int(c.p), int(c.q)) for c in reversed(res.monic().all_coeffs())]
+            assert tensor_product(f, g) == PolynomialQ(want), (f, g)
+
 
 class TestLogDerivative:
     def test_simple(self):
@@ -220,3 +265,18 @@ class TestPowerSeriesQ:
     def test_multiplication(self):
         a = PowerSeriesQ([1, 1, 1, 1], 4)
         assert (a * a).coeffs == (1, 2, 3, 4)
+
+    def test_product_is_the_truncated_dense_product(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            a, b = (
+                PowerSeriesQ([rng.choice([0, rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 4))])
+                              for _ in range(rng.randint(1, 12))])
+                for _ in range(2)
+            )
+            n = min(a.order, b.order)
+            written = [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)) for k in range(n)]
+            dense = _mul(a.coeffs, b.coeffs)
+            assert (a * b).order == n
+            assert (a * b).coeffs == tuple(written)
+            assert (a * b).coeffs == PowerSeriesQ(dense, n).coeffs
