@@ -28,7 +28,7 @@ from .exactpoly import (
     geometric,
 )
 from .report import Report
-from .zetaprod import EvenFunction, ZetaProduct
+from .zetaprod import EvenFunction, ZetaProduct, lambert_polynomial
 
 
 class ApostolPoly:
@@ -213,11 +213,8 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
     a = EvenFunction.from_divisor_map(z.e)
     report = Report("weighted-sums", context={"n": n, "b": b, "c": c, "r": r})
 
-    lhs1 = PolynomialQ([a(k) for k in range(n)])
-    rhs1 = ZERO
-    for d, ed in z.e.items():
-        if ed:
-            rhs1 = rhs1 + ed * geometric(d, n)
+    lhs1 = PolynomialQ(a.values)
+    rhs1 = lambert_polynomial(n, z.e)
     if lhs1 != rhs1:
         report.fail(identity="partial-fractions", lhs=str(lhs1), rhs=str(rhs1))
 

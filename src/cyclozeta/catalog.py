@@ -201,8 +201,7 @@ def verify_entry(entry: CatalogEntry) -> Report:
 
     expo = coxeter_exponents(entry.name)
     if expo is not None:
-        m = entry.m_even()
-        expansion = PolynomialQ([m(k) for k in range(n)])
+        expansion = PolynomialQ(entry.m_even().values)
         want = PolynomialQ([sum(1 for x in expo if x == k) for k in range(n)])
         if expansion != want:
             report.fail(

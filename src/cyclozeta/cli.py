@@ -14,19 +14,21 @@ import json
 import sys
 
 from . import catalog as catalog_mod
+from .arith import divisors
 from .dirichlet import (
     g_transforms,
     mobius_series,
+    ps_g_transforms,
     unit_series,
     zeta_series,
 )
-from .exactpoly import ONE, PolynomialQ, RationalFunctionQ
+from .exactpoly import PowerSeriesQ
 from .report import json_safe, merge_reports
 from .verify import SCOPE_SUITES, SuiteConfig, run_scope, summarize
 from .zetaprod import (
     ZetaParseError,
     ZetaProduct,
-    cyclotomic_exponents,
+    lambert_form,
     multiplicities,
     parse_zeta_product,
     power_sums,
@@ -55,10 +57,6 @@ def _analyze_payload(z: ZetaProduct) -> dict:
     p = power_sums(z)
     mstar, pstar = star_functions(z)
     r = ramanujan_coefficients(m)
-    rf = to_rational_function(z)
-    one_minus_qn = ONE - PolynomialQ.monomial(n)
-    m_series = RationalFunctionQ(PolynomialQ([m(k) for k in range(n)]), one_minus_qn)
-    p_series = RationalFunctionQ(PolynomialQ([p(k) for k in range(n)]), one_minus_qn)
     return {
         "n": n,
         "e": {str(d): v for d, v in z.e.items()},
@@ -68,12 +66,13 @@ def _analyze_payload(z: ZetaProduct) -> dict:
         "mstar": list(mstar.values),
         "pstar": list(pstar.values),
         "ramanujan_m": [str(v) for v in r.values],
-        "zeta": str(rf),
-        "cyclotomic_exponents": {str(d): v for d, v in cyclotomic_exponents(rf, n).items()},
+        "zeta": str(to_rational_function(z)),
+        # the exponent of Phi_d in the product is m(n/d), read off the root data
+        "cyclotomic_exponents": {str(d): m(n // d) for d in divisors(n)},
         "m_line": {str(d): w for d, w in root_weights(z, "m").items()},
         "p_line": {str(d): w for d, w in root_weights(z, "p").items()},
-        "m_series_form": str(m_series),
-        "p_series_form": str(p_series),
+        "m_series_form": str(lambert_form(m)),
+        "p_series_form": str(lambert_form(p)),
     }
 
 
@@ -121,9 +120,6 @@ def _cmd_series(args) -> int:
             payload[key] = [str(c) if not isinstance(c, int) else c for c in table[key].coeffs]
     else:
         # q-power-series transforms against the geometric coefficient series
-        from .exactpoly import PowerSeriesQ
-        from .dirichlet import ps_g_transforms
-
         if which in ("mstar", "pstar"):
             raise ValueError(f"--kind power has only the m and p transforms, not {which!r}")
         g = PowerSeriesQ([0] + [1] * (args.order - 1), args.order)
@@ -255,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparser("verify", help="run verification suites")
     p.add_argument("scope", choices=sorted(SCOPE_SUITES))
     p.add_argument("--index", type=int, default=None, help="proposition or example index")
-    p.add_argument("--n", type=int, action="append", help="restrict to these conductors")
+    p.add_argument("--n", type=_positive_int, action="append", help="restrict to these conductors")
     p.add_argument("--nmax", type=_positive_int, default=60)
     p.add_argument("--order", type=_positive_int, default=200)
     p.add_argument("--trials", type=_positive_int, default=None)

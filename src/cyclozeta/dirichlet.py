@@ -34,7 +34,7 @@ from .arith import (
     named_function,
     ramanujan_sum,
 )
-from .exactpoly import PowerSeriesQ, RationalFunctionQ, combine_fractions, expand, q_integer
+from .exactpoly import PowerSeriesQ
 from .report import Report
 from .zetaprod import ZetaProduct, multiplicities, power_sums, root_weights
 
@@ -209,16 +209,18 @@ def ps_g_transforms(z: ZetaProduct, g: PowerSeriesQ) -> tuple[PowerSeriesQ, Powe
         sum_d e(n/d) / [d]_q      and      sum_d d e(d) / [d]_q
 
     where [d]_q = 1 + q + ... + q**(d-1).  g must have zero constant term.
+
+    Read from the root data: sum_d w(d) / [d]_q = (1 - q) sum_k a(k) q**k
+    for a(k) = sum of w(d) over d | (k, n), so the q-integer sum of the m
+    (p) weights has the coefficients a(0), a(k) - a(k - 1) of a = m (p).
     """
     if g.coeffs[0] != 0:
         raise ValueError("ps_g_transforms: the coefficient series must start at q^1")
-    from .exactpoly import PolynomialQ
 
-    def transform(kind):
-        terms = [(PolynomialQ.constant(w), q_integer(d)) for d, w in root_weights(z, kind).items()]
-        return g * expand(RationalFunctionQ(*combine_fractions(terms)), g.order)
+    def transform(a):
+        return g * PowerSeriesQ([a(0)] + [a(k) - a(k - 1) for k in range(1, g.order)], g.order)
 
-    return transform("m"), transform("p")
+    return transform(multiplicities(z)), transform(power_sums(z))
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import divisors, ramanujan_sum, sigma
+from .arith import divisors, sigma
 from .dirichlet import DirichletSeries, divisor_polynomial, zeta_series
-from .exactpoly import (
-    PolynomialQ,
-    PowerSeriesQ,
-    cyclotomic,
-    expand_fraction,
-    log_derivative,
-)
+from .exactpoly import PowerSeriesQ, Q, cyclotomic, expand_fraction
 from .report import Report
-from .zetaprod import ZetaProduct, multiplicities
+from .zetaprod import ZetaProduct, multiplicities, ramanujan_kernel
 
 
 def lambert_series(order: int) -> PowerSeriesQ:
@@ -57,18 +51,17 @@ class EtaExpansion:
     ramanujan_form: PowerSeriesQ
 
 
+# Both kernels are expanded from unreduced pairs: q Phi_d' / Phi_d is already
+# in lowest terms, and the Ramanujan kernel needs no reduction to expand.
 @lru_cache(maxsize=None)
 def _logderiv_coeffs(d: int, order: int) -> tuple:
     phi = cyclotomic(d)
-    ld = log_derivative(phi)
-    return expand_fraction(ld.num, ld.den, order).coeffs
+    return expand_fraction(Q * phi.derivative(), phi, order).coeffs
 
 
 @lru_cache(maxsize=None)
 def _ramanujan_kernel_coeffs(d: int, order: int) -> tuple:
-    num = PolynomialQ([0] + [ramanujan_sum(d, j) for j in range(1, d + 1)])
-    den = PolynomialQ.monomial(d) - 1
-    return expand_fraction(num, den, order).coeffs
+    return expand_fraction(*ramanujan_kernel(d), order).coeffs
 
 
 def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:

@@ -6,6 +6,8 @@ dense tuples with trailing zeros stripped (the zero polynomial is the empty
 tuple).  Rational functions are kept reduced with a monic denominator.
 Power series are truncated hard at their stated order; mixed-order
 arithmetic truncates to the minimum rather than extending precision.
+Products of powers f**k with exponents of either sign are split into a
+numerator and a denominator in one place, :func:`power_product`.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _mul(a: Sequence, b: Sequence, limit: int | None = None) -> list:
 def _scale(a: Sequence, c) -> list:
     if not c:
         return []
-    return _trim([ai * c for ai in a])
+    return _trim([as_exact(ai * c) for ai in a])
 
 
 def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
@@ -303,6 +305,17 @@ def geometric(d: int, n: int) -> PolynomialQ:
 def q_integer(m: int) -> PolynomialQ:
     """1 + q + ... + q**(m-1)."""
     return PolynomialQ._raw([1] * m)
+
+
+def power_product(factors) -> tuple[PolynomialQ, PolynomialQ]:
+    """(product of f**k over k > 0, product of f**(-k) over k < 0) for (f, k) pairs, unreduced."""
+    num, den = ONE, ONE
+    for f, k in factors:
+        if k > 0:
+            num = num * f**k
+        elif k < 0:
+            den = den * f ** (-k)
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -670,16 +683,7 @@ def cyclotomic(n: int) -> PolynomialQ:
     """
     if n < 1:
         raise ValueError(f"cyclotomic: need a positive integer, got {n}")
-    num, den = ONE, ONE
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 0:
-            continue
-        f = PolynomialQ.monomial(d) - 1
-        if mu == 1:
-            num = num * f
-        else:
-            den = den * f
+    num, den = power_product((PolynomialQ.monomial(d) - 1, mobius(n // d)) for d in divisors(n))
     return num.exact_div(den)
 
 

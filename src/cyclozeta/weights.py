@@ -25,16 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import DivisorMap, as_exact, divisors, rational_power
-from .exactpoly import (
-    ONE,
-    ZERO,
-    PolynomialQ,
-    RationalFunctionQ,
-    combine_fractions,
-    geometric,
-)
+from .exactpoly import ONE, PolynomialQ, RationalFunctionQ, power_product
 from .report import Report
-from .zetaprod import EvenFunction, ZetaProduct, dft_power_sums, multiplicities, power_sums
+from .zetaprod import (
+    EvenFunction,
+    ZetaProduct,
+    dft_power_sums,
+    lambert_form,
+    lambert_polynomial,
+    multiplicities,
+    power_sums,
+)
 
 
 class NonRegularWeightSystem(ValueError):
@@ -134,16 +135,6 @@ def spectral_mod(w: WeightSystem) -> PolynomialQ:
     return rem
 
 
-def _line_rational(line: DivisorMap) -> RationalFunctionQ:
-    terms = []
-    for d, v in line.items():
-        if v:
-            terms.append((PolynomialQ.constant(v), PolynomialQ.monomial(d) - 1))
-    if not terms:
-        return RationalFunctionQ(ZERO)
-    return RationalFunctionQ(*combine_fractions(terms))
-
-
 def m_line_from_weights(w: WeightSystem) -> DivisorMap:
     """Coefficients of 1/(q**d - 1) in the multiplicity generating function.
 
@@ -180,15 +171,16 @@ def p_line_from_weights(w: WeightSystem) -> DivisorMap:
 
 
 def m_gf_from_weights(w: WeightSystem) -> tuple[RationalFunctionQ, DivisorMap]:
-    """(assembled rational function, divisor coefficients) of the m-line."""
+    """(sum of v(d) / (q**d - 1), v) for the m-line v; the sum is minus the
+    Lambert form of the even function the line generates."""
     line = m_line_from_weights(w)
-    return _line_rational(line), line
+    return -lambert_form(EvenFunction.from_divisor_map(line)), line
 
 
 def p_gf_from_weights(w: WeightSystem) -> RationalFunctionQ:
-    """Assembled power-sum generating function; its coefficients are
+    """sum of v(d) / (q**d - 1) for the power-sum line v of
     :func:`p_line_from_weights`."""
-    return _line_rational(p_line_from_weights(w))
+    return -lambert_form(EvenFunction.from_divisor_map(p_line_from_weights(w)))
 
 
 def m_dirichlet_from_weights(w: WeightSystem, s: int):
@@ -255,7 +247,7 @@ def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Repo
     p_line = p_line_from_weights(w)
     m_even, p_even = weight_even_functions(w)
     reduced = spectral_mod(w)
-    from_m = PolynomialQ([m_even(k) for k in range(n)])
+    from_m = PolynomialQ(m_even.values)
     if reduced != from_m:
         report.fail(identity="spectral-mod", lhs=str(reduced), rhs=str(from_m))
     if dft_power_sums(m_even) != p_even:
@@ -296,14 +288,7 @@ def char_poly_from_seifert(w: WeightSystem, sd: SeifertData) -> tuple[RationalFu
     for alpha in sd.alphas:
         if n % alpha == 0:
             expo[n // alpha] -= 1
-    num, den = ONE, ONE
-    for d, ed in expo.items():
-        if ed:
-            factor = ONE - PolynomialQ.monomial(d)
-            if ed > 0:
-                num = num * factor**ed
-            else:
-                den = den * factor ** (-ed)
+    num, den = power_product((ONE - PolynomialQ.monomial(d), ed) for d, ed in expo.items())
     return RationalFunctionQ(num, den), ZetaProduct(n, expo)
 
 
@@ -339,18 +324,10 @@ def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) ->
         if n % alpha == 0:
             p_coeff[n // alpha] -= n // alpha
 
-    m_even = multiplicities(z)
-    p_even = power_sums(z)
-    m_poly = PolynomialQ([m_even(k) for k in range(n)])
-    p_poly = PolynomialQ([p_even(k) for k in range(n)])
-    rhs_m = ZERO
-    for d, v in m_coeff.items():
-        if v:
-            rhs_m = rhs_m + v * geometric(d, n)
-    rhs_p = ZERO
-    for d, v in p_coeff.items():
-        if v:
-            rhs_p = rhs_p + v * geometric(d, n)
+    m_poly = PolynomialQ(multiplicities(z).values)
+    p_poly = PolynomialQ(power_sums(z).values)
+    rhs_m = lambert_polynomial(n, m_coeff)
+    rhs_p = lambert_polynomial(n, p_coeff)
     if m_poly != rhs_m:
         report.fail(identity="m-line", lhs=str(m_poly), rhs=str(rhs_m))
     if p_poly != rhs_p:

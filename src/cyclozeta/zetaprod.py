@@ -5,7 +5,9 @@ conductor n of (q**d - 1)**e(d) with integer exponents e(d).  This module
 computes the attached even functions -- root multiplicities m(k), power sums
 p(k), and their Saito counterparts m*(k), p*(k) -- together with the
 Fourier expansion of even functions in Ramanujan sums, the discrete Fourier
-relation between m and p, generating-function identities, and the pairing
+relation between m and p, the periodic Lambert form of an even function
+(:func:`lambert_form`, cleared: :func:`lambert_polynomial`) and the
+generating-function identities built on it, and the pairing
 identities obtained by substituting Möbius-inverse pairs (necklace
 polynomials, cyclotomic logarithmic derivatives, Ramanujan-sum kernels).
 
@@ -42,6 +44,8 @@ from .exactpoly import (
     cyclotomic,
     fractions_equal,
     geometric,
+    necklace,
+    power_product,
 )
 from .report import Report
 
@@ -282,27 +286,15 @@ def to_rational_function(z: ZetaProduct) -> RationalFunctionQ:
     is already in lowest terms.
     """
     n = z.n
-    num, den = ONE, ONE
-    for d in divisors(n):
-        c = sum(z.e[dp] for dp in divisors(n) if dp % d == 0)
-        if c > 0:
-            num = num * cyclotomic(d) ** c
-        elif c < 0:
-            den = den * cyclotomic(d) ** (-c)
+    num, den = power_product(
+        (cyclotomic(d), sum(z.e[dp] for dp in divisors(n) if dp % d == 0)) for d in divisors(n)
+    )
     return RationalFunctionQ(num, den, _normalized=True)
 
 
 def expand_divisor_product(z: ZetaProduct) -> tuple[PolynomialQ, PolynomialQ]:
     """Unreduced (numerator, denominator) of the literal product of (q**d - 1)**e(d)."""
-    num, den = ONE, ONE
-    for d, ed in z.e.items():
-        if ed:
-            f = PolynomialQ.monomial(d) - 1
-            if ed > 0:
-                num = num * f**ed
-            else:
-                den = den * f ** (-ed)
-    return num, den
+    return power_product((PolynomialQ.monomial(d) - 1, ed) for d, ed in z.e.items())
 
 
 def _division_count(p: PolynomialQ, f: PolynomialQ) -> int:
@@ -334,16 +326,7 @@ def partial_zeta(z: ZetaProduct, k: int) -> RationalFunctionQ:
     would not even be multiplicative in e).
     """
     g = math.gcd(k, z.n)
-    num, den = ONE, ONE
-    for d in divisors(g):
-        ed = z.e[d]
-        if ed:
-            f = PolynomialQ.monomial(d) - 1
-            if ed > 0:
-                num = num * f**ed
-            else:
-                den = den * f ** (-ed)
-    return RationalFunctionQ(num, den)
+    return RationalFunctionQ(*power_product((PolynomialQ.monomial(d) - 1, z.e[d]) for d in divisors(g)))
 
 
 def root_multiplicity_at_one(f: RationalFunctionQ) -> int:
@@ -385,6 +368,25 @@ def dft_power_sums(m: EvenFunction) -> EvenFunction:
 # generating-function identities
 
 
+def lambert_form(a: EvenFunction) -> RationalFunctionQ:
+    """sum_{k=0..n-1} a(k) q**k / (1 - q**n), reduced.
+
+    For a(k) = sum of w(d) over d | (k, n) this is the periodic Lambert
+    identity's left side; it equals sum_d w(d) / (1 - q**d).
+    """
+    return RationalFunctionQ(PolynomialQ(a.values), ONE - PolynomialQ.monomial(a.n))
+
+
+def lambert_polynomial(n: int, w: Mapping[int, object]) -> PolynomialQ:
+    """sum_d w(d) (1 - q**n) / (1 - q**d) over d | n: the partial-fraction side
+    of :func:`lambert_form` cleared by 1 - q**n, so it equals sum_{k<n} a(k) q**k."""
+    acc = ZERO
+    for d, v in w.items():
+        if v:
+            acc = acc + v * geometric(d, n)
+    return acc
+
+
 def gf_power_series(a: EvenFunction, e: DivisorMap) -> Report:
     """Check the two partial-fraction forms of the periodic Lambert identity.
 
@@ -407,11 +409,8 @@ def gf_power_series(a: EvenFunction, e: DivisorMap) -> Report:
             rhs_tail = rhs_tail + PolynomialQ.monomial(d, ed) * geometric(d, n)
     if lhs_tail != rhs_tail:
         report.fail(identity="k=1..n", lhs=str(lhs_tail), rhs=str(rhs_tail))
-    lhs_head = PolynomialQ([a(k) for k in range(n)])
-    rhs_head = ZERO
-    for d, ed in e.items():
-        if ed:
-            rhs_head = rhs_head + ed * geometric(d, n)
+    lhs_head = PolynomialQ(a.values)
+    rhs_head = lambert_polynomial(n, e)
     if lhs_head != rhs_head:
         report.fail(identity="k=0..n-1", lhs=str(lhs_head), rhs=str(rhs_head))
     one_minus_qn = ONE - PolynomialQ.monomial(n)
@@ -483,7 +482,7 @@ def pairing_preset(name: str, n: int) -> dict[int, object]:
     raise ValueError(f"unknown pairing preset {name!r}")
 
 
-def _ramanujan_kernel(d: int) -> tuple[PolynomialQ, PolynomialQ]:
+def ramanujan_kernel(d: int) -> tuple[PolynomialQ, PolynomialQ]:
     """(sum of c_d(k) q**k for k = 1..d, q**d - 1) without reduction."""
     num = PolynomialQ([0] + [ramanujan_sum(d, k) for k in range(1, d + 1)])
     return num, PolynomialQ.monomial(d) - 1
@@ -504,12 +503,10 @@ def check_pairing_preset(z: ZetaProduct, name: str) -> Report:
     if name in ("log-derivative", "ramanujan"):
         for d in divisors(n):
             phi = cyclotomic(d)
-            expected = (Q * phi.derivative(), phi) if name == "log-derivative" else _ramanujan_kernel(d)
+            expected = (Q * phi.derivative(), phi) if name == "log-derivative" else ramanujan_kernel(d)
             if not fractions_equal(derived[d], expected):
                 report.fail(identity=f"kernel at d={d}")
     if name == "necklace":
-        from .exactpoly import necklace
-
         for d in divisors(n):
             num, den = derived[d]
             if not fractions_equal((num, den), (d * necklace(d), ONE)):

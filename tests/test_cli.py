@@ -1,14 +1,17 @@
 """Command-line surface: grammar, JSON schema, exit codes, determinism."""
 
 import json
+import random
 
 import pytest
 
 import cyclozeta.cli
 import cyclozeta.verify
+from cyclozeta.arith import divisors
 from cyclozeta.cli import main
 from cyclozeta.report import Report
 from cyclozeta.verify import SuiteConfig
+from cyclozeta.zetaprod import ZetaProduct, cyclotomic_exponents, random_zeta_product, to_rational_function
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +49,16 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "--format", "json", "n=3; e={1:-1,3:1}")
         assert code == 0
         assert json.loads(out)["payload"]["p"] == [2, -1, -1]
+
+    def test_cyclotomic_exponents_are_those_of_the_reduced_product(self):
+        rng = random.Random(5)
+        vectors = [ZetaProduct(12, {d: 0 for d in divisors(12)})]
+        vectors += [random_zeta_product(rng, n) for n in (1, 2, 6, 12, 20, 30, 36, 60) for _ in range(3)]
+        for z in vectors:
+            want = cyclotomic_exponents(to_rational_function(z), z.n)
+            got = cyclozeta.cli._analyze_payload(z)["cyclotomic_exponents"]
+            # the text output prints this dict, so its key order matters too
+            assert list(got.items()) == [(str(d), v) for d, v in want.items()], z
 
     def test_zero_product(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "n=1; e={1:0}")
@@ -164,6 +177,8 @@ class TestVerifyCommand:
         ["verify", "prop", "--index", "2", "--trials", "0"],
         ["verify", "example", "--trials", "-3"],
         ["verify", "example", "--nmax", "x"],
+        ["verify", "prop", "--index", "1", "--n", "0"],
+        ["verify", "example", "--index", "11", "--n", "-4"],
     ])
     def test_sizes_below_one_are_refused(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -250,6 +250,20 @@ class TestPowerSeriesTransforms:
         with pytest.raises(ValueError):
             ps_g_transforms(A2, PowerSeriesQ([1, 1], 2))
 
+    def test_matches_the_expanded_q_integer_sums(self):
+        rng = random.Random(41)
+        for n in (1, 2, 6, 12, 30, 36, 60):
+            for order in (1, 2, 90):
+                z = random_zeta_product(rng, n)
+                g = PowerSeriesQ(
+                    [0] + [rng.choice([0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))])
+                           for _ in range(order - 1)],
+                    order,
+                )
+                for kind, got in zip(("m", "p"), ps_g_transforms(z, g)):
+                    terms = [(PolynomialQ.constant(w), q_integer(d)) for d, w in root_weights(z, kind).items()]
+                    assert got == g * expand(RationalFunctionQ(*combine_fractions(terms)), order), (z, order, kind)
+
 
 class TestStarSeries:
     def test_unit_reduces_to_totient_pairing(self):

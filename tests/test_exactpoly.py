@@ -19,6 +19,7 @@ from cyclozeta.exactpoly import (
     log_derivative,
     necklace,
     poly_gcd,
+    power_product,
     tensor_product,
 )
 from cyclozeta.exactpoly import _mul
@@ -61,6 +62,24 @@ class TestPolynomialQ:
         assert str(Q**2 - Q + 1) == "q^2 - q + 1"
         assert str(ZERO) == "0"
 
+    def test_scaling_by_a_fraction_keeps_integral_coefficients_as_ints(self):
+        half = PolynomialQ([2, 6]) * Fraction(1, 2)
+        assert half.coeffs == (1, 3) and all(type(c) is int for c in half.coeffs)
+        assert str(half) == "3q + 1"
+        assert str(RationalFunctionQ(PolynomialQ([2, 6]), PolynomialQ([1, 2]))) == "(3q + 1) / (q + 1/2)"
+
+
+class TestPowerProduct:
+    def test_empty_and_zero_exponents_give_one_over_one(self):
+        assert power_product([]) == (ONE, ONE)
+        assert power_product([(Q - 1, 0), (ZERO, 0)]) == (ONE, ONE)
+
+    def test_mixed_exponents_split_into_numerator_and_denominator(self):
+        factors = [(Q - 1, 2), (Q + 1, -1), (Q**2 + 1, 0), (2 * Q + 3, -3), (Q, 1), (Q + 1, -2)]
+        num, den = power_product(iter(factors))
+        assert num == (Q - 1) ** 2 * Q
+        assert den == (Q + 1) ** 3 * (2 * Q + 3) ** 3
+
 
 def test_poly_gcd():
     f = (Q - 1) ** 2 * (Q + 3)
@@ -69,6 +88,26 @@ def test_poly_gcd():
     h = poly_gcd(Fraction(1, 3) * (Q - 2), Fraction(2, 5) * (Q - 2) * (Q + 1))
     assert h == Q - 2
     assert poly_gcd(f, ZERO) == f * Fraction(1, f.leading)
+
+
+def test_poly_gcd_matches_sympy_on_products_that_share_factors():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    rng = random.Random(23)
+
+    def rand_poly(max_deg):
+        lead = rng.choice([1, -2, 3, F(1, 2)])
+        return PolynomialQ([F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, max_deg))] + [lead])
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], q, domain="QQ")
+
+    for _ in range(60):
+        common, f, g = rand_poly(3), rand_poly(3), rand_poly(3)
+        a = common * f * (f if rng.random() < 0.3 else ONE)
+        b = common * g * (common if rng.random() < 0.3 else ONE)
+        want = to_sympy(a).gcd(to_sympy(b)).monic()
+        assert poly_gcd(a, b) == PolynomialQ([F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]), (a, b)
 
 
 class TestCyclotomic:
@@ -89,6 +128,13 @@ class TestCyclotomic:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cyclotomic(0)
+
+    def test_matches_sympy_to_120(self):
+        sympy = pytest.importorskip("sympy")
+        q = sympy.Symbol("q")
+        for n in range(1, 121):
+            want = reversed(sympy.Poly(sympy.cyclotomic_poly(n, q), q).all_coeffs())
+            assert cyclotomic(n).coeffs == tuple(int(c) for c in want), n
 
 
 class TestNecklace:

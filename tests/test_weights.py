@@ -14,6 +14,7 @@ from cyclozeta.weights import (
     m_dirichlet_from_weights,
     m_gf_from_weights,
     m_line_from_weights,
+    p_gf_from_weights,
     milnor_number,
     p_dirichlet_from_weights,
     p_line_from_weights,
@@ -56,6 +57,9 @@ class TestDivisorLines:
         # assembled rational function = (sum of m(k) q**k) / (q**3 - 1)
         want = RationalFunctionQ(PolynomialQ([2, 3, 3]), PolynomialQ.monomial(3) - 1)
         assert rf == want
+        # the power line assembled term by term: -1/(q - 1) + 9/(q**3 - 1)
+        q = PolynomialQ.monomial(1)
+        assert p_gf_from_weights(w) == RationalFunctionQ(-1, q - 1) + RationalFunctionQ(9, q**3 - 1)
 
     def test_parabolic_matches_catalog(self):
         for text, name in (("1,1,1;3", "P_8"), ("1,1,2;4", "X_9"), ("1,2,3;6", "J_10")):

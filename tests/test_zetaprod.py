@@ -8,7 +8,7 @@ import pytest
 
 from cyclozeta.arith import DivisorMap, divisors
 from cyclozeta.catalog import get as catalog_get
-from cyclozeta.exactpoly import ONE, Q, RationalFunctionQ, cyclotomic
+from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic
 from cyclozeta.zetaprod import (
     EvenFunction,
     ZetaParseError,
@@ -21,6 +21,8 @@ from cyclozeta.zetaprod import (
     dft_power_sums,
     expand_divisor_product,
     gf_power_series,
+    lambert_form,
+    lambert_polynomial,
     multiplicities,
     parse_zeta_product,
     partial_zeta,
@@ -246,6 +248,21 @@ class TestGeneratingForms:
         e = DivisorMap(3, {1: 1, 3: -1})
         wrong = EvenFunction(3, [7, 7, 7])
         assert gf_power_series(wrong, e).status == "fail"
+
+    def test_lambert_form_is_the_partial_fraction_sum(self):
+        rng = random.Random(31)
+        for n in [1, 2, 6, 12, 30, 60] + [rng.randint(1, 60) for _ in range(6)]:
+            z = random_zeta_product(rng, n)
+            fractional = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for d in divisors(n)}
+            for w in (root_weights(z, "m"), root_weights(z, "p"), fractional, {d: 0 for d in divisors(n)}):
+                a = EvenFunction.from_divisor_map(DivisorMap(n, w))
+                want = RationalFunctionQ(ZERO)
+                for d, v in w.items():
+                    want = want + RationalFunctionQ(PolynomialQ.constant(v), ONE - PolynomialQ.monomial(d))
+                assert lambert_form(a) == want, (n, w)
+                # the cleared side against a(k) = sum of w(d) over d | (k, n), written out
+                written = PolynomialQ([sum(v for d, v in w.items() if k % d == 0) for k in range(n)])
+                assert lambert_polynomial(n, w) == written, (n, w)
 
     def test_random_sweep(self):
         rng = random.Random(12)
