@@ -110,12 +110,7 @@ def jordan_totient(n: int, s: int):
     """Sum of mu(n/d) d**s over d | n; s = 1 gives Euler's totient, s = 0 gives [n == 1]."""
     if n < 1:
         raise ValueError(f"jordan_totient: need a positive integer, got {n}")
-    total = 0
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu:
-            total += mu * rational_power(d, s)
-    return as_exact(total)
+    return as_exact(mobius_inversion(n, {d: rational_power(d, s) for d in divisors(n)})[n])
 
 
 def ramanujan_sum(m: int, l: int) -> int:
@@ -230,6 +225,13 @@ def divisor_sums(n: int, w: Mapping[int, object]) -> dict[int, object]:
     return {g: sum(w[d] for d in divisors(g)) for g in divisors(n)}
 
 
+def mobius_inversion(n: int, x: Mapping[int, object]) -> dict[int, object]:
+    """{g: sum of mu(g/d) x[d] over d | g} for every divisor g of n: the inverse
+    of :func:`divisor_sums`.  Values may be polynomials; like there, the caller
+    normalises them."""
+    return {g: sum(mu * x[d] for d in divisors(g) if (mu := mobius(g // d))) for g in divisors(n)}
+
+
 def mobius_transform(e: DivisorMap) -> DivisorMap:
     """Divisor-sum transform: output(d) = sum of e(d') over d' | d."""
     return DivisorMap(e.n, divisor_sums(e.n, e.values))
@@ -237,15 +239,7 @@ def mobius_transform(e: DivisorMap) -> DivisorMap:
 
 def inverse_mobius_transform(x: DivisorMap) -> DivisorMap:
     """Inverse of :func:`mobius_transform`: output(d) = sum of mu(d/d') x(d')."""
-    out = {}
-    for d in divisors(x.n):
-        total = 0
-        for dp in divisors(d):
-            mu = mobius(d // dp)
-            if mu:
-                total += mu * x[dp]
-        out[d] = as_exact(total)
-    return DivisorMap(x.n, out)
+    return DivisorMap(x.n, mobius_inversion(x.n, x.values))
 
 
 class ArithmeticFunction:

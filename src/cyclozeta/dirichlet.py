@@ -31,6 +31,7 @@ from .arith import (
     divisors,
     liouville,
     mobius,
+    mobius_inversion,
     named_function,
     ramanujan_sum,
 )
@@ -240,16 +241,11 @@ def check_star_series(z: ZetaProduct, G: DirichletSeries) -> Report:
     m = multiplicities(z)
     p = power_sums(z)
     t = g_transforms(z, G)
-    u: dict[int, object] = {}
-    v: dict[int, object] = {}
-    for d in divisors(n):
-        md = m(n // d)
-        pd = p(n // d)
-        for dp in divisors(d):
-            mu = mobius(d // dp)
-            if mu:
-                u[dp] = u.get(dp, 0) + md * mu
-                v[dp] = v.get(dp, 0) + pd * mu * dp * dp
+    # u(d') = sum of mu(d/d') m(n/d) over d' | d | n is the Möbius inversion
+    # of m at g = n/d'; v(d') is d'**2 times that of p
+    mi, pi = (mobius_inversion(n, {j: a(j) for j in divisors(n)}) for a in (m, p))
+    u = {n // g: mi[g] for g in mi}
+    v = {n // g: (n // g) ** 2 * pi[g] for g in pi}
     lhs_m = G * divisor_polynomial(u, order)
     lhs_p = div_exact(1, n) * (G * divisor_polynomial(v, order))
     report = Report("star-series", context={"n": n, "order": order})

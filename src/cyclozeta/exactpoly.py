@@ -34,13 +34,22 @@ def _trim(cs: list) -> list:
     return cs
 
 
+def _demote(cs: list) -> list:
+    """Integral Fractions back to ints.  A list of ints is returned as it is:
+    a sum is a Fraction iff a term is, and the C sum of ints is the cheapest
+    test, so integer coefficients pay no per-coefficient conversion."""
+    if type(sum(cs)) is int:
+        return cs
+    return [as_exact(c) for c in cs]
+
+
 def _add(a: Sequence, b: Sequence) -> list:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _trim(out)
+    return _demote(_trim(out))
 
 
 def _neg(a: Sequence) -> list:
@@ -62,13 +71,13 @@ def _mul(a: Sequence, b: Sequence, limit: int | None = None) -> list:
             for k, bj in enumerate(b[: size - i], i):
                 if bj:
                     out[k] += ai * bj
-    return _trim(out)
+    return _demote(_trim(out))
 
 
 def _scale(a: Sequence, c) -> list:
     if not c:
         return []
-    return _trim([as_exact(ai * c) for ai in a])
+    return _demote(_trim([ai * c for ai in a]))
 
 
 def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
@@ -88,7 +97,7 @@ def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
             r[i] = 0
             for j in range(db):
                 r[i - db + j] -= c * b[j]
-    return _trim(q), _trim(r)
+    return _demote(_trim(q)), _demote(_trim(r))
 
 
 def _pow(a: Sequence, k: int) -> list:
@@ -224,7 +233,7 @@ class PolynomialQ:
         return q
 
     def derivative(self) -> "PolynomialQ":
-        return PolynomialQ._raw(_trim([i * c for i, c in enumerate(self.coeffs)][1:]))
+        return PolynomialQ._raw(_demote(_trim([i * c for i, c in enumerate(self.coeffs)][1:])))
 
     def substitute_power(self, m: int) -> "PolynomialQ":
         """q -> q**m."""
@@ -324,17 +333,8 @@ def power_product(factors) -> tuple[PolynomialQ, PolynomialQ]:
 
 def _int_clear(p: PolynomialQ) -> list[int]:
     """Scale to integer coefficients and divide out the content."""
-    den = 1
-    for c in p.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([int(c * den) for c in p.coeffs])
 
 
 def poly_gcd(a: PolynomialQ, b: PolynomialQ) -> PolynomialQ:
@@ -369,12 +369,8 @@ def _pseudo_rem(A: list[int], B: list[int]) -> list[int]:
 
 
 def _primitive(p: list[int]) -> list[int]:
-    g = 0
-    for c in p:
-        g = math.gcd(g, c)
-    if g > 1:
-        p = [c // g for c in p]
-    return p
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
 def _make_monic(p: PolynomialQ) -> PolynomialQ:
@@ -382,30 +378,6 @@ def _make_monic(p: PolynomialQ) -> PolynomialQ:
         return p
     inv = div_exact(1, p.leading)
     return p * inv
-
-
-# ---------------------------------------------------------------------------
-# unreduced fraction bookkeeping (fast identity checks without gcds)
-
-
-def combine_fractions(terms) -> tuple[PolynomialQ, PolynomialQ]:
-    """Sum (num, den) pairs of polynomials without reducing.
-
-    Returns the pair (sum numerator, product denominator); callers compare
-    results with :func:`fractions_equal`, which never needs a gcd.
-    """
-    num, den = ZERO, ONE
-    for tn, td in terms:
-        num = num * td + tn * den
-        den = den * td
-    if den.is_zero:
-        raise ZeroDivisionError("zero denominator in fraction combination")
-    return num, den
-
-
-def fractions_equal(a: tuple[PolynomialQ, PolynomialQ], b: tuple[PolynomialQ, PolynomialQ]) -> bool:
-    """a[0]/a[1] == b[0]/b[1] by cross-multiplication."""
-    return a[0] * b[1] == b[0] * a[1]
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +516,6 @@ class RationalFunctionQ:
 
     def __repr__(self):
         return f"RationalFunctionQ({self})"
-
-
-RF_ZERO = RationalFunctionQ(ZERO, ONE, _normalized=True)
-RF_ONE = RationalFunctionQ(ONE, ONE, _normalized=True)
 
 
 def log_derivative(f) -> RationalFunctionQ:

@@ -229,9 +229,7 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
                 subreports.append(check_pairing_preset(z, "ones"))
                 xrng = cfg.rng("pairing-x", n, t)
                 x = {d: Fraction(xrng.randint(-9, 9), xrng.randint(1, 4)) for d in divisors(n)}
-                sub = check_mobius_pairing(z, x)
-                sub.context.pop("derived_z", None)
-                subreports.append(sub)
+                subreports.append(check_mobius_pairing(z, x))
             if cfg.index in (None, 5):
                 subreports.append(check_pairing_preset(z, "necklace"))
             if cfg.index in (None, 6):

@@ -10,6 +10,10 @@ relation between m and p, the periodic Lambert form of an even function
 generating-function identities built on it, and the pairing
 identities obtained by substituting Möbius-inverse pairs (necklace
 polynomials, cyclotomic logarithmic derivatives, Ramanujan-sum kernels).
+A pairing writes every x_d over one common denominator and inverts the
+numerators with :func:`cyclozeta.arith.mobius_inversion`, so both sides are
+polynomials; the Fourier pair family is expanded through
+:func:`ramanujan_reconstruct`.
 
 Everything is exact.  The index convention a(0) = a(n) (gcd(0, n) = n) is
 used throughout.
@@ -29,8 +33,7 @@ from .arith import (
     div_exact,
     divisor_sums,
     divisors,
-    jordan_totient,
-    mobius,
+    mobius_inversion,
     ramanujan_sum,
     rational_power,
 )
@@ -40,9 +43,7 @@ from .exactpoly import (
     PolynomialQ,
     Q,
     RationalFunctionQ,
-    combine_fractions,
     cyclotomic,
-    fractions_equal,
     geometric,
     necklace,
     power_product,
@@ -111,7 +112,7 @@ def parse_zeta_product(text: str) -> ZetaProduct:
     """Parse ``n=<int>; e={d:v,...}`` (whitespace-insensitive, all divisors required)."""
     s = re.sub(r"\s+", "", text)
     if s.startswith("{"):
-        return zeta_product_from_json(json.loads(text))
+        return zeta_product_from_json(json.loads(text, object_pairs_hook=_refuse_repeated_keys))
     m = re.match(r"^n=(\d+);e=\{(.*)\}$", s)
     if not m:
         for pos, (got, want) in enumerate(zip(s, "n=")):
@@ -135,12 +136,29 @@ def parse_zeta_product(text: str) -> ZetaProduct:
     return ZetaProduct(n, e)
 
 
+def _refuse_repeated_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ZetaParseError(f"duplicate key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def zeta_product_from_json(obj: Mapping) -> ZetaProduct:
     """The JSON mirror {"n": <int>, "e": {"<d>": <int>, ...}}; like the text
-    grammar it refuses exponents that are not integers (booleans included)."""
+    grammar it refuses exponents that are not integers (booleans included),
+    and it takes divisors only as :meth:`ZetaProduct.to_json_dict` writes
+    them, in decimal without sign, padding or leading zeros."""
+    for field in ("n", "e"):
+        if field not in obj:
+            raise ZetaParseError(f"missing field {json.dumps(field)}")
     n, e = obj["n"], obj["e"]
     if not isinstance(e, dict):
         raise ZetaParseError(f"e must be an object mapping divisors to exponents, got {json.dumps(e)}")
+    for k in e:
+        if not re.fullmatch("[1-9][0-9]*", k):
+            raise ZetaParseError(f"e key {json.dumps(k)} is not a divisor in canonical decimal form")
     for label, v in [("n", n)] + [(f"e({k})", v) for k, v in e.items()]:
         if type(v) is not int:
             raise ZetaParseError(f"{label} must be an integer, got {json.dumps(v)}")
@@ -433,38 +451,29 @@ def check_mobius_pairing(z: ZetaProduct, x: Mapping[int, object]) -> Report:
     * sum_d p(n/d) z_d == sum_d (n/d) e(n/d) x_d
 
     are checked exactly.  Values may be rationals, polynomials or rational
-    functions; sums are compared by cross-multiplication so no gcd is needed.
+    functions; every value is written over one common denominator, so both
+    sides are polynomials and no gcd is needed.
     """
+    return _mobius_pairing(z, x)[0]
+
+
+def _mobius_pairing(z: ZetaProduct, x: Mapping[int, object]):
+    """(report, Z, D): the check above, with z_d = Z[d] / D for the product D
+    of the distinct denominators of the x_d."""
     n = z.n
     divs = divisors(n)
     xf = {d: RationalFunctionQ.from_value(x[d]) for d in divs}
-    pairs = {d: (xf[d].num, xf[d].den) for d in divs}
-    zed = {}
-    for d in divs:
-        terms = []
-        for dp in divisors(d):
-            mu = mobius(d // dp)
-            if mu:
-                tn, td = pairs[dp]
-                terms.append((mu * tn, td))
-        zed[d] = combine_fractions(terms) if terms else (ZERO, ONE)
+    D = math.prod(dict.fromkeys(f.den for f in xf.values()), start=ONE)
+    X = {d: f.num * D.exact_div(f.den) for d, f in xf.items()}
+    Z = mobius_inversion(n, X)
     m = multiplicities(z)
     p = power_sums(z)
     report = Report("mobius-pairing", context={"n": n})
-
-    def _sum(table, coeff_of):
-        return combine_fractions([(coeff_of(d) * num, den) for d, (num, den) in table.items()])
-
-    lhs_m = _sum(zed, lambda d: m(n // d))
-    lhs_p = _sum(zed, lambda d: p(n // d))
-    rhs_m = _sum(pairs, lambda d: z.e[d])
-    rhs_p = _sum(pairs, lambda d: (n // d) * z.e[n // d])
-    if not fractions_equal(lhs_m, rhs_m):
+    if sum(m(n // d) * Z[d] for d in divs) != sum(z.e[d] * X[d] for d in divs):
         report.fail(identity="multiplicity-side")
-    if not fractions_equal(lhs_p, rhs_p):
+    if sum(p(n // d) * Z[d] for d in divs) != sum((n // d) * z.e[n // d] * X[d] for d in divs):
         report.fail(identity="power-sum-side")
-    report.context["derived_z"] = {d: zed[d] for d in divs}
-    return report
+    return report, Z, D
 
 
 def pairing_preset(name: str, n: int) -> dict[int, object]:
@@ -493,24 +502,20 @@ def check_pairing_preset(z: ZetaProduct, name: str) -> Report:
 
     For the log-derivative preset the inverse-Möbius sequence is verified to
     equal q Phi_d'(q) / Phi_d(q) for every d | n; for the Ramanujan preset it
-    is verified to equal the Ramanujan-sum kernel over q**d - 1.
+    is verified to equal the Ramanujan-sum kernel over q**d - 1, and for the
+    necklace preset to equal d times the necklace polynomial.
     """
     n = z.n
-    x = pairing_preset(name, n)
-    report = check_mobius_pairing(z, x)
+    report, Z, D = _mobius_pairing(z, pairing_preset(name, n))
     report.check = f"mobius-pairing[{name}]"
-    derived = report.context.pop("derived_z")
-    if name in ("log-derivative", "ramanujan"):
-        for d in divisors(n):
+    for d in divisors(n):
+        if name in ("log-derivative", "ramanujan"):
             phi = cyclotomic(d)
-            expected = (Q * phi.derivative(), phi) if name == "log-derivative" else ramanujan_kernel(d)
-            if not fractions_equal(derived[d], expected):
+            knum, kden = (Q * phi.derivative(), phi) if name == "log-derivative" else ramanujan_kernel(d)
+            if Z[d] * kden != knum * D:
                 report.fail(identity=f"kernel at d={d}")
-    if name == "necklace":
-        for d in divisors(n):
-            num, den = derived[d]
-            if not fractions_equal((num, den), (d * necklace(d), ONE)):
-                report.fail(identity=f"necklace kernel at d={d}")
+        elif name == "necklace" and Z[d] != d * necklace(d) * D:
+            report.fail(identity=f"necklace kernel at d={d}")
     return report
 
 
@@ -533,25 +538,29 @@ def check_totient_pairing(z: ZetaProduct, s_values) -> Report:
     p = power_sums(z)
     report = Report("totient-pairing", context={"n": n, "s": list(s_values)})
     for s in s_values:
+        # phi_t(d) for every d | n at once: the Möbius inversion of d**t
+        phi_shifted, phi_plain = (
+            mobius_inversion(n, {d: rational_power(d, t) for d in divs}) for t in (1 - s, -s)
+        )
         checks = [
             (
                 "m/shifted",
-                sum(m(n // d) * jordan_totient(d, 1 - s) for d in divs),
+                sum(m(n // d) * phi_shifted[d] for d in divs),
                 sum(d * z.e[d] * rational_power(d, -s) for d in divs),
             ),
             (
                 "p/shifted",
-                div_exact(sum(p(n // d) * jordan_totient(d, 1 - s) for d in divs), n),
+                div_exact(sum(p(n // d) * phi_shifted[d] for d in divs), n),
                 sum(z.e[n // d] * rational_power(d, -s) for d in divs),
             ),
             (
                 "m/plain",
-                sum(m(n // d) * jordan_totient(d, -s) for d in divs),
+                sum(m(n // d) * phi_plain[d] for d in divs),
                 sum(z.e[d] * rational_power(d, -s) for d in divs),
             ),
             (
                 "p/plain",
-                sum(p(n // d) * jordan_totient(d, -s) for d in divs),
+                sum(p(n // d) * phi_plain[d] for d in divs),
                 sum((n // d) * z.e[n // d] * rational_power(d, -s) for d in divs),
             ),
         ]
@@ -571,19 +580,11 @@ def check_fourier_pair_family(n: int, F: DivisorMap, s: int) -> Report:
     if F.n != n:
         raise ValueError("pair table must live on the divisors of n")
     divs = divisors(n)
-
-    def f_s(k):
-        g = math.gcd(k, n)
-        return sum(F[d] * rational_power(d, -s) for d in divisors(g))
-
-    def f_prime(k, t):
-        g = math.gcd(k, n)
-        return sum(F[n // d] * rational_power(n // d, -t) for d in divisors(g))
-
+    f_s = EvenFunction._from_gcd_table(n, divisor_sums(n, {d: F[d] * rational_power(d, -s) for d in divs}))
+    prime_weights = {d: F[n // d] * rational_power(n // d, -(s + 1)) for d in divs}
+    expansion = ramanujan_reconstruct(EvenFunction._from_gcd_table(n, divisor_sums(n, prime_weights)))
     report = Report("fourier-pair-family", context={"n": n, "s": s})
     for k in range(n):
-        lhs = f_s(k)
-        rhs = sum(f_prime(n // d, s + 1) * ramanujan_sum(d, k) for d in divs)
-        if lhs != rhs:
-            report.fail(k=k, lhs=str(lhs), rhs=str(rhs))
+        if f_s(k) != expansion(k):
+            report.fail(k=k, lhs=str(f_s(k)), rhs=str(expansion(k)))
     return report

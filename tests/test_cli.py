@@ -83,6 +83,21 @@ class TestAnalyze:
         assert code == 2 and not out
         assert "parse error" in err and shown in err
 
+    @pytest.mark.parametrize("text, shown", [
+        ('{"n":3,"e":{"1":1,"3":1,"01":2}}', 'e key "01" is not a divisor in canonical decimal form'),
+        ('{"n":6,"e":{"1":1,"2":0,"3":0,"0_6":1}}', 'e key "0_6" is not a divisor'),
+        ('{"n":3,"e":{"1":1,"+3":1}}', 'e key "+3" is not a divisor'),
+        ('{"n":3,"e":{"1":1," 3":1}}', 'e key " 3" is not a divisor'),
+        ('{"n":3,"e":{"1":1,"3":1,"1":2}}', 'duplicate key "1"'),
+        ('{"n":3,"e":{"1":1,"3":1},"n":3}', 'duplicate key "n"'),
+        ('{"e":{"1":1}}', 'missing field "n"'),
+        ('{"n":3}', 'missing field "e"'),
+    ])
+    def test_json_input_refuses_non_canonical_repeated_and_missing_keys(self, capsys, text, shown):
+        code, out, err = run_cli(capsys, "dual", text)
+        assert code == 2 and not out
+        assert "parse error" in err and shown in err
+
 
 class TestDualAndSeries:
     def test_dual(self, capsys):

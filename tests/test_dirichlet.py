@@ -22,7 +22,7 @@ from cyclozeta.dirichlet import (
     unit_series,
     zeta_series,
 )
-from cyclozeta.exactpoly import PolynomialQ, PowerSeriesQ, RationalFunctionQ, combine_fractions, expand, q_integer
+from cyclozeta.exactpoly import PowerSeriesQ, RationalFunctionQ, expand, q_integer
 from cyclozeta.zetaprod import (
     ZetaProduct,
     multiplicities,
@@ -228,8 +228,7 @@ class TestPowerSeriesTransforms:
     def test_single_term_shifts(self):
         g = PowerSeriesQ([0, 1], 12)
         m_ps, _ = ps_g_transforms(A2, g)
-        base_terms = [(PolynomialQ.constant(A2.e[3 // d]), q_integer(d)) for d in divisors(3)]
-        base = expand(RationalFunctionQ(*combine_fractions(base_terms)), 12)
+        base = expand(sum(RationalFunctionQ(A2.e[3 // d], q_integer(d)) for d in divisors(3)), 12)
         assert m_ps.coeffs[1:] == base.coeffs[:-1]
 
     def test_geometric_recovers_even_function_shifted(self):
@@ -261,8 +260,8 @@ class TestPowerSeriesTransforms:
                     order,
                 )
                 for kind, got in zip(("m", "p"), ps_g_transforms(z, g)):
-                    terms = [(PolynomialQ.constant(w), q_integer(d)) for d, w in root_weights(z, kind).items()]
-                    assert got == g * expand(RationalFunctionQ(*combine_fractions(terms)), order), (z, order, kind)
+                    want = sum(RationalFunctionQ(w, q_integer(d)) for d, w in root_weights(z, kind).items())
+                    assert got == g * expand(want, order), (z, order, kind)
 
 
 class TestStarSeries:

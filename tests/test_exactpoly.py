@@ -68,6 +68,19 @@ class TestPolynomialQ:
         assert str(half) == "3q + 1"
         assert str(RationalFunctionQ(PolynomialQ([2, 6]), PolynomialQ([1, 2]))) == "(3q + 1) / (q + 1/2)"
 
+    def test_products_sums_quotients_and_derivatives_keep_integral_coefficients_as_ints(self):
+        half = Fraction(1, 2)
+        product = PolynomialQ([0, 2]) * PolynomialQ([Fraction(3, 2)])
+        assert str(product) == "3q"
+        assert str(RationalFunctionQ(product, Q + 1)) == "(3q) / (q + 1)"
+        total = PolynomialQ([half, half]) + PolynomialQ([half, Fraction(3, 2)])
+        quo, rem = divmod(PolynomialQ([0, Fraction(3, 2), 1]), PolynomialQ([-half, 1]))
+        derivative = PolynomialQ([0, 0, half, Fraction(1, 3)]).derivative()
+        for p, want in ((product, (0, 3)), (total, (1, 2)), (quo, (2, 1)), (rem, (1,)),
+                        (derivative, (0, 1, 1))):
+            assert p.coeffs == want
+            assert all(type(c) is int or c.denominator != 1 for c in p.coeffs), p.coeffs
+
 
 class TestPowerProduct:
     def test_empty_and_zero_exponents_give_one_over_one(self):

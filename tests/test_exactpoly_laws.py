@@ -28,6 +28,11 @@ def assert_trimmed(p: PolynomialQ):
     assert not p.coeffs or p.coeffs[-1] != 0, p.coeffs
 
 
+def assert_demoted(p: PolynomialQ):
+    # integral Fractions are kept as ints, so the printed form is canonical
+    assert all(type(x) is int or x.denominator != 1 for x in p.coeffs), p.coeffs
+
+
 def assert_normal_form(f: RationalFunctionQ):
     assert f.den.is_monic
     assert poly_gcd(f.num, f.den) == ONE
@@ -45,13 +50,13 @@ def test_polynomial_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
     assert a - b == a + (-b) and a - a == ZERO
-    for p in (a + b, a - b, a * b):
+    for p in (a + b, a - b, a * b, a.derivative()):
         assert_trimmed(p)
+        assert_demoted(p)
     for k in (Fraction(3, 2), Fraction(-2, 3), 2):
         scaled = a * k
         assert scaled.coeffs == tuple(x * k for x in a.coeffs)
-        # scaling demotes integral Fractions, so the printed form is canonical
-        assert all(type(x) is int or x.denominator != 1 for x in scaled.coeffs), scaled.coeffs
+        assert_demoted(scaled)
 
 
 @LAWS
@@ -60,8 +65,9 @@ def test_division_with_remainder(a, b):
     quo, rem = divmod(a, b)
     assert a == quo * b + rem
     assert rem.degree < b.degree
-    assert_trimmed(quo)
-    assert_trimmed(rem)
+    for p in (quo, rem):
+        assert_trimmed(p)
+        assert_demoted(p)
 
 
 @LAWS

@@ -1,11 +1,14 @@
 """The benchmark's independent output checks in perfbench/checks.py, run on
-the CLI's own output, so that output drift in ``analyze`` or ``series``
-fails here and not only in a benchmark run."""
+the CLI's own output, and the benchmark's own unit tests, so that output
+drift in ``analyze`` or ``series``, a tracer path that no longer resolves or
+an incomplete trace fails here and not only in a benchmark run."""
 
 import contextlib
 import importlib.util
 import io
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,11 @@ def test_analyze_and_power_series_pass_the_benchmark_checks(checks, n, e):
     assert checks.check_analyze(n, e, stdout_of("analyze", text)) == []
     out = stdout_of("series", text, "--kind", "power", "--order", str(SERIES_ORDER))
     assert checks.check_series(n, e, SERIES_ORDER, out) == []
+
+
+def test_perfbench_unit_tests_pass():
+    run = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"],
+        cwd=CHECKS_PATH.parent.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr[-4000:]

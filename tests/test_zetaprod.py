@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import cyclozeta.zetaprod as zetaprod
 from cyclozeta.arith import DivisorMap, divisors
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic
@@ -294,6 +295,74 @@ class TestPairings:
                 z = random_zeta_product(rng, n)
                 for preset in ("ones", "necklace", "log-derivative", "ramanujan"):
                     assert check_pairing_preset(z, preset).status == "pass", (n, preset)
+
+
+class TestPairingChecksCanFail:
+    """Each pairing check against a corrupted ingredient: it must name what broke."""
+
+    # denominators q + 2 and q**2 + 1, neither cyclotomic nor dividing the other, and their product
+    X6 = {
+        1: RationalFunctionQ(1, Q + 2),
+        2: RationalFunctionQ(Q, Q**2 + 1),
+        3: RationalFunctionQ(Fraction(1, 3) * Q - 3, Q + 2),
+        6: RationalFunctionQ(2 * Q**2 + 1, (Q + 2) * (Q**2 + 1)),
+    }
+
+    @pytest.mark.parametrize("corrupt, side", [
+        ("multiplicities", "multiplicity-side"),
+        ("power_sums", "power-sum-side"),
+    ])
+    def test_mobius_pairing_names_the_side_with_corrupted_root_data(self, monkeypatch, corrupt, side):
+        rng = random.Random(61)
+        zs = [random_zeta_product(rng, 6) for _ in range(4)]
+        for z in zs:
+            assert check_mobius_pairing(z, self.X6).status == "pass", z
+        real = getattr(zetaprod, corrupt)
+        monkeypatch.setattr(zetaprod, corrupt, lambda z: EvenFunction(z.n, [v + 1 for v in real(z).values]))
+        for z in zs:
+            assert check_mobius_pairing(z, self.X6).mismatches == [{"identity": side}], z
+
+    def test_corrupted_ramanujan_kernel_is_reported_at_its_divisor(self, monkeypatch):
+        z = ZetaProduct(6, {1: 1, 2: -1, 3: 2, 6: 0})
+        real = zetaprod.ramanujan_kernel
+
+        def corrupted(d):
+            num, den = real(d)
+            return (num + Q if d == 3 else num), den
+
+        monkeypatch.setattr(zetaprod, "ramanujan_kernel", corrupted)
+        assert check_pairing_preset(z, "ramanujan").mismatches == [{"identity": "kernel at d=3"}]
+        assert check_pairing_preset(z, "log-derivative").status == "pass"
+
+    def test_corrupted_cyclotomic_is_reported_in_the_log_derivative_kernel(self, monkeypatch):
+        z = ZetaProduct(6, {1: 1, 2: -1, 3: 2, 6: 0})
+        monkeypatch.setattr(zetaprod, "cyclotomic", lambda d: cyclotomic(d) * (Q + 1 if d == 6 else 1))
+        assert check_pairing_preset(z, "log-derivative").mismatches == [{"identity": "kernel at d=6"}]
+
+    def test_corrupted_necklace_is_reported_at_its_divisor(self, monkeypatch):
+        z = ZetaProduct(12, {1: -1, 2: 0, 3: 1, 4: 0, 6: 2, 12: 1})
+        real = zetaprod.necklace
+        monkeypatch.setattr(zetaprod, "necklace", lambda d: real(d) + (1 if d in (2, 12) else 0))
+        assert check_pairing_preset(z, "necklace").mismatches == [
+            {"identity": "necklace kernel at d=2"},
+            {"identity": "necklace kernel at d=12"},
+        ]
+
+    def test_fourier_pair_family_reports_the_first_bad_residue(self, monkeypatch):
+        F = DivisorMap(12, {1: 3, 2: Fraction(-1, 2), 3: 0, 4: 5, 6: Fraction(7, 3), 12: -2})
+        assert check_fourier_pair_family(12, F, 1).status == "pass"
+        real = zetaprod.ramanujan_reconstruct
+
+        def corrupted(r):
+            values = list(real(r).values)
+            values[5] += 1
+            values[7] -= Fraction(1, 2)
+            return EvenFunction(r.n, values, _trusted=True)
+
+        monkeypatch.setattr(zetaprod, "ramanujan_reconstruct", corrupted)
+        report = check_fourier_pair_family(12, F, 1)
+        # f_1(k) at gcd(k, 12) = 1 is F(1) = 3
+        assert report.mismatches == [{"k": 5, "lhs": "3", "rhs": "4"}, {"k": 7, "lhs": "3", "rhs": "5/2"}]
 
 
 class TestTotientPairing:
