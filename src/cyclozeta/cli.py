@@ -3,7 +3,8 @@
 Inputs use the grammar ``n=<int>; e={d:v,...}`` (whitespace-insensitive, all
 divisors of n required) or the equivalent JSON object {"n": ..., "e": {...}}.
 Exit codes: 0 for pass (documented flags allowed), 1 for a verification
-failure, 2 for usage or parse errors.  All randomness flows from --seed, and
+failure, 2 for usage or parse errors and for input above the size contract
+(:data:`MAX_N`, :data:`MAX_DEGREE`).  All randomness flows from --seed, and
 output for a fixed seed and sizes is byte-identical across runs.
 """
 
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import catalog as catalog_mod
-from .arith import divisors
+from .arith import divisors, euler_phi
 from .dirichlet import (
     g_transforms,
     mobius_series,
@@ -30,7 +31,7 @@ from .zetaprod import (
     ZetaProduct,
     lambert_form,
     multiplicities,
-    parse_zeta_product,
+    parse_zeta_fields,
     power_sums,
     ramanujan_coefficients,
     root_weights,
@@ -44,11 +45,48 @@ _SERIES_MAKERS = {"zeta": zeta_series, "unit": unit_series, "mobius": mobius_ser
 
 _SHOWN_MISMATCHES = 5
 
+# The size contract of analyze, dual and series.  The cost of analyze grows
+# with n (the Lambert forms multiply every Phi_c, c | n) and with the degree
+# of the reduced product (its cyclotomic powers, whose coefficients grow with
+# the exponents).  At these limits the slowest inputs measured, such as
+# n = 5040 with e(2) = 1250, run analyze in about 4 s on a 2-core x86 host.
+MAX_N = 5040
+MAX_DEGREE = 2500
+
 
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+def size_error(n: int, degree: int = 0) -> str | None:
+    """Why input of conductor n (and reduced degree ``degree``) is refused, or
+    None if it is within the size contract."""
+    if n > MAX_N:
+        return f"n = {n} is above the size limit n <= {MAX_N}"
+    if degree > MAX_DEGREE:
+        return f"the reduced product has degree {degree}, above the size limit {MAX_DEGREE}"
+    return None
+
+
+def reduced_degree(z: ZetaProduct) -> int:
+    """deg num + deg den of the reduced product: sum of |m(n/d)| phi(d) over d | n."""
+    m = multiplicities(z)
+    return sum(abs(m(z.n // d)) * euler_phi(d) for d in divisors(z.n))
+
+
+def _read_product(text: str, *, bound_degree: bool = False) -> ZetaProduct:
+    """Parse an input product, refusing it above the size contract: n before
+    any divisor is computed and, with ``bound_degree``, the reduced degree
+    before any polynomial is."""
+    n, e = parse_zeta_fields(text)
+    if refusal := size_error(n):
+        raise ValueError(refusal)
+    z = ZetaProduct(n, e)
+    if bound_degree and (refusal := size_error(n, reduced_degree(z))):
+        raise ValueError(refusal)
+    return z
 
 
 def _analyze_payload(z: ZetaProduct) -> dict:
@@ -90,14 +128,14 @@ def _emit(args, command: str, status: str, payload: dict) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    z = parse_zeta_product(args.input)
+    z = _read_product(args.input, bound_degree=True)
     payload = _analyze_payload(z)
     _emit(args, "analyze", "pass", payload)
     return 0
 
 
 def _cmd_dual(args) -> int:
-    z = parse_zeta_product(args.input)
+    z = _read_product(args.input)
     payload = {
         "input": z.to_text(),
         "transform": saito_transform(z).to_text(),
@@ -108,7 +146,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    z = parse_zeta_product(args.input)
+    z = _read_product(args.input)
     which = args.which
     payload = {"n": z.n, "order": args.order, "kind": args.kind}
     if args.kind == "dirichlet":

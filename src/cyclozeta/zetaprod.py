@@ -6,7 +6,8 @@ computes the attached even functions -- root multiplicities m(k), power sums
 p(k), and their Saito counterparts m*(k), p*(k) -- together with the
 Fourier expansion of even functions in Ramanujan sums, the discrete Fourier
 relation between m and p, the periodic Lambert form of an even function
-(:func:`lambert_form`, cleared: :func:`lambert_polynomial`) and the
+(:func:`lambert_form`, reduced by reading that Fourier transform; cleared:
+:func:`lambert_polynomial`) and the
 generating-function identities built on it, and the pairing
 identities obtained by substituting Möbius-inverse pairs (necklace
 polynomials, cyclotomic logarithmic derivatives, Ramanujan-sum kernels).
@@ -108,32 +109,58 @@ class ZetaProduct:
         return f"ZetaProduct({self.to_text()})"
 
 
+# numbers as ZetaProduct.to_text writes them: n and divisors, then d:e(d)
+_CANONICAL_POSITIVE = "[1-9][0-9]*"
+_CANONICAL_ENTRY = f"({_CANONICAL_POSITIVE}):(0|-?{_CANONICAL_POSITIVE})"
+
+
 def parse_zeta_product(text: str) -> ZetaProduct:
-    """Parse ``n=<int>; e={d:v,...}`` (whitespace-insensitive, all divisors required)."""
+    """Parse ``n=<int>; e={d:v,...}`` (whitespace-insensitive, all divisors
+    required) or its JSON mirror."""
+    return ZetaProduct(*parse_zeta_fields(text))
+
+
+def parse_zeta_fields(text: str) -> tuple[int, dict[int, int]]:
+    """The raw (n, {d: e(d)}) of a text or JSON product, read without
+    computing a divisor of n, so that a caller can refuse n first.
+
+    Numbers are taken only as :meth:`ZetaProduct.to_text` writes them: n and
+    the divisors in decimal without sign or leading zeros, the exponents
+    likewise with an optional minus sign (``0``, not ``-0``), and none split
+    by whitespace.
+    """
     s = re.sub(r"\s+", "", text)
     if s.startswith("{"):
-        return zeta_product_from_json(json.loads(text, object_pairs_hook=_refuse_repeated_keys))
+        return _json_fields(json.loads(text, object_pairs_hook=_refuse_repeated_keys))
+    split = re.search(r"[-0-9]\s+[0-9]", text)
+    if split:
+        raise ZetaParseError(f"whitespace inside the number {split.group()!r}", split.start())
     m = re.match(r"^n=(\d+);e=\{(.*)\}$", s)
     if not m:
         for pos, (got, want) in enumerate(zip(s, "n=")):
             if got != want:
                 raise ZetaParseError(f"expected {want!r}, found {got!r}", pos)
         raise ZetaParseError("expected the form n=<int>; e={d:v,...}", 0)
+    if not re.fullmatch(_CANONICAL_POSITIVE, m.group(1)):
+        raise ZetaParseError(f"n={m.group(1)} is not a positive integer in canonical decimal form", 2)
     n = int(m.group(1))
     body = m.group(2)
     e: dict[int, int] = {}
     if body:
         offset = s.index("{") + 1
         for chunk in body.split(","):
-            if not re.match(r"^-?\d+:-?\d+$", chunk):
-                raise ZetaParseError(f"bad exponent entry {chunk!r}", offset)
-            d_str, v_str = chunk.split(":")
-            d = int(d_str)
+            entry = re.fullmatch(_CANONICAL_ENTRY, chunk)
+            if not entry:
+                raise ZetaParseError(
+                    f"bad exponent entry {chunk!r}: expected <divisor>:<exponent> in canonical decimal form",
+                    offset,
+                )
+            d = int(entry.group(1))
             if d in e:
                 raise ZetaParseError(f"duplicate divisor {d}", offset)
-            e[d] = int(v_str)
+            e[d] = int(entry.group(2))
             offset += len(chunk) + 1
-    return ZetaProduct(n, e)
+    return n, e
 
 
 def _refuse_repeated_keys(pairs) -> dict:
@@ -150,6 +177,10 @@ def zeta_product_from_json(obj: Mapping) -> ZetaProduct:
     grammar it refuses exponents that are not integers (booleans included),
     and it takes divisors only as :meth:`ZetaProduct.to_json_dict` writes
     them, in decimal without sign, padding or leading zeros."""
+    return ZetaProduct(*_json_fields(obj))
+
+
+def _json_fields(obj: Mapping) -> tuple[int, dict[int, int]]:
     for field in ("n", "e"):
         if field not in obj:
             raise ZetaParseError(f"missing field {json.dumps(field)}")
@@ -157,12 +188,12 @@ def zeta_product_from_json(obj: Mapping) -> ZetaProduct:
     if not isinstance(e, dict):
         raise ZetaParseError(f"e must be an object mapping divisors to exponents, got {json.dumps(e)}")
     for k in e:
-        if not re.fullmatch("[1-9][0-9]*", k):
+        if not re.fullmatch(_CANONICAL_POSITIVE, k):
             raise ZetaParseError(f"e key {json.dumps(k)} is not a divisor in canonical decimal form")
     for label, v in [("n", n)] + [(f"e({k})", v) for k, v in e.items()]:
         if type(v) is not int:
             raise ZetaParseError(f"{label} must be an integer, got {json.dumps(v)}")
-    return ZetaProduct(n, {int(k): v for k, v in e.items()})
+    return n, {int(k): v for k, v in e.items()}
 
 
 def random_zeta_product(rng, n: int, span: int = 2) -> ZetaProduct:
@@ -391,8 +422,20 @@ def lambert_form(a: EvenFunction) -> RationalFunctionQ:
 
     For a(k) = sum of w(d) over d | (k, n) this is the periodic Lambert
     identity's left side; it equals sum_d w(d) / (1 - q**d).
+
+    Reduced without a gcd: 1 - q**n = -prod of Phi_c over c | n is
+    squarefree, and A(q) = sum_{k<n} a(k) q**k takes at a primitive c-th
+    root of unity the value sum of a(n/d) c_d(n/c) over d | n, the
+    Fourier-Ramanujan transform :func:`dft_power_sums` at n/c.  So Phi_c
+    cancels exactly when that value is 0; the other Phi_c form the monic
+    denominator.
     """
-    return RationalFunctionQ(PolynomialQ(a.values), ONE - PolynomialQ.monomial(a.n))
+    n = a.n
+    at_roots = dft_power_sums(a)
+    kept, cancelled = power_product(
+        (cyclotomic(c), 1 if at_roots(n // c) else -1) for c in divisors(n)
+    )
+    return RationalFunctionQ(-PolynomialQ(a.values).exact_div(cancelled), kept, _normalized=True)
 
 
 def lambert_polynomial(n: int, w: Mapping[int, object]) -> PolynomialQ:

@@ -122,6 +122,71 @@ class TestDualAndSeries:
         assert code == 2 and not out
         assert which in err and "--kind power" in err
 
+    @pytest.mark.parametrize("text", [
+        "n=03; e={1:1,3:-1}",
+        "n=3; e={01:1,3:-1}",
+        "n=3; e={1:1,3:-01}",
+        "n=3; e={1:-0,3:1}",
+        "n=3; e={1:+1,3:1}",
+        "n=0; e={}",
+    ])
+    def test_text_input_refuses_non_canonical_numbers(self, capsys, text):
+        code, out, err = run_cli(capsys, "dual", text)
+        assert code == 2 and not out
+        assert "parse error" in err and "canonical decimal form" in err
+
+    @pytest.mark.parametrize("text", ["n=1 2; e={1:1,2:0,3:0,4:0,6:0,12:-1}", "n=3; e={1:- 1,3:1}",
+                                      "n=3; e={1:1,3:1\t0}"])
+    def test_text_input_refuses_whitespace_inside_a_number(self, capsys, text):
+        code, out, err = run_cli(capsys, "dual", text)
+        assert code == 2 and not out
+        assert "parse error" in err and "whitespace inside the number" in err
+
+    def test_text_input_takes_a_zero_exponent(self, capsys):
+        code, out, _ = run_cli(capsys, "dual", "n=3; e={1:0,3:-1}")
+        assert code == 0 and "input: n=3; e={1:0,3:-1}" in out
+
+
+class TestSizeContract:
+    def test_limits_at_and_above(self):
+        assert cyclozeta.cli.size_error(cyclozeta.cli.MAX_N) is None
+        assert "n <= 5040" in cyclozeta.cli.size_error(cyclozeta.cli.MAX_N + 1)
+        assert cyclozeta.cli.size_error(1, cyclozeta.cli.MAX_DEGREE) is None
+        assert "limit 2500" in cyclozeta.cli.size_error(1, cyclozeta.cli.MAX_DEGREE + 1)
+
+    def test_reduced_degree_is_that_of_the_reduced_product(self):
+        rng = random.Random(13)
+        for n in (1, 2, 12, 30, 60, 97):
+            for span in (0, 2, 9):
+                z = random_zeta_product(rng, n, span)
+                f = to_rational_function(z)
+                assert cyclozeta.cli.reduced_degree(z) == f.num.degree + f.den.degree, z
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "n=5041; e={1:1,71:-1,5041:1}"],
+        ["dual", "n=5041; e={1:1,71:-1,5041:1}"],
+        ["series", "n=5041; e={1:1,71:-1,5041:1}", "--order", "4"],
+        ["series", '{"n": 5041, "e": {"1": 1}}', "--kind", "power", "--order", "4"],
+    ])
+    def test_conductor_above_the_limit_is_refused_before_its_divisors(self, capsys, monkeypatch, argv):
+        # the product (and with it every divisor of n) must not be built
+        monkeypatch.setattr(cyclozeta.cli, "ZetaProduct", lambda n, e: pytest.fail("not refused"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and not out
+        assert "n = 5041 is above the size limit n <= 5040" in err
+
+    def test_conductor_at_the_limit_is_accepted(self, capsys):
+        text = ZetaProduct(5040, {d: (-1) ** i for i, d in enumerate(divisors(5040))}).to_text()
+        code, out, _ = run_cli(capsys, "dual", text)
+        assert code == 0 and out.startswith("input: n=5040; e={1:1,2:-1,")
+
+    @pytest.mark.parametrize("text, degree", [("n=1; e={1:2501}", 2501), ("n=2; e={1:0,2:-1251}", 2502)])
+    def test_analyze_refuses_a_degree_above_the_limit(self, capsys, monkeypatch, text, degree):
+        monkeypatch.setattr(cyclozeta.cli, "_analyze_payload", lambda z: pytest.fail("not refused"))
+        code, out, err = run_cli(capsys, "analyze", text)
+        assert code == 2 and not out
+        assert f"degree {degree}, above the size limit 2500" in err
+
 
 class TestCatalogCommand:
     def test_get(self, capsys):

@@ -44,6 +44,23 @@ from cyclozeta.zetaprod import (
 A2 = ZetaProduct(3, {1: -1, 3: 1})
 
 
+@pytest.fixture(scope="module")
+def lambert_cases():
+    """(even function, its Lambert form reduced by RationalFunctionQ's gcd):
+    m, p, Fraction-valued and all-zero functions, n = 1, primes and n = 360."""
+    rng = random.Random(47)
+    cases = []
+    for n in (1, 2, 7, 12, 30, 97, 360) + tuple(rng.randint(1, 90) for _ in range(8)):
+        z = random_zeta_product(rng, n)
+        for a in (multiplicities(z), power_sums(z), random_even_function(rng, n), EvenFunction(n, [0] * n)):
+            cases.append((a, RationalFunctionQ(PolynomialQ(a.values), ONE - PolynomialQ.monomial(n))))
+    return cases
+
+
+def _typed(f: RationalFunctionQ):
+    return [[(type(c), c) for c in p.coeffs] for p in (f.num, f.den)]
+
+
 class TestRootData:
     def test_rank_two_multiplicities(self):
         assert multiplicities(A2).values == (0, 1, 1)
@@ -264,6 +281,18 @@ class TestGeneratingForms:
                 # the cleared side against a(k) = sum of w(d) over d | (k, n), written out
                 written = PolynomialQ([sum(v for d, v in w.items() if k % d == 0) for k in range(n)])
                 assert lambert_polynomial(n, w) == written, (n, w)
+
+    def test_lambert_form_equals_the_gcd_reduction_coefficient_for_coefficient(self, lambert_cases):
+        for a, want in lambert_cases:
+            assert _typed(lambert_form(a)) == _typed(want), a
+
+    def test_lambert_form_reduces_without_a_gcd(self, lambert_cases, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("poly_gcd called")
+
+        monkeypatch.setattr("cyclozeta.exactpoly.poly_gcd", refuse)
+        for a, want in lambert_cases:
+            assert _typed(lambert_form(a)) == _typed(want), a
 
     def test_random_sweep(self):
         rng = random.Random(12)
