@@ -9,6 +9,7 @@ from cyclozeta import (
     ZetaProduct,
     dft_power_sums,
     gf_power_series,
+    mobius_transform,
     multiplicities,
     power_sums,
     ramanujan_coefficients,
@@ -18,7 +19,6 @@ from cyclozeta import (
     star_functions,
     to_rational_function,
 )
-from cyclozeta.zetaprod import EvenFunction
 
 z = ZetaProduct(3, {1: -1, 3: 1})
 print("product:        ", z.to_text())
@@ -29,8 +29,8 @@ print("total roots mu_e:", z.mu_e)
 # as a root; the power-sum function p(k) sums k-th powers of all roots.
 m = multiplicities(z)
 p = power_sums(z)
-print("\nm(k) for k = 0, 1, 2:", list(m.values))
-print("p(k) for k = 0, 1, 2:", list(p.values))
+print("\nm(k) for k = 0, 1, 2:", list(m.residues()))
+print("p(k) for k = 0, 1, 2:", list(p.residues()))
 print("p equals the even-function Fourier transform of m:", dft_power_sums(m) == p)
 
 # The Saito transform reindexes exponents by d -> n/d; applying it twice
@@ -40,15 +40,15 @@ print("\ntransform:", star.to_text())
 print("dual:     ", saito_dual(z).to_text())
 print("involution holds:", saito_transform(star) == z)
 mstar, pstar = star_functions(z)
-print("m*(k):", list(mstar.values), "  p*(k):", list(pstar.values))
+print("m*(k):", list(mstar.residues()), "  p*(k):", list(pstar.residues()))
 
 # Every n-periodic gcd-dependent function expands uniquely in Ramanujan sums.
 r = ramanujan_coefficients(m)
-print("\nRamanujan coefficients of m:", [str(v) for v in r.values])
+print("\nRamanujan coefficients of m:", [str(v) for v in r.residues()])
 print("reconstruction returns m:", ramanujan_reconstruct(r) == m)
 
 # The divisor partial fractions of the generating function of m.
-a = EvenFunction.from_divisor_map(star.e)  # a(k) = sum of e(d) over d | (k, n)
+a = mobius_transform(star.e)  # a(k) = sum of e(d) over d | (k, n)
 report = gf_power_series(a, star.e)
 print("\ngenerating-function identity:", report.status)
 print("series form:", report.context["series_form"])

@@ -31,7 +31,6 @@ from .exactpoly import (
     tensor_product,
 )
 from .zetaprod import (
-    EvenFunction,
     ZetaProduct,
     dft_power_sums,
     gf_power_series,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import as_exact
+from .arith import as_exact, mobius_transform
 from .exactpoly import (
     ZERO,
     PolynomialQ,
@@ -28,7 +28,7 @@ from .exactpoly import (
     geometric,
 )
 from .report import Report
-from .zetaprod import EvenFunction, ZetaProduct, lambert_polynomial
+from .zetaprod import ZetaProduct, lambert_polynomial
 
 
 class ApostolPoly:
@@ -210,10 +210,10 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
     if b < 1 or r < 0:
         raise ValueError("need b >= 1 and r >= 0")
     n = z.n
-    a = EvenFunction.from_divisor_map(z.e)
+    a = mobius_transform(z.e)
     report = Report("weighted-sums", context={"n": n, "b": b, "c": c, "r": r})
 
-    lhs1 = PolynomialQ(a.values)
+    lhs1 = PolynomialQ(a.residues())
     rhs1 = lambert_polynomial(n, z.e)
     if lhs1 != rhs1:
         report.fail(identity="partial-fractions", lhs=str(lhs1), rhs=str(rhs1))

@@ -6,6 +6,8 @@ used throughout the package live here:
 
 * ``gcd(0, n) == n``, so the index ``k = 0`` behaves like ``k = n`` in every
   divisor sum over ``d | (k, n)``.
+* An even function mod n (one that depends only on gcd(k, n)) is a
+  :class:`DivisorMap`: its values on the divisors of n.
 * Evaluators produced by :func:`named_function` follow the defining
   descriptions of the functions (brute-force counts and divisor sums); none
   of them rely on multiplicativity shortcuts.
@@ -165,6 +167,11 @@ class DivisorMap:
 
     The key set is exactly the set of positive divisors of n; missing keys in
     :meth:`from_partial` are filled with 0.
+
+    The same values are an even function mod n, a function of k that depends
+    only on gcd(k, n): ``a[d]`` is the value at a divisor d, ``a(k)`` the
+    value at any integer k (``a(0) == a[n]``), and :meth:`residues` lists
+    a(0), ..., a(n - 1).  ``a.values`` is the dict on the divisors.
     """
 
     __slots__ = ("n", "values")
@@ -199,6 +206,19 @@ class DivisorMap:
 
     def __getitem__(self, d: int):
         return self.values[d]
+
+    def __call__(self, k: int):
+        return self.values[math.gcd(k, self.n)]
+
+    def residues(self) -> tuple:
+        """(a(0), ..., a(n - 1)) of the even function."""
+        n, v = self.n, self.values
+        return tuple(v[math.gcd(k, n)] for k in range(n))
+
+    def __add__(self, other):
+        if not isinstance(other, DivisorMap) or other.n != self.n:
+            return NotImplemented
+        return DivisorMap(self.n, {d: v + other.values[d] for d, v in self.values.items()})
 
     def get(self, d: int, default=0):
         return self.values.get(d, default)

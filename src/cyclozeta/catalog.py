@@ -23,10 +23,10 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .arith import DivisorMap, divisors
+from .arith import DivisorMap, divisors, mobius_transform
 from .exactpoly import PolynomialQ
 from .report import Report
-from .zetaprod import EvenFunction, ZetaProduct, root_weights, saito_transform
+from .zetaprod import ZetaProduct, root_weights, saito_transform
 from .weights import WeightSystem, m_line_from_weights
 
 _EXPECTED_ANOMALIES = ("X_9", "J_10")
@@ -48,8 +48,8 @@ class CatalogEntry:
     def zeta_product(self) -> ZetaProduct:
         return ZetaProduct(self.n, self.exponents())
 
-    def m_even(self) -> EvenFunction:
-        return EvenFunction.from_divisor_map(DivisorMap.from_partial(self.n, self.m_line))
+    def m_even(self) -> DivisorMap:
+        return mobius_transform(DivisorMap.from_partial(self.n, self.m_line))
 
     def to_json_dict(self) -> dict:
         out = {
@@ -201,7 +201,7 @@ def verify_entry(entry: CatalogEntry) -> Report:
 
     expo = coxeter_exponents(entry.name)
     if expo is not None:
-        expansion = PolynomialQ(entry.m_even().values)
+        expansion = PolynomialQ(entry.m_even().residues())
         want = PolynomialQ([sum(1 for x in expo if x == k) for k in range(n)])
         if expansion != want:
             report.fail(

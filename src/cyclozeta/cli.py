@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import catalog as catalog_mod
@@ -54,10 +55,17 @@ MAX_N = 5040
 MAX_DEGREE = 2500
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+def _int(text: str, minimum: int | None = None) -> int:
+    """An integer flag, taken only in canonical ASCII decimal form (no sign
+    on 0, no leading zeros, underscores or other digits) and >= ``minimum``."""
+    if not re.fullmatch("0|-?[1-9][0-9]*", text) or (minimum is not None and int(text) < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise argparse.ArgumentTypeError(f"expected an integer{bound} in canonical decimal form, got {text!r}")
     return int(text)
+
+
+def _positive_int(text: str) -> int:
+    return _int(text, minimum=1)
 
 
 def size_error(n: int, degree: int = 0) -> str | None:
@@ -99,11 +107,11 @@ def _analyze_payload(z: ZetaProduct) -> dict:
         "n": n,
         "e": {str(d): v for d, v in z.e.items()},
         "mu_e": z.mu_e,
-        "m": list(m.values),
-        "p": list(p.values),
-        "mstar": list(mstar.values),
-        "pstar": list(pstar.values),
-        "ramanujan_m": [str(v) for v in r.values],
+        "m": list(m.residues()),
+        "p": list(p.residues()),
+        "mstar": list(mstar.residues()),
+        "pstar": list(pstar.residues()),
+        "ramanujan_m": [str(v) for v in r.residues()],
         "zeta": str(to_rational_function(z)),
         # the exponent of Phi_d in the product is m(n/d), read off the root data
         "cyclotomic_exponents": {str(d): m(n // d) for d in divisors(n)},
@@ -288,12 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("verify", help="run verification suites")
     p.add_argument("scope", choices=sorted(SCOPE_SUITES))
-    p.add_argument("--index", type=int, default=None, help="proposition or example index")
+    p.add_argument("--index", type=_int, default=None, help="proposition or example index")
     p.add_argument("--n", type=_positive_int, action="append", help="restrict to these conductors")
     p.add_argument("--nmax", type=_positive_int, default=60)
     p.add_argument("--order", type=_positive_int, default=200)
     p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_int, default=42)
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .arith import (
@@ -38,16 +37,6 @@ from .arith import (
 from .exactpoly import PowerSeriesQ
 from .report import Report
 from .zetaprod import ZetaProduct, multiplicities, power_sums, root_weights
-
-
-@lru_cache(maxsize=8)
-def divisor_table(limit: int) -> tuple[tuple[int, ...], ...]:
-    """divisor_table(N)[k] lists the divisors of k for 1 <= k <= N (index 0 unused)."""
-    table: list[list[int]] = [[] for _ in range(limit + 1)]
-    for d in range(1, limit + 1):
-        for m in range(d, limit + 1, d):
-            table[m].append(d)
-    return tuple(tuple(row) for row in table)
 
 
 class DirichletSeries:
@@ -116,12 +105,11 @@ class DirichletSeries:
         if a[0] == 0:
             raise ValueError("series with g(1) = 0 has no Dirichlet inverse")
         n = self.order
-        table = divisor_table(n)
         b = [0] * (n + 1)
         b[1] = div_exact(1, a[0])
         for k in range(2, n + 1):
             acc = 0
-            for d in table[k]:
+            for d in divisors(k):
                 if d > 1:
                     ad = a[d - 1]
                     if ad:
@@ -243,7 +231,7 @@ def check_star_series(z: ZetaProduct, G: DirichletSeries) -> Report:
     t = g_transforms(z, G)
     # u(d') = sum of mu(d/d') m(n/d) over d' | d | n is the Möbius inversion
     # of m at g = n/d'; v(d') is d'**2 times that of p
-    mi, pi = (mobius_inversion(n, {j: a(j) for j in divisors(n)}) for a in (m, p))
+    mi, pi = (mobius_inversion(n, a.values) for a in (m, p))
     u = {n // g: mi[g] for g in mi}
     v = {n // g: (n // g) ** 2 * pi[g] for g in pi}
     lhs_m = G * divisor_polynomial(u, order)

@@ -24,11 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DivisorMap, as_exact, divisors, rational_power
+from .arith import DivisorMap, as_exact, divisors, mobius_transform, rational_power
 from .exactpoly import ONE, PolynomialQ, RationalFunctionQ, power_product
 from .report import Report
 from .zetaprod import (
-    EvenFunction,
     ZetaProduct,
     dft_power_sums,
     lambert_form,
@@ -174,13 +173,13 @@ def m_gf_from_weights(w: WeightSystem) -> tuple[RationalFunctionQ, DivisorMap]:
     """(sum of v(d) / (q**d - 1), v) for the m-line v; the sum is minus the
     Lambert form of the even function the line generates."""
     line = m_line_from_weights(w)
-    return -lambert_form(EvenFunction.from_divisor_map(line)), line
+    return -lambert_form(mobius_transform(line)), line
 
 
 def p_gf_from_weights(w: WeightSystem) -> RationalFunctionQ:
     """sum of v(d) / (q**d - 1) for the power-sum line v of
     :func:`p_line_from_weights`."""
-    return -lambert_form(EvenFunction.from_divisor_map(p_line_from_weights(w)))
+    return -lambert_form(mobius_transform(p_line_from_weights(w)))
 
 
 def m_dirichlet_from_weights(w: WeightSystem, s: int):
@@ -209,12 +208,9 @@ def p_dirichlet_from_weights(w: WeightSystem, s: int):
     return as_exact(total)
 
 
-def weight_even_functions(w: WeightSystem) -> tuple[EvenFunction, EvenFunction]:
+def weight_even_functions(w: WeightSystem) -> tuple[DivisorMap, DivisorMap]:
     """(m, p) as even functions; they satisfy the discrete Fourier pairing."""
-    return (
-        EvenFunction.from_divisor_map(m_line_from_weights(w)),
-        EvenFunction.from_divisor_map(p_line_from_weights(w)),
-    )
+    return mobius_transform(m_line_from_weights(w)), mobius_transform(p_line_from_weights(w))
 
 
 def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Report:
@@ -247,7 +243,7 @@ def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Repo
     p_line = p_line_from_weights(w)
     m_even, p_even = weight_even_functions(w)
     reduced = spectral_mod(w)
-    from_m = PolynomialQ(m_even.values)
+    from_m = PolynomialQ(m_even.residues())
     if reduced != from_m:
         report.fail(identity="spectral-mod", lhs=str(reduced), rhs=str(from_m))
     if dft_power_sums(m_even) != p_even:
@@ -324,8 +320,8 @@ def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) ->
         if n % alpha == 0:
             p_coeff[n // alpha] -= n // alpha
 
-    m_poly = PolynomialQ(multiplicities(z).values)
-    p_poly = PolynomialQ(power_sums(z).values)
+    m_poly = PolynomialQ(multiplicities(z).residues())
+    p_poly = PolynomialQ(power_sums(z).residues())
     rhs_m = lambert_polynomial(n, m_coeff)
     rhs_p = lambert_polynomial(n, p_coeff)
     if m_poly != rhs_m:

@@ -3,7 +3,9 @@
 A :class:`ZetaProduct` is the formal product over the divisors d of a
 conductor n of (q**d - 1)**e(d) with integer exponents e(d).  This module
 computes the attached even functions -- root multiplicities m(k), power sums
-p(k), and their Saito counterparts m*(k), p*(k) -- together with the
+p(k), and their Saito counterparts m*(k), p*(k), each a
+:class:`~cyclozeta.arith.DivisorMap` of its values on the divisors of n
+(an even function depends only on gcd(k, n)) -- together with the
 Fourier expansion of even functions in Ramanujan sums, the discrete Fourier
 relation between m and p, the periodic Lambert form of an even function
 (:func:`lambert_form`, reduced by reading that Fourier transform; cleared:
@@ -30,7 +32,6 @@ from typing import Mapping
 
 from .arith import (
     DivisorMap,
-    as_exact,
     div_exact,
     divisor_sums,
     divisors,
@@ -126,12 +127,14 @@ def parse_zeta_fields(text: str) -> tuple[int, dict[int, int]]:
 
     Numbers are taken only as :meth:`ZetaProduct.to_text` writes them: n and
     the divisors in decimal without sign or leading zeros, the exponents
-    likewise with an optional minus sign (``0``, not ``-0``), and none split
-    by whitespace.
+    likewise with an optional minus sign (``0``, not ``-0``, in text and in
+    JSON), and none split by whitespace.
     """
     s = re.sub(r"\s+", "", text)
     if s.startswith("{"):
-        return _json_fields(json.loads(text, object_pairs_hook=_refuse_repeated_keys))
+        return _json_fields(
+            json.loads(text, object_pairs_hook=_refuse_repeated_keys, parse_int=_refuse_minus_zero)
+        )
     split = re.search(r"[-0-9]\s+[0-9]", text)
     if split:
         raise ZetaParseError(f"whitespace inside the number {split.group()!r}", split.start())
@@ -161,6 +164,12 @@ def parse_zeta_fields(text: str) -> tuple[int, dict[int, int]]:
             e[d] = int(entry.group(2))
             offset += len(chunk) + 1
     return n, e
+
+
+def _refuse_minus_zero(literal: str) -> int:
+    if literal == "-0":
+        raise ZetaParseError("the number -0 is not in canonical decimal form (write 0)")
+    return int(literal)
 
 
 def _refuse_repeated_keys(pairs) -> dict:
@@ -201,72 +210,9 @@ def random_zeta_product(rng, n: int, span: int = 2) -> ZetaProduct:
     return ZetaProduct(n, {d: rng.randint(-span, span) for d in divisors(n)})
 
 
-# ---------------------------------------------------------------------------
-# even functions
-
-
-class EvenFunction:
-    """n-periodic function whose value at k depends only on gcd(k, n).
-
-    Values are stored for k = 0..n-1 and validated eagerly unless produced by
-    an operation that is even by construction.
-    """
-
-    __slots__ = ("n", "values")
-
-    def __init__(self, n: int, values, *, _trusted: bool = False):
-        vals = tuple(as_exact(v) for v in values)
-        if len(vals) != n:
-            raise ValueError(f"need exactly {n} values, got {len(vals)}")
-        if not _trusted:
-            for k in range(n):
-                g = math.gcd(k, n) % n
-                if vals[k] != vals[g]:
-                    raise ValueError(
-                        f"values are not gcd-even: a({k}) = {vals[k]} but a(gcd) = {vals[g]}"
-                    )
-        self.n = n
-        self.values = vals
-
-    @classmethod
-    def from_divisor_map(cls, e: DivisorMap) -> "EvenFunction":
-        """a(k) = sum of e(d) over d | gcd(k, n), with gcd(0, n) = n."""
-        return cls._from_gcd_table(e.n, divisor_sums(e.n, e.values))
-
-    @classmethod
-    def _from_gcd_table(cls, n: int, by_gcd: Mapping[int, object]) -> "EvenFunction":
-        vals = [by_gcd[math.gcd(k, n)] for k in range(n)]
-        vals[0] = by_gcd[n]
-        return cls(n, vals, _trusted=True)
-
-    def __call__(self, k: int):
-        return self.values[k % self.n]
-
-    def __add__(self, other):
-        if not isinstance(other, EvenFunction) or other.n != self.n:
-            return NotImplemented
-        return EvenFunction(self.n, [a + b for a, b in zip(self.values, other.values)], _trusted=True)
-
-    def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return EvenFunction(self.n, [c * v for v in self.values], _trusted=True)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, EvenFunction):
-            return NotImplemented
-        return self.n == other.n and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.n, self.values))
-
-    def __repr__(self):
-        return f"EvenFunction(n={self.n}, {list(self.values)})"
-
-
-def random_even_function(rng, n: int, span: int = 6) -> EvenFunction:
-    by_gcd = {g: Fraction(rng.randint(-span, span), rng.randint(1, 4)) for g in divisors(n)}
-    return EvenFunction._from_gcd_table(n, by_gcd)
+def random_even_function(rng, n: int, span: int = 6) -> DivisorMap:
+    """Seeded random even function mod n with values in [-span, span] / [1, 4]."""
+    return DivisorMap(n, {g: Fraction(rng.randint(-span, span), rng.randint(1, 4)) for g in divisors(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +237,17 @@ def root_weights(z: ZetaProduct, kind: str) -> dict[int, int]:
     raise ValueError(f"unknown root-weight kind {kind!r}")
 
 
-def _root_function(z: ZetaProduct, kind: str) -> EvenFunction:
-    return EvenFunction._from_gcd_table(z.n, divisor_sums(z.n, root_weights(z, kind)))
+def _root_function(z: ZetaProduct, kind: str) -> DivisorMap:
+    return DivisorMap(z.n, divisor_sums(z.n, root_weights(z, kind)))
 
 
-def multiplicities(z: ZetaProduct) -> EvenFunction:
+def multiplicities(z: ZetaProduct) -> DivisorMap:
     """m(k) = sum of e(n/d) over d | (k, n): the sign-counted multiplicity of
     exp(2 pi i k / n) as a root of the product."""
     return _root_function(z, "m")
 
 
-def power_sums(z: ZetaProduct) -> EvenFunction:
+def power_sums(z: ZetaProduct) -> DivisorMap:
     """p(k) = sum of d e(d) over d | (k, n): sign-counted k-th power sums of roots."""
     return _root_function(z, "p")
 
@@ -316,7 +262,7 @@ def saito_dual(z: ZetaProduct) -> ZetaProduct:
     return ZetaProduct(z.n, {d: -z.e[z.n // d] for d in divisors(z.n)})
 
 
-def star_functions(z: ZetaProduct) -> tuple[EvenFunction, EvenFunction]:
+def star_functions(z: ZetaProduct) -> tuple[DivisorMap, DivisorMap]:
     """(m*, p*): multiplicities and power sums of the Saito transform.
 
     m*(k) = sum of e(d), p*(k) = sum of d e(n/d), both over d | (k, n).  Read
@@ -388,36 +334,35 @@ def root_multiplicity_at_one(f: RationalFunctionQ) -> int:
 # Fourier analysis in Ramanujan sums
 
 
-def _ramanujan_synthesis(a: EvenFunction) -> dict[int, object]:
+def _ramanujan_synthesis(a: DivisorMap) -> dict[int, object]:
     """{g: sum of a(n/d) c_d(g) over d | n} for every g | n."""
     n = a.n
     divs = divisors(n)
-    return {g: sum(a(n // d) * ramanujan_sum(d, g) for d in divs) for g in divs}
+    return {g: sum(a[n // d] * ramanujan_sum(d, g) for d in divs) for g in divs}
 
 
-def ramanujan_coefficients(a: EvenFunction) -> EvenFunction:
+def ramanujan_coefficients(a: DivisorMap) -> DivisorMap:
     """r(k) = (1/n) sum of a(n/d) c_d(k) over d | n."""
     n = a.n
-    by_gcd = {g: div_exact(total, n) for g, total in _ramanujan_synthesis(a).items()}
-    return EvenFunction._from_gcd_table(n, by_gcd)
+    return DivisorMap(n, {g: div_exact(total, n) for g, total in _ramanujan_synthesis(a).items()})
 
 
-def ramanujan_reconstruct(r: EvenFunction) -> EvenFunction:
+def ramanujan_reconstruct(r: DivisorMap) -> DivisorMap:
     """a(k) = sum of r(n/d) c_d(k) over d | n; inverse of :func:`ramanujan_coefficients`."""
-    return EvenFunction._from_gcd_table(r.n, _ramanujan_synthesis(r))
+    return DivisorMap(r.n, _ramanujan_synthesis(r))
 
 
-def dft_power_sums(m: EvenFunction) -> EvenFunction:
+def dft_power_sums(m: DivisorMap) -> DivisorMap:
     """p(l) = sum of m(n/d) c_d(l) over d | n: the even-function discrete
     Fourier transform sending multiplicities to power sums."""
-    return EvenFunction._from_gcd_table(m.n, _ramanujan_synthesis(m))
+    return DivisorMap(m.n, _ramanujan_synthesis(m))
 
 
 # ---------------------------------------------------------------------------
 # generating-function identities
 
 
-def lambert_form(a: EvenFunction) -> RationalFunctionQ:
+def lambert_form(a: DivisorMap) -> RationalFunctionQ:
     """sum_{k=0..n-1} a(k) q**k / (1 - q**n), reduced.
 
     For a(k) = sum of w(d) over d | (k, n) this is the periodic Lambert
@@ -433,9 +378,9 @@ def lambert_form(a: EvenFunction) -> RationalFunctionQ:
     n = a.n
     at_roots = dft_power_sums(a)
     kept, cancelled = power_product(
-        (cyclotomic(c), 1 if at_roots(n // c) else -1) for c in divisors(n)
+        (cyclotomic(c), 1 if at_roots[n // c] else -1) for c in divisors(n)
     )
-    return RationalFunctionQ(-PolynomialQ(a.values).exact_div(cancelled), kept, _normalized=True)
+    return RationalFunctionQ(-PolynomialQ(a.residues()).exact_div(cancelled), kept, _normalized=True)
 
 
 def lambert_polynomial(n: int, w: Mapping[int, object]) -> PolynomialQ:
@@ -448,7 +393,7 @@ def lambert_polynomial(n: int, w: Mapping[int, object]) -> PolynomialQ:
     return acc
 
 
-def gf_power_series(a: EvenFunction, e: DivisorMap) -> Report:
+def gf_power_series(a: DivisorMap, e: DivisorMap) -> Report:
     """Check the two partial-fraction forms of the periodic Lambert identity.
 
     With a(k) = sum of e(d) over d | (k, n), both of
@@ -470,7 +415,7 @@ def gf_power_series(a: EvenFunction, e: DivisorMap) -> Report:
             rhs_tail = rhs_tail + PolynomialQ.monomial(d, ed) * geometric(d, n)
     if lhs_tail != rhs_tail:
         report.fail(identity="k=1..n", lhs=str(lhs_tail), rhs=str(rhs_tail))
-    lhs_head = PolynomialQ(a.values)
+    lhs_head = PolynomialQ(a.residues())
     rhs_head = lambert_polynomial(n, e)
     if lhs_head != rhs_head:
         report.fail(identity="k=0..n-1", lhs=str(lhs_head), rhs=str(rhs_head))
@@ -623,9 +568,9 @@ def check_fourier_pair_family(n: int, F: DivisorMap, s: int) -> Report:
     if F.n != n:
         raise ValueError("pair table must live on the divisors of n")
     divs = divisors(n)
-    f_s = EvenFunction._from_gcd_table(n, divisor_sums(n, {d: F[d] * rational_power(d, -s) for d in divs}))
+    f_s = DivisorMap(n, divisor_sums(n, {d: F[d] * rational_power(d, -s) for d in divs}))
     prime_weights = {d: F[n // d] * rational_power(n // d, -(s + 1)) for d in divs}
-    expansion = ramanujan_reconstruct(EvenFunction._from_gcd_table(n, divisor_sums(n, prime_weights)))
+    expansion = ramanujan_reconstruct(DivisorMap(n, divisor_sums(n, prime_weights)))
     report = Report("fourier-pair-family", context={"n": n, "s": s})
     for k in range(n):
         if f_s(k) != expansion(k):

@@ -111,6 +111,33 @@ def test_divisor_map_requires_full_key_set():
     assert dm[2] == 7 and dm[1] == 0
 
 
+class TestDivisorMapAtResidues:
+    MAPS = [DivisorMap(1, {1: 5}), DivisorMap(6, {1: -1, 2: Fraction(1, 2), 3: 0, 6: 4}),
+            DivisorMap(12, {d: d * d - 7 for d in divisors(12)})]
+
+    @pytest.mark.parametrize("a", MAPS, ids=lambda a: f"n={a.n}")
+    def test_value_at_k_is_the_value_at_gcd(self, a):
+        n = a.n
+        for k in range(-n, 2 * n + 1):
+            assert a(k) == a[math.gcd(k, n)], k
+        assert a(0) == a[n]
+
+    @pytest.mark.parametrize("a", MAPS, ids=lambda a: f"n={a.n}")
+    def test_residues_list_a_of_0_to_n_minus_1(self, a):
+        assert a.residues() == tuple(a(k) for k in range(a.n))
+        assert len(a.residues()) == a.n
+
+    def test_sum_is_taken_divisor_by_divisor(self):
+        a, b = DivisorMap(6, {1: 1, 2: 2, 3: 3, 6: 6}), DivisorMap(6, {1: Fraction(1, 2), 2: 0, 3: -3, 6: 1})
+        assert a + b == DivisorMap(6, {1: Fraction(3, 2), 2: 2, 3: 0, 6: 7})
+
+    def test_sum_of_different_conductors_is_refused(self):
+        with pytest.raises(TypeError):
+            DivisorMap(2, {1: 1, 2: 0}) + DivisorMap(3, {1: 1, 3: 0})
+        with pytest.raises(TypeError):
+            DivisorMap(2, {1: 1, 2: 0}) + 1
+
+
 def test_divisor_sums_examples():
     assert divisor_sums(1, {1: 5}) == {1: 5}
     assert divisor_sums(6, {1: 1, 2: 2, 3: 3, 6: 6}) == {1: 1, 2: 3, 3: 4, 6: 12}

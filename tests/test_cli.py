@@ -11,7 +11,16 @@ from cyclozeta.arith import divisors
 from cyclozeta.cli import main
 from cyclozeta.report import Report
 from cyclozeta.verify import SuiteConfig
-from cyclozeta.zetaprod import ZetaProduct, cyclotomic_exponents, random_zeta_product, to_rational_function
+from cyclozeta.zetaprod import (
+    ZetaProduct,
+    cyclotomic_exponents,
+    multiplicities,
+    power_sums,
+    ramanujan_coefficients,
+    random_zeta_product,
+    star_functions,
+    to_rational_function,
+)
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +53,18 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "--format", "json", "analyze", '{"n": 3, "e": {"1": -1, "3": 1}}')
         assert code == 0
         assert json.loads(out)["payload"]["m"] == [0, 1, 1]
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 30, 60])
+    def test_json_lists_every_residue_of_the_even_functions(self, capsys, n):
+        z = random_zeta_product(random.Random(f"residues:{n}"), n)
+        code, out, _ = run_cli(capsys, "--format", "json", "analyze", z.to_text())
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        mstar, pstar = star_functions(z)
+        r = ramanujan_coefficients(multiplicities(z))
+        for key, a in (("m", multiplicities(z)), ("p", power_sums(z)), ("mstar", mstar), ("pstar", pstar)):
+            assert payload[key] == [a(k) for k in range(n)], key
+        assert payload["ramanujan_m"] == [str(r(k)) for k in range(n)]
 
     def test_format_flag_after_subcommand(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--format", "json", "n=3; e={1:-1,3:1}")
@@ -134,6 +155,15 @@ class TestDualAndSeries:
         code, out, err = run_cli(capsys, "dual", text)
         assert code == 2 and not out
         assert "parse error" in err and "canonical decimal form" in err
+
+    def test_json_input_refuses_minus_zero(self, capsys):
+        code, out, err = run_cli(capsys, "dual", '{"n": 3, "e": {"1": -0, "3": 1}}')
+        assert code == 2 and not out
+        assert "parse error" in err and "-0 is not in canonical decimal form" in err
+
+    def test_json_input_takes_a_zero_exponent(self, capsys):
+        code, out, _ = run_cli(capsys, "dual", '{"n": 3, "e": {"1": 0, "3": -1}}')
+        assert code == 0 and "input: n=3; e={1:0,3:-1}" in out
 
     @pytest.mark.parametrize("text", ["n=1 2; e={1:1,2:0,3:0,4:0,6:0,12:-1}", "n=3; e={1:- 1,3:1}",
                                       "n=3; e={1:1,3:1\t0}"])
@@ -266,6 +296,31 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "expected an integer >= 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "prop", "--index", "0_3", "--trials", "1", "--n", "6"],
+        ["verify", "prop", "--index", "+3", "--trials", "1", "--n", "6"],
+        ["verify", "all", "--seed", "4_2"],
+        ["verify", "all", "--seed", "042"],
+        ["verify", "all", "--seed", "-0"],
+        ["verify", "all", "--seed", "\u0664\u0662"],
+        ["verify", "all", "--nmax", "1_0"],
+        ["verify", "all", "--order", "0x10"],
+        ["verify", "prop", "--index", "1", "--trials", " 1"],
+        ["verify", "example", "--index", "1", "--n", "\u0666"],
+        ["series", "n=3; e={1:-1,3:1}", "--order", "\u0663"],
+    ])
+    def test_integer_flags_refuse_non_canonical_numbers(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cyclozeta.cli, "run_scope", lambda scope, cfg: pytest.fail("not refused"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "canonical decimal form" in captured.err
+
+    def test_integer_flags_take_canonical_numbers(self):
+        assert [cyclozeta.cli._int(t) for t in ("0", "7", "-7", "1200")] == [0, 7, -7, 1200]
+        assert cyclozeta.cli._positive_int("12") == 12
 
     def test_zero_trials_and_conductors_are_not_replaced_by_defaults(self):
         cfg = SuiteConfig(trials=0, ns=())

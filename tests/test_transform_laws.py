@@ -11,10 +11,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cyclozeta.arith import divisor_sums, divisors, mobius_inversion
+from cyclozeta.arith import DivisorMap, divisor_sums, divisors, mobius_inversion
 from cyclozeta.dirichlet import DirichletSeries, unit_series
 from cyclozeta.exactpoly import PolynomialQ
-from cyclozeta.zetaprod import EvenFunction, ramanujan_coefficients, ramanujan_reconstruct
+from cyclozeta.zetaprod import ramanujan_coefficients, ramanujan_reconstruct
 
 LAWS = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -52,6 +52,6 @@ def test_dirichlet_inverse(head, tail):
 @given(data=st.data())
 def test_ramanujan_expansion_round_trips(data):
     n = data.draw(conductors)
-    a = EvenFunction._from_gcd_table(n, {g: data.draw(rationals) for g in divisors(n)})
+    a = DivisorMap(n, {g: data.draw(rationals) for g in divisors(n)})
     assert ramanujan_reconstruct(ramanujan_coefficients(a)) == a
     assert ramanujan_coefficients(ramanujan_reconstruct(a)) == a

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cyclozeta.arith import mobius_transform
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.exactpoly import ONE, PolynomialQ, RationalFunctionQ
 from cyclozeta.weights import (
@@ -21,7 +22,7 @@ from cyclozeta.weights import (
     spectral_gf,
     spectral_mod,
 )
-from cyclozeta.zetaprod import dft_power_sums, EvenFunction
+from cyclozeta.zetaprod import dft_power_sums
 
 
 class TestSpectral:
@@ -76,8 +77,8 @@ class TestDivisorLines:
     def test_fourier_consistency(self):
         for text in ("1,1,1;3", "1,1,2;4", "15,10,6;30", "6,4,3;12"):
             w = WeightSystem.parse(text)
-            m = EvenFunction.from_divisor_map(m_line_from_weights(w))
-            p = EvenFunction.from_divisor_map(p_line_from_weights(w))
+            m = mobius_transform(m_line_from_weights(w))
+            p = mobius_transform(p_line_from_weights(w))
             assert dft_power_sums(m) == p, text
 
     def test_dirichlet_forms(self):

@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 import cyclozeta.zetaprod as zetaprod
-from cyclozeta.arith import DivisorMap, divisors
+from cyclozeta.arith import DivisorMap, divisors, mobius_transform
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic
 from cyclozeta.zetaprod import (
-    EvenFunction,
     ZetaParseError,
     ZetaProduct,
     check_fourier_pair_family,
@@ -52,8 +51,8 @@ def lambert_cases():
     cases = []
     for n in (1, 2, 7, 12, 30, 97, 360) + tuple(rng.randint(1, 90) for _ in range(8)):
         z = random_zeta_product(rng, n)
-        for a in (multiplicities(z), power_sums(z), random_even_function(rng, n), EvenFunction(n, [0] * n)):
-            cases.append((a, RationalFunctionQ(PolynomialQ(a.values), ONE - PolynomialQ.monomial(n))))
+        for a in (multiplicities(z), power_sums(z), random_even_function(rng, n), DivisorMap.zeros(n)):
+            cases.append((a, RationalFunctionQ(PolynomialQ(a.residues()), ONE - PolynomialQ.monomial(n))))
     return cases
 
 
@@ -63,18 +62,18 @@ def _typed(f: RationalFunctionQ):
 
 class TestRootData:
     def test_rank_two_multiplicities(self):
-        assert multiplicities(A2).values == (0, 1, 1)
-        assert power_sums(A2).values == (2, -1, -1)
+        assert multiplicities(A2).residues() == (0, 1, 1)
+        assert power_sums(A2).residues() == (2, -1, -1)
 
     def test_double_root_instance(self):
         z = ZetaProduct(2, {1: 1, 2: 1})  # roots 1, 1, -1
-        assert multiplicities(z).values == (2, 1)
-        assert power_sums(z).values == (3, 1)
+        assert multiplicities(z).residues() == (2, 1)
+        assert power_sums(z).residues() == (3, 1)
 
     def test_zero_exponents(self):
         z = ZetaProduct(12, {d: 0 for d in divisors(12)})
-        assert not any(multiplicities(z).values)
-        assert not any(power_sums(z).values)
+        assert not any(multiplicities(z).residues())
+        assert not any(power_sums(z).residues())
         assert to_rational_function(z) == RationalFunctionQ(ONE)
 
     def test_total_multiplicity_at_zero(self):
@@ -98,6 +97,16 @@ class TestRootData:
                 assert p(k) == sum(d * e[d] for d in divisors(g)), (n, k)
                 assert mstar(k) == sum(e[d] for d in divisors(g)), (n, k)
                 assert pstar(k) == sum(d * e[n // d] for d in divisors(g)), (n, k)
+
+    def test_periodic_indexing(self):
+        m = multiplicities(A2)
+        assert m(3) == m(0) and m(-1) == m(2)
+
+    def test_additivity(self):
+        rng = random.Random(1)
+        z1, z2 = (random_zeta_product(rng, 12) for _ in range(2))
+        assert multiplicities(z1 * z2) == multiplicities(z1) + multiplicities(z2)
+        assert power_sums(z1 * z2) == power_sums(z1) + power_sums(z2)
 
     def test_root_weights(self):
         assert root_weights(A2, "m") == {1: 1, 3: -1}
@@ -131,9 +140,9 @@ class TestSaito:
             assert pstar == power_sums(saito_transform(z))
 
     def test_star_power_sums_instance(self):
-        assert star_functions(A2)[1].values == (-2, 1, 1)
+        assert star_functions(A2)[1].residues() == (-2, 1, 1)
         zx = ZetaProduct(4, {1: -1, 2: 1, 4: 2})
-        assert star_functions(zx)[1].values == (0, 2, 4, 2)
+        assert star_functions(zx)[1].residues() == (0, 2, 4, 2)
 
 
 class TestRationalForm:
@@ -174,12 +183,12 @@ class TestRationalForm:
 class TestFourier:
     def test_reconstruction_of_multiplicities(self):
         r = ramanujan_coefficients(multiplicities(A2))
-        assert r.values == (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
+        assert r.residues() == (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
         assert ramanujan_reconstruct(r) == multiplicities(A2)
 
     def test_trivial_conductor(self):
-        a = EvenFunction(1, [5])
-        assert ramanujan_coefficients(a).values == (5,)
+        a = DivisorMap(1, {1: 5})
+        assert ramanujan_coefficients(a).residues() == (5,)
 
     def test_round_trip_random(self):
         for n in (1, 2, 12, 45, 60):
@@ -189,41 +198,12 @@ class TestFourier:
 
     def test_dft_power_sums(self):
         assert dft_power_sums(multiplicities(A2)) == power_sums(A2)
-        m = EvenFunction(2, [2, 1])
-        assert dft_power_sums(m).values == (3, 1)
+        m = DivisorMap(2, {1: 1, 2: 2})  # m(0) = 2, m(1) = 1
+        assert dft_power_sums(m).residues() == (3, 1)
         rng = random.Random(5)
         for n in (6, 12, 30):
             z = random_zeta_product(rng, n)
             assert dft_power_sums(multiplicities(z)) == power_sums(z)
-
-
-class TestEvenFunction:
-    def test_rejects_non_even_values(self):
-        with pytest.raises(ValueError):
-            EvenFunction(6, [0, 1, 2, 3, 4, 5])  # a(5) must equal a(1)
-
-    def test_trusted_constructions_revalidate(self):
-        """Operations that skip the eagerness check still produce genuinely
-        gcd-even values: rebuilding through the checking constructor passes."""
-        rng = random.Random(61)
-        for n in (6, 12, 30, 60):
-            z = random_zeta_product(rng, n)
-            for fn in (multiplicities, power_sums):
-                EvenFunction(n, fn(z).values)  # must not raise
-            mstar, pstar = star_functions(z)
-            EvenFunction(n, mstar.values)
-            EvenFunction(n, pstar.values)
-            EvenFunction(n, ramanujan_coefficients(multiplicities(z)).values)
-
-    def test_periodic_indexing(self):
-        m = multiplicities(A2)
-        assert m(3) == m(0) and m(-1) == m(2)
-
-    def test_additivity(self):
-        rng = random.Random(1)
-        z1, z2 = (random_zeta_product(rng, 12) for _ in range(2))
-        assert multiplicities(z1 * z2) == multiplicities(z1) + multiplicities(z2)
-        assert power_sums(z1 * z2) == power_sums(z1) + power_sums(z2)
 
 
 class TestPartialZeta:
@@ -243,7 +223,7 @@ class TestPartialZeta:
         rng = random.Random(2)
         for n in (6, 12, 30):
             z = random_zeta_product(rng, n)
-            a = EvenFunction.from_divisor_map(z.e)
+            a = mobius_transform(z.e)
             for k in range(n + 1):
                 assert root_multiplicity_at_one(partial_zeta(z, k)) == a(k), (n, k)
 
@@ -251,7 +231,7 @@ class TestPartialZeta:
 class TestGeneratingForms:
     def test_rank_family_line(self):
         e = DivisorMap(3, {1: 1, 3: -1})
-        a = EvenFunction.from_divisor_map(e)
+        a = mobius_transform(e)
         rep = gf_power_series(a, e)
         assert rep.status == "pass"
         assert rep.context["series_form"] == str(
@@ -260,11 +240,11 @@ class TestGeneratingForms:
 
     def test_zero_case(self):
         e = DivisorMap(6, {d: 0 for d in divisors(6)})
-        assert gf_power_series(EvenFunction.from_divisor_map(e), e).status == "pass"
+        assert gf_power_series(mobius_transform(e), e).status == "pass"
 
     def test_mismatch_is_reported(self):
         e = DivisorMap(3, {1: 1, 3: -1})
-        wrong = EvenFunction(3, [7, 7, 7])
+        wrong = DivisorMap(3, {1: 7, 3: 7})
         assert gf_power_series(wrong, e).status == "fail"
 
     def test_lambert_form_is_the_partial_fraction_sum(self):
@@ -273,7 +253,7 @@ class TestGeneratingForms:
             z = random_zeta_product(rng, n)
             fractional = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for d in divisors(n)}
             for w in (root_weights(z, "m"), root_weights(z, "p"), fractional, {d: 0 for d in divisors(n)}):
-                a = EvenFunction.from_divisor_map(DivisorMap(n, w))
+                a = mobius_transform(DivisorMap(n, w))
                 want = RationalFunctionQ(ZERO)
                 for d, v in w.items():
                     want = want + RationalFunctionQ(PolynomialQ.constant(v), ONE - PolynomialQ.monomial(d))
@@ -299,7 +279,7 @@ class TestGeneratingForms:
         for n in (1, 2, 8, 12, 30, 60):
             for _ in range(10):
                 z = random_zeta_product(rng, n)
-                a = EvenFunction.from_divisor_map(z.e)
+                a = mobius_transform(z.e)
                 assert gf_power_series(a, z.e).status == "pass"
 
 
@@ -347,7 +327,7 @@ class TestPairingChecksCanFail:
         for z in zs:
             assert check_mobius_pairing(z, self.X6).status == "pass", z
         real = getattr(zetaprod, corrupt)
-        monkeypatch.setattr(zetaprod, corrupt, lambda z: EvenFunction(z.n, [v + 1 for v in real(z).values]))
+        monkeypatch.setattr(zetaprod, corrupt, lambda z: DivisorMap(z.n, {d: v + 1 for d, v in real(z).items()}))
         for z in zs:
             assert check_mobius_pairing(z, self.X6).mismatches == [{"identity": side}], z
 
@@ -383,15 +363,18 @@ class TestPairingChecksCanFail:
         real = zetaprod.ramanujan_reconstruct
 
         def corrupted(r):
-            values = list(real(r).values)
-            values[5] += 1
-            values[7] -= Fraction(1, 2)
-            return EvenFunction(r.n, values, _trusted=True)
+            shift = {4: 1, 6: Fraction(-1, 2)}
+            return DivisorMap(r.n, {d: v + shift.get(d, 0) for d, v in real(r).items()})
 
         monkeypatch.setattr(zetaprod, "ramanujan_reconstruct", corrupted)
         report = check_fourier_pair_family(12, F, 1)
-        # f_1(k) at gcd(k, 12) = 1 is F(1) = 3
-        assert report.mismatches == [{"k": 5, "lhs": "3", "rhs": "4"}, {"k": 7, "lhs": "3", "rhs": "5/2"}]
+        # f_1 is F(1) + F(2)/2 + F(4)/4 = 4 at gcd(k, 12) = 4 (k = 4, 8) and
+        # F(1) + F(2)/2 + F(3)/3 + F(6)/6 = 113/36 at gcd 6 (k = 6)
+        assert report.mismatches == [
+            {"k": 4, "lhs": "4", "rhs": "5"},
+            {"k": 6, "lhs": "113/36", "rhs": "95/36"},
+            {"k": 8, "lhs": "4", "rhs": "5"},
+        ]
 
 
 class TestTotientPairing:
