@@ -129,11 +129,12 @@ def d_family(l: int) -> CatalogEntry:
 
 def get(name: str, l: int | None = None) -> CatalogEntry:
     """Look an entry up by name: fixed names like ``E8``/``Q_12``, or the
-    families ``A_<l>`` / ``D_<l>`` (rank either embedded or passed as l)."""
+    families ``A_<l>`` / ``D_<l>`` (rank either embedded, in canonical ASCII
+    decimal, or passed as l)."""
     squeezed = name.replace(" ", "")
-    fam = re.fullmatch(r"([AD])_?(l|\d*)", squeezed)
-    if fam and (fam.group(2).isdigit() or l is not None):
-        rank = int(fam.group(2)) if fam.group(2).isdigit() else int(l)
+    fam = re.fullmatch(r"([AD])_?(?:l|([1-9][0-9]*))?", squeezed)
+    if fam and (fam.group(2) or l is not None):
+        rank = int(fam.group(2) or l)
         return a_family(rank) if fam.group(1) == "A" else d_family(rank)
     canon = squeezed if "_" in squeezed else re.sub(r"([A-Z]+)(\d+)", r"\1_\2", squeezed)
     for entry in entries():

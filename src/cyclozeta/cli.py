@@ -177,6 +177,14 @@ def _cmd_series(args) -> int:
     return 0
 
 
+def _catalog_entry(name: str) -> catalog_mod.CatalogEntry:
+    """A catalog entry by name, refused if its conductor is above the size contract."""
+    entry = catalog_mod.get(name)
+    if refusal := size_error(entry.n):
+        raise ValueError(f"{entry.name}: {refusal}")
+    return entry
+
+
 def _cmd_catalog(args) -> int:
     if args.action == "list":
         payload = {
@@ -195,12 +203,11 @@ def _cmd_catalog(args) -> int:
     if args.action == "get":
         if not args.name:
             raise ValueError("catalog get needs an entry name")
-        entry = catalog_mod.get(args.name)
-        _emit(args, "catalog", "pass", entry.to_json_dict())
+        _emit(args, "catalog", "pass", _catalog_entry(args.name).to_json_dict())
         return 0
     if args.action == "verify":
         if args.name:
-            reports = [catalog_mod.verify_entry(catalog_mod.get(args.name))]
+            reports = [catalog_mod.verify_entry(_catalog_entry(args.name))]
         else:
             reports = catalog_mod.verify_all(max_family_rank=12)
             reports.append(catalog_mod.saito_dual_pairs())

@@ -22,15 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .arith import (
     as_exact,
     div_exact,
     divisors,
+    factorize,
     liouville,
     mobius,
-    mobius_inversion,
     named_function,
     ramanujan_sum,
 )
@@ -183,13 +184,16 @@ class GTransforms(NamedTuple):
     pstar: DirichletSeries
 
 
-def g_transforms(z: ZetaProduct, G: DirichletSeries) -> GTransforms:
-    """The four series m_G, p_G, m*_G, p*_G attached to z and G."""
+def g_transform(z: ZetaProduct, G: DirichletSeries, kind: str) -> DirichletSeries:
+    """One of the series m_G, p_G, m*_G, p*_G (kind "m", "p", "mstar", "pstar")."""
     # the divisor-supported weights go on the left: the convolution skips
     # their zero coefficients
-    return GTransforms(
-        *(divisor_polynomial(root_weights(z, kind), G.order) * G for kind in GTransforms._fields)
-    )
+    return divisor_polynomial(root_weights(z, kind), G.order) * G
+
+
+def g_transforms(z: ZetaProduct, G: DirichletSeries) -> GTransforms:
+    """The four series m_G, p_G, m*_G, p*_G attached to z and G."""
+    return GTransforms(*(g_transform(z, G, kind) for kind in GTransforms._fields))
 
 
 def ps_g_transforms(z: ZetaProduct, g: PowerSeriesQ) -> tuple[PowerSeriesQ, PowerSeriesQ]:
@@ -222,28 +226,34 @@ def check_star_series(z: ZetaProduct, G: DirichletSeries) -> Report:
     * G(s) sum_d m(n/d) phi_{-s}(d) must be the series of m*_G;
     * (1/n) G(s) sum_d p(n/d) phi_{2-s}(d) must be the series of p*_G.
 
-    The finite sums are materialized as divisor-supported Dirichlet
-    polynomials, convolved with G and compared to the transforms.
+    Each totient phi_{t-s}(d) is built from its multiplicative form
+    (:func:`_totient_polynomial`): the totient side calls neither
+    :func:`~cyclozeta.arith.mobius_inversion` nor the weight table
+    :func:`~cyclozeta.zetaprod.root_weights` that the transforms are read from.
     """
     n, order = z.n, G.order
     m = multiplicities(z)
     p = power_sums(z)
-    t = g_transforms(z, G)
-    # u(d') = sum of mu(d/d') m(n/d) over d' | d | n is the Möbius inversion
-    # of m at g = n/d'; v(d') is d'**2 times that of p
-    mi, pi = (mobius_inversion(n, a.values) for a in (m, p))
-    u = {n // g: mi[g] for g in mi}
-    v = {n // g: (n // g) ** 2 * pi[g] for g in pi}
-    lhs_m = G * divisor_polynomial(u, order)
-    lhs_p = div_exact(1, n) * (G * divisor_polynomial(v, order))
+    zero = DirichletSeries([0] * order)
+    u = sum((m(n // d) * _totient_polynomial(d, 0, order) for d in divisors(n)), zero)
+    v = sum((p(n // d) * _totient_polynomial(d, 2, order) for d in divisors(n)), zero)
     report = Report("star-series", context={"n": n, "order": order})
-    if lhs_m != t.mstar:
-        k = _first_mismatch(lhs_m, t.mstar)
-        report.fail(identity="mstar", k=k, lhs=str(lhs_m.coefficient(k)), rhs=str(t.mstar.coefficient(k)))
-    if lhs_p != t.pstar:
-        k = _first_mismatch(lhs_p, t.pstar)
-        report.fail(identity="pstar", k=k, lhs=str(lhs_p.coefficient(k)), rhs=str(t.pstar.coefficient(k)))
+    for kind, lhs in (("mstar", G * u), ("pstar", div_exact(1, n) * (G * v))):
+        rhs = g_transform(z, G, kind)
+        if lhs != rhs:
+            k = _first_mismatch(lhs, rhs)
+            report.fail(identity=kind, k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
     return report
+
+
+@lru_cache(maxsize=None)
+def _totient_polynomial(d: int, t: int, order: int) -> DirichletSeries:
+    """phi_{t-s}(d) = sum of mu(d/e) e**(t-s) over e | d as a Dirichlet
+    polynomial in s: the product over p**a || d of p**(a t) [p**a] - p**((a-1) t) [p**(a-1)]."""
+    out = unit_series(order)
+    for p, a in factorize(d):
+        out = out * divisor_polynomial({p**a: p ** (a * t), p ** (a - 1): -(p ** ((a - 1) * t))}, order)
+    return out
 
 
 def _first_mismatch(a: DirichletSeries, b: DirichletSeries) -> int:
@@ -261,8 +271,8 @@ def check_transfer(z: ZetaProduct, G1: DirichletSeries, G2: DirichletSeries) -> 
     checked as an exact coefficient identity to the common order.
     """
     order = min(G1.order, G2.order)
-    m_g1 = g_transforms(z, G1.truncate(order)).m
-    pstar_g2 = g_transforms(z, G2.truncate(order)).pstar
+    m_g1 = g_transform(z, G1.truncate(order), "m")
+    pstar_g2 = g_transform(z, G2.truncate(order), "pstar")
     lhs = G2.truncate(order) * m_g1.shift()
     rhs = G1.truncate(order).shift() * pstar_g2
     report = Report("transfer", context={"n": z.n, "order": order})
@@ -408,23 +418,36 @@ TRANSFER_EXAMPLES: dict[int, TransferExample] = {
 }
 
 
+@lru_cache
+def _example_series(ex: TransferExample, n: int, r: int, order: int):
+    # (G1, G2, h as a series) depend on the example, not on the product, so
+    # the brute-force evaluators behind h run once per key.  The key is the
+    # example itself, not its index, so a replaced TRANSFER_EXAMPLES entry
+    # is built afresh.
+    G1, G2, h = ex.build(n, r, order)
+    return G1, G2, DirichletSeries(h)
+
+
 def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order: int = 200) -> Report:
     """Check one worked convolution identity, coefficientwise to ``order``.
 
-    The left side k m_{G1}(k) comes from :func:`g_transforms`; the right side
+    The left side k m_{G1}(k) comes from :func:`g_transform`; the right side
     convolves the independently evaluated named sequence h with p*_{G2}.
-    Example 1 additionally checks the inverse direction
-    p*(k) = sum of phi_inv(k/d) d m(d).
+    Only these two transforms are computed.  G1, G2 and h depend on the
+    example, n, r and order but not on the product, so they are built once
+    per such key and shared by every product checked against it.  Example 1
+    additionally checks the inverse direction
+    p*(k) = sum of phi_inv(k/d) d m(d), with phi_inv evaluated afresh.
     """
     if index not in TRANSFER_EXAMPLES:
         raise ValueError(f"unknown example index {index}")
     ex = TRANSFER_EXAMPLES[index]
     if ex.needs_r and (r is None or r < 1):
         raise ValueError(f"example {index} needs a parameter r >= 1")
-    G1, G2, h = ex.build(z.n, r if ex.needs_r else 0, order)
-    lhs = g_transforms(z, G1).m.shift()
-    pstar = g_transforms(z, G2).pstar
-    rhs = DirichletSeries(h) * pstar
+    G1, G2, h = _example_series(ex, z.n, r if ex.needs_r else 0, order)
+    lhs = g_transform(z, G1, "m").shift()
+    pstar = g_transform(z, G2, "pstar")
+    rhs = h * pstar
     report = Report(
         f"convolution-example-{index}",
         context={
@@ -440,7 +463,7 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
         report.fail(k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
     elif index == 1:
         phi_inv = DirichletSeries(named_function("phi_inv").values(order))
-        inverse = phi_inv * g_transforms(z, zeta_series(order)).m.shift()
+        inverse = phi_inv * g_transform(z, zeta_series(order), "m").shift()
         if pstar != inverse:
             k = _first_mismatch(pstar, inverse)
             report.fail(identity="inverse", k=k, lhs=str(pstar.coefficient(k)), rhs=str(inverse.coefficient(k)))

@@ -28,6 +28,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 from .arith import (
@@ -303,12 +304,41 @@ def _division_count(p: PolynomialQ, f: PolynomialQ) -> int:
     return count
 
 
+def _cyclotomic_valuation(p: PolynomialQ, d: int, phi: PolynomialQ) -> int:
+    # the least j whose Hasse derivative sum_k C(k, j) a_k q**(k - j) is
+    # non-zero mod phi = Phi_d: folded mod q**d - 1 first, then reduced
+    # mod the monic phi.  A non-zero p has one by j = deg p, where the
+    # derivative is its leading coefficient.
+    cs, low = p.coeffs, phi.coeffs[:-1]
+    deg = len(low)
+    for j in range(len(cs)):
+        folded = [0] * d
+        for k in range(j, len(cs)):
+            if cs[k]:
+                folded[(k - j) % d] += math.comb(k, j) * cs[k]
+        for i in range(d - 1, deg - 1, -1):
+            if t := folded[i]:
+                for k, c in enumerate(low, i - deg):
+                    folded[k] -= t * c
+        if any(folded[:deg]):
+            return j
+    return 0
+
+
 def cyclotomic_exponents(f: RationalFunctionQ, n: int) -> DivisorMap:
-    """Exponent of each cyclotomic factor of f among indices dividing n."""
+    """Exponent of each cyclotomic factor of f among indices dividing n.
+
+    The exponent of Phi_d in a polynomial P is the multiplicity of a
+    primitive d-th root of unity as a root of P: the least j such that the
+    j-th Hasse derivative of P, folded mod q**d - 1 and reduced mod Phi_d, is
+    non-zero (Phi_d is irreducible, so one root stands for all).  Each step
+    costs O(deg P + d phi(d)) instead of a division of P.  The zero
+    polynomial counts as exponent 0.
+    """
     out = {}
     for d in divisors(n):
         phi = cyclotomic(d)
-        out[d] = _division_count(f.num, phi) - _division_count(f.den, phi)
+        out[d] = _cyclotomic_valuation(f.num, d, phi) - _cyclotomic_valuation(f.den, d, phi)
     return DivisorMap(n, out)
 
 
@@ -334,17 +364,32 @@ def root_multiplicity_at_one(f: RationalFunctionQ) -> int:
 # Fourier analysis in Ramanujan sums
 
 
-def _ramanujan_synthesis(a: DivisorMap) -> dict[int, object]:
-    """{g: sum of a(n/d) c_d(g) over d | n} for every g | n."""
+@lru_cache(maxsize=None)
+def _ramanujan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    """One row (c_d(g) for d | n) for each g | n, both in divisor order."""
+    divs = divisors(n)
+    return tuple(tuple(ramanujan_sum(d, g) for d in divs) for g in divs)
+
+
+def _ramanujan_synthesis(a: DivisorMap, scale: int = 1) -> dict[int, object]:
+    """{g: (1/scale) sum of a(n/d) c_d(g) over d | n} for every g | n.
+
+    The values of a are written over one common denominator D, so each row
+    is a sum of integer products, divided by D * scale once."""
     n = a.n
     divs = divisors(n)
-    return {g: sum(a[n // d] * ramanujan_sum(d, g) for d in divs) for g in divs}
+    column = [a[n // d] for d in divs]
+    D = math.lcm(*(v.denominator for v in column))
+    column = [v.numerator * (D // v.denominator) for v in column]
+    return {
+        g: div_exact(sum(x * c for x, c in zip(column, row)), D * scale)
+        for g, row in zip(divs, _ramanujan_matrix(n))
+    }
 
 
 def ramanujan_coefficients(a: DivisorMap) -> DivisorMap:
     """r(k) = (1/n) sum of a(n/d) c_d(k) over d | n."""
-    n = a.n
-    return DivisorMap(n, {g: div_exact(total, n) for g, total in _ramanujan_synthesis(a).items()})
+    return DivisorMap(a.n, _ramanujan_synthesis(a, a.n))
 
 
 def ramanujan_reconstruct(r: DivisorMap) -> DivisorMap:

@@ -42,6 +42,11 @@ class TestLookup:
         with pytest.raises(KeyError):
             get("B_2")
 
+    @pytest.mark.parametrize("name", ["A_03", "A_\u0663", "D_007", "A_0", "D_\uff11\uff12"])
+    def test_family_rank_only_in_canonical_ascii_decimal(self, name):
+        with pytest.raises(KeyError):
+            get(name)
+
     def test_note_on_symbolic_coefficient(self):
         assert "symbolic" in get("S_12").note
 

@@ -229,6 +229,25 @@ class TestCatalogCommand:
         code, _, err = run_cli(capsys, "catalog", "get", "B_2")
         assert code == 2
 
+    @pytest.mark.parametrize("action", ["get", "verify"])
+    @pytest.mark.parametrize("name, reason", [
+        ("A_03", "unknown catalog entry"),
+        ("A_\u0663", "unknown catalog entry"),
+        ("D_007", "unknown catalog entry"),
+        ("A_1000000", "n = 1000001 is above the size limit n <= 5040"),
+        ("A_5040", "n = 5041 is above the size limit n <= 5040"),
+    ])
+    def test_ranks_outside_the_input_contract_are_refused(self, capsys, action, name, reason):
+        code, out, err = run_cli(capsys, "catalog", action, name)
+        assert code == 2 and not out
+        assert reason in err
+
+    @pytest.mark.parametrize("name, n", [("A_5039", 5040), ("D_12", 22)])
+    def test_ranks_at_the_size_limit_are_accepted(self, capsys, name, n):
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "get", name)
+        assert code == 0
+        assert json.loads(out)["payload"]["n"] == n
+
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "list")
         assert code == 0 and "E_8" in out and "families" in out

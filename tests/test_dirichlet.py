@@ -16,6 +16,7 @@ from cyclozeta.dirichlet import (
     convolution_example,
     divisor_polynomial,
     example_report_json,
+    g_transform,
     g_transforms,
     mobius_series,
     ps_g_transforms,
@@ -203,7 +204,8 @@ class TestGTransforms:
         assert t.pstar.coeffs[:6] == (1, 1, -2, 1, 1, -2)
 
     def test_each_transform_is_G_times_its_weight_polynomial(self):
-        """Each transform's k-th coefficient is the sum of w(d) G(k/d) over d | k, d | n."""
+        """Each transform's k-th coefficient is the sum of w(d) G(k/d) over d | k, d | n;
+        g_transform computes the one transform of its kind."""
         order = 120
         for n in (1, 6, 12, 30, 60):
             z = random_zeta_product(random.Random(f"g-weights:{n}"), n)
@@ -216,6 +218,7 @@ class TestGTransforms:
                         for k in range(1, order + 1)
                     ]
                     assert getattr(t, kind).coeffs == tuple(want), (n, kind)
+                    assert g_transform(z, G, kind) == getattr(t, kind)
 
     def test_unit_supports_on_divisors(self):
         t = g_transforms(A2, unit_series(N))
@@ -278,6 +281,27 @@ class TestStarSeries:
                 z = random_zeta_product(rng, n)
                 for G in (zeta_series(120), mobius_series(120)):
                     assert check_star_series(z, G).status == "pass"
+
+    @pytest.mark.parametrize("kind", ["m", "p", "mstar", "pstar"])
+    def test_corrupted_weight_table_fails(self, monkeypatch, kind):
+        """The totient side is built without the weight table, so a wrong
+        table behind either the root data or the transforms is caught."""
+        import cyclozeta.dirichlet as dirichlet_mod
+        import cyclozeta.zetaprod as zetaprod_mod
+
+        real = zetaprod_mod.root_weights
+
+        def corrupted(z, k):
+            w = real(z, k)
+            return {**w, z.n: w[z.n] + 1} if k == kind else w
+
+        monkeypatch.setattr(zetaprod_mod, "root_weights", corrupted)
+        monkeypatch.setattr(dirichlet_mod, "root_weights", corrupted)
+        z = random_zeta_product(random.Random(13), 12)
+        for G in (unit_series(60), zeta_series(60)):
+            rep = check_star_series(z, G)
+            assert rep.status == "fail"
+            assert {mm["identity"] for mm in rep.mismatches} == {"mstar" if "m" in kind else "pstar"}
 
 
 class TestTransfer:
@@ -347,6 +371,14 @@ class TestConvolutionExamples:
         assert rep.status == "fail"
         assert rep.mismatches == [first]
         assert example_report_json(rep)["first_mismatch"] == first
+
+    def test_a_replaced_example_is_built_afresh(self, monkeypatch):
+        """The example series are cached per example object, so replacing an
+        entry of TRANSFER_EXAMPLES after a run with the same key is seen."""
+        z = ZetaProduct(12, {1: 1, 2: -1, 3: 2, 4: 0, 6: 1, 12: -2})
+        assert convolution_example(3, z, r=2, order=48).status == "pass"
+        self._corrupt_h(monkeypatch, 3, 5, 1)
+        assert convolution_example(3, z, r=2, order=48).mismatches[0]["k"] == 5
 
     def test_corrupted_inverse_table_reports_the_inverse_identity(self, monkeypatch):
         import cyclozeta.dirichlet as dirichlet_mod

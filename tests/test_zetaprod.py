@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cyclozeta.zetaprod as zetaprod
-from cyclozeta.arith import DivisorMap, divisors, mobius_transform
+from cyclozeta.arith import DivisorMap, divisors, mobius_transform, ramanujan_sum
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic
 from cyclozeta.zetaprod import (
@@ -171,6 +171,33 @@ class TestRationalForm:
                 m = multiplicities(z)
                 assert all(expo[d] == m(n // d) for d in divisors(n))
 
+    def test_folded_exponents_equal_repeated_division(self):
+        """The Hasse-derivative valuation against the division count it
+        replaced, on random products alone, with a Fraction-scaled numerator
+        and times a factor (2/3) q**k + c, c odd, which has no root on the
+        unit circle; and on the zero function."""
+        rng = random.Random(83)
+        cases = [(RationalFunctionQ(ZERO), 12, None)]
+        for _ in range(40):
+            n = rng.randint(1, 36)
+            z = random_zeta_product(rng, n, span=rng.choice((1, 3)))
+            rf, m = to_rational_function(z), multiplicities(z)
+            scale = Fraction(rng.choice((-7, -2, 1, 3)), rng.randint(1, 5))
+            factor = PolynomialQ.monomial(rng.randint(1, 6), Fraction(2, 3)) + rng.choice((-3, -1, 1, 3))
+            cases.append((rf, n, m))
+            cases.append((RationalFunctionQ(scale * rf.num * factor, rf.den, _normalized=True), n, m))
+            cases.append((RationalFunctionQ(rf.num, rf.den * factor, _normalized=True), n, m))
+        for f, n, m in cases:
+            expo = cyclotomic_exponents(f, n)
+            for d in divisors(n):
+                phi = cyclotomic(d)
+                by_division = zetaprod._division_count(f.num, phi) - zetaprod._division_count(f.den, phi)
+                assert expo[d] == by_division == (m(n // d) if m else 0), (f, d)
+
+    def test_high_multiplicities(self):
+        f = RationalFunctionQ((Q - 1) ** 7 * cyclotomic(6) ** 4 * 5, cyclotomic(4) ** 3 * cyclotomic(12) ** 2)
+        assert cyclotomic_exponents(f, 12).values == {1: 7, 2: 0, 3: 0, 4: -3, 6: 4, 12: -2}
+
     def test_matches_literal_divisor_product(self):
         rng = random.Random(8)
         for n in (1, 4, 6, 9, 12, 18, 30):
@@ -195,6 +222,16 @@ class TestFourier:
             for t in range(20):
                 a = random_even_function(random.Random(f"ft:{n}:{t}"), n)
                 assert ramanujan_reconstruct(ramanujan_coefficients(a)) == a
+
+    def test_synthesis_equals_the_written_out_sum(self):
+        """One cached integer matrix and one common denominator give the
+        plain sum of a(n/d) c_d(g) over d | n, Fraction values included."""
+        rng = random.Random(89)
+        for n in (1, 2, 12, 30, 60, 360):
+            for a in (random_even_function(rng, n), multiplicities(random_zeta_product(rng, n))):
+                want = {g: sum(a[n // d] * ramanujan_sum(d, g) for d in divisors(n)) for g in divisors(n)}
+                assert zetaprod._ramanujan_synthesis(a) == want
+                assert ramanujan_coefficients(a).values == {g: Fraction(v) / n for g, v in want.items()}
 
     def test_dft_power_sums(self):
         assert dft_power_sums(multiplicities(A2)) == power_sums(A2)
