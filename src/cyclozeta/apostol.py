@@ -229,7 +229,7 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
         num0, _ = B.evaluate_pair(Fraction(c, b * d), power=d)
         block = PolynomialQ.monomial(n) * num1 - num0
         clear = geometric(d, n) ** (r + 1)
-        rhs2 = rhs2 + as_exact(Fraction(ed * (b * d) ** r, r + 1)) * block * clear
+        rhs2 = rhs2 + Fraction(ed * (b * d) ** r, r + 1) * block * clear
     if lhs2 * master2 != rhs2:
         report.fail(identity="power-weighted", divisor_block="all")
 
@@ -250,13 +250,13 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
             sign = (-1) ** (n // d - 1)
             block = sign * PolynomialQ.monomial(n) * num1 + num0
             clear = ((PolynomialQ.monomial(d) - 1) * geometric(2 * d, 2 * n)) ** (r + 1)
-            rhs3 = rhs3 + as_exact(Fraction(ed * (b * d) ** r, 2)) * block * clear
+            rhs3 = rhs3 + Fraction(ed * (b * d) ** r, 2) * block * clear
         else:
             num1, _ = B.evaluate_pair(x1, power=d)
             num0, _ = B.evaluate_pair(x0, power=d)
             block = PolynomialQ.monomial(n) * num1 - num0
             clear = geometric(d, 2 * n) ** (r + 1)
-            rhs3 = rhs3 + as_exact(Fraction(ed * (b * d) ** r, r + 1)) * block * clear
+            rhs3 = rhs3 + Fraction(ed * (b * d) ** r, r + 1) * block * clear
     if lhs3 * master3 != rhs3:
         report.fail(identity="alternating", divisor_block="all")
     return report

@@ -1,9 +1,12 @@
 """Divisor lattices and classical arithmetic functions, exactly.
 
 Values are Python ints or ``fractions.Fraction``; nothing in this module
-(or anywhere else in the package) touches floating point.  Two conventions
+(or anywhere else in the package) touches floating point.  The conventions
 used throughout the package live here:
 
+* Every container of values makes them exact through :func:`exact_values`
+  alone: an integral Fraction becomes an int, a float or a string raises
+  ``TypeError``.  Divisor keys must be ints; a bool or a float is refused.
 * ``gcd(0, n) == n``, so the index ``k = 0`` behaves like ``k = n`` in every
   divisor sum over ``d | (k, n)``.
 * An even function mod n (one that depends only on gcd(k, n)) is a
@@ -32,6 +35,22 @@ def as_exact(x):
     if isinstance(x, int):
         return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def exact_values(values) -> list:
+    """A new list of the values made exact by :func:`as_exact`.  A list of
+    plain ints (not bools) is returned as it is: the type-set test runs at C
+    speed, so integer data pays no per-value conversion."""
+    cs = list(values)
+    if {*map(type, cs)} <= {int}:
+        return cs
+    return [as_exact(c) for c in cs]
+
+
+def require_int_keys(keys) -> None:
+    """Refuse any key that is not an int, with the same type-set test."""
+    if not {*map(type, keys)} <= {int}:
+        raise TypeError(f"divisor keys must be ints, got {[k for k in keys if type(k) is not int]}")
 
 
 def div_exact(a, b):
@@ -177,8 +196,9 @@ class DivisorMap:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: Mapping[int, object]):
+        require_int_keys(values)
         divs = divisors(n)
-        given = {int(k): as_exact(v) for k, v in values.items()}
+        given = dict(zip(values, exact_values(values.values())))
         if set(given) != set(divs):
             missing = sorted(set(divs) - set(given))
             extra = sorted(set(given) - set(divs))
@@ -192,13 +212,8 @@ class DivisorMap:
 
     @classmethod
     def from_partial(cls, n: int, values: Mapping[int, object]) -> "DivisorMap":
-        filled = {d: 0 for d in divisors(n)}
-        for k, v in values.items():
-            k = int(k)
-            if k not in filled:
-                raise ValueError(f"{k} is not a divisor of {n}")
-            filled[k] = as_exact(v)
-        return cls(n, filled)
+        require_int_keys(values)
+        return cls(n, {**dict.fromkeys(divisors(n), 0), **values})
 
     @classmethod
     def zeros(cls, n: int) -> "DivisorMap":

@@ -27,7 +27,6 @@ from .arith import DivisorMap, divisors, mobius_transform
 from .exactpoly import PolynomialQ
 from .report import Report
 from .zetaprod import ZetaProduct, root_weights, saito_transform
-from .weights import WeightSystem, m_line_from_weights
 
 _EXPECTED_ANOMALIES = ("X_9", "J_10")
 
@@ -252,10 +251,3 @@ def saito_dual_pairs() -> Report:
         )
     report.context["pairs"] = table
     return report
-
-
-def p8_matches_weights() -> bool:
-    """The parabolic P_8 entry agrees with the (1,1,1;3) weight system."""
-    entry = get("P_8")
-    line = m_line_from_weights(WeightSystem(1, 1, 1, 3))
-    return {d: v for d, v in line.items() if v} == entry.m_line

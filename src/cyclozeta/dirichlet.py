@@ -26,14 +26,15 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .arith import (
-    as_exact,
     div_exact,
     divisors,
+    exact_values,
     factorize,
     liouville,
     mobius,
     named_function,
     ramanujan_sum,
+    require_int_keys,
 )
 from .exactpoly import PowerSeriesQ
 from .report import Report
@@ -46,7 +47,7 @@ class DirichletSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(as_exact(c) for c in coeffs)
+        cs = tuple(exact_values(coeffs))
         if not cs:
             raise ValueError("DirichletSeries needs at least one coefficient")
         self.coeffs = cs
@@ -163,13 +164,13 @@ def mobius_series(order: int) -> DirichletSeries:
 
 def divisor_polynomial(coeffs: Mapping[int, object], order: int) -> DirichletSeries:
     """Finite Dirichlet polynomial with the given support."""
+    require_int_keys(coeffs)
     out = [0] * order
     for k, v in coeffs.items():
-        k = int(k)
         if k < 1:
             raise ValueError(f"support index {k} must be positive")
         if k <= order:
-            out[k - 1] = out[k - 1] + as_exact(v)
+            out[k - 1] = v
     return DirichletSeries(out)
 
 

@@ -1,7 +1,8 @@
 """Exact univariate algebra in q: polynomials, rational functions, series.
 
-Coefficients are ints or ``fractions.Fraction``; integral values are kept as
-ints so the common integer-coefficient paths stay fast.  Polynomials are
+Coefficients are ints or ``fractions.Fraction``, made exact by the
+constructors alone (:func:`cyclozeta.arith.exact_values`), so integral values
+are stored as ints; the list kernels leave that to them.  Polynomials are
 dense tuples with trailing zeros stripped (the zero polynomial is the empty
 tuple).  Rational functions are kept reduced with a monic denominator.
 Power series are truncated hard at their stated order; mixed-order
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .arith import as_exact, div_exact, divisors, mobius
+from .arith import as_exact, div_exact, divisors, exact_values, mobius
 
 
 class ExactDivisionError(ArithmeticError):
@@ -34,22 +35,13 @@ def _trim(cs: list) -> list:
     return cs
 
 
-def _demote(cs: list) -> list:
-    """Integral Fractions back to ints.  A list of ints is returned as it is:
-    a sum is a Fraction iff a term is, and the C sum of ints is the cheapest
-    test, so integer coefficients pay no per-coefficient conversion."""
-    if type(sum(cs)) is int:
-        return cs
-    return [as_exact(c) for c in cs]
-
-
 def _add(a: Sequence, b: Sequence) -> list:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    return _demote(_trim(out))
+    return _trim(out)
 
 
 def _neg(a: Sequence) -> list:
@@ -71,13 +63,13 @@ def _mul(a: Sequence, b: Sequence, limit: int | None = None) -> list:
             for k, bj in enumerate(b[: size - i], i):
                 if bj:
                     out[k] += ai * bj
-    return _demote(_trim(out))
+    return _trim(out)
 
 
 def _scale(a: Sequence, c) -> list:
     if not c:
         return []
-    return _demote(_trim([ai * c for ai in a]))
+    return _trim([ai * c for ai in a])
 
 
 def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
@@ -97,7 +89,7 @@ def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
             r[i] = 0
             for j in range(db):
                 r[i - db + j] -= c * b[j]
-    return _demote(_trim(q)), _demote(_trim(r))
+    return _trim(q), _trim(r)
 
 
 def _pow(a: Sequence, k: int) -> list:
@@ -124,26 +116,15 @@ class PolynomialQ:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_exact(c) for c in coeffs]
-        self.coeffs = tuple(_trim(cs))
-
-    @staticmethod
-    def _raw(cs: list) -> "PolynomialQ":
-        p = PolynomialQ.__new__(PolynomialQ)
-        p.coeffs = tuple(cs)
-        return p
+        self.coeffs = tuple(_trim(exact_values(coeffs)))
 
     @classmethod
     def constant(cls, c) -> "PolynomialQ":
-        c = as_exact(c)
-        return cls._raw([c] if c else [])
+        return cls([c])
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "PolynomialQ":
-        c = as_exact(c)
-        if not c:
-            return cls._raw([])
-        return cls._raw([0] * k + [c])
+        return cls([0] * k + [c])
 
     # -- structure ---------------------------------------------------------
 
@@ -187,7 +168,7 @@ class PolynomialQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PolynomialQ._raw(_add(self.coeffs, o.coeffs))
+        return PolynomialQ(_add(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -195,35 +176,35 @@ class PolynomialQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PolynomialQ._raw(_add(self.coeffs, _neg(o.coeffs)))
+        return PolynomialQ(_add(self.coeffs, _neg(o.coeffs)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return PolynomialQ._raw(_add(o.coeffs, _neg(self.coeffs)))
+        return PolynomialQ(_add(o.coeffs, _neg(self.coeffs)))
 
     def __neg__(self):
-        return PolynomialQ._raw(_neg(self.coeffs))
+        return PolynomialQ(_neg(self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, PolynomialQ):
-            return PolynomialQ._raw(_mul(self.coeffs, other.coeffs))
+            return PolynomialQ(_mul(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction)):
-            return PolynomialQ._raw(_scale(self.coeffs, as_exact(other)))
+            return PolynomialQ(_scale(self.coeffs, as_exact(other)))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        return PolynomialQ._raw(_pow(self.coeffs, k))
+        return PolynomialQ(_pow(self.coeffs, k))
 
     def __divmod__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         q, r = _divmod(self.coeffs, o.coeffs)
-        return PolynomialQ._raw(q), PolynomialQ._raw(r)
+        return PolynomialQ(q), PolynomialQ(r)
 
     def exact_div(self, other) -> "PolynomialQ":
         """Divide exactly; raise :class:`ExactDivisionError` on a remainder."""
@@ -233,7 +214,7 @@ class PolynomialQ:
         return q
 
     def derivative(self) -> "PolynomialQ":
-        return PolynomialQ._raw(_demote(_trim([i * c for i, c in enumerate(self.coeffs)][1:])))
+        return PolynomialQ([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def substitute_power(self, m: int) -> "PolynomialQ":
         """q -> q**m."""
@@ -245,7 +226,7 @@ class PolynomialQ:
         for i, c in enumerate(self.coeffs):
             if c:
                 out[i * m] = c
-        return PolynomialQ._raw(out)
+        return PolynomialQ(out)
 
     def __call__(self, x):
         """Exact evaluation by Horner's rule."""
@@ -308,12 +289,12 @@ def geometric(d: int, n: int) -> PolynomialQ:
     out = [0] * (n - d + 1)
     for i in range(0, n, d):
         out[i] = 1
-    return PolynomialQ._raw(out)
+    return PolynomialQ(out)
 
 
 def q_integer(m: int) -> PolynomialQ:
     """1 + q + ... + q**(m-1)."""
-    return PolynomialQ._raw([1] * m)
+    return PolynomialQ([1] * m)
 
 
 def power_product(factors) -> tuple[PolynomialQ, PolynomialQ]:
@@ -537,7 +518,7 @@ class PowerSeriesQ:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable = (), order: int | None = None):
-        cs = [as_exact(c) for c in coeffs]
+        cs = exact_values(coeffs)
         if order is None:
             order = len(cs)
         if order < 1:
@@ -583,7 +564,7 @@ class PowerSeriesQ:
 
     def __sub__(self, other):
         if isinstance(other, (PowerSeriesQ, int, Fraction)):
-            return self + (-other if isinstance(other, PowerSeriesQ) else -as_exact(other))
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):

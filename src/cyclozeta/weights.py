@@ -151,7 +151,7 @@ def m_line_from_weights(w: WeightSystem) -> DivisorMap:
     for wt1, wt2 in ((b, c), (a, c), (a, b)):
         g = math.gcd(math.gcd(wt1, wt2), n)
         coeff[g] -= Fraction(n * g, wt1 * wt2)
-    return DivisorMap(n, {d: as_exact(v) for d, v in coeff.items()})
+    return DivisorMap(n, coeff)
 
 
 def p_line_from_weights(w: WeightSystem) -> DivisorMap:
@@ -166,7 +166,7 @@ def p_line_from_weights(w: WeightSystem) -> DivisorMap:
     for wt1, wt2 in ((b, c), (a, c), (a, b)):
         g = math.gcd(math.gcd(wt1, wt2), n)
         coeff[n // g] -= Fraction(n * n, wt1 * wt2)
-    return DivisorMap(n, {d: as_exact(v) for d, v in coeff.items()})
+    return DivisorMap(n, coeff)
 
 
 def m_gf_from_weights(w: WeightSystem) -> tuple[RationalFunctionQ, DivisorMap]:

@@ -32,6 +32,10 @@ ZETAPROD = "src/cyclozeta/zetaprod.py"
 DIRICHLET = "src/cyclozeta/dirichlet.py"
 CLI = "src/cyclozeta/cli.py"
 CATALOG = "src/cyclozeta/catalog.py"
+EXACTPOLY = "src/cyclozeta/exactpoly.py"
+VERIFY = "src/cyclozeta/verify.py"
+LAWS = "tests/test_exactpoly_laws.py"
+POLY = "tests/test_exactpoly.py"
 EVEN = "tests/test_arith.py::TestDivisorMapAtResidues"
 RATIONAL = "tests/test_zetaprod.py::TestRationalForm"
 FOURIER = "tests/test_zetaprod.py::TestFourier"
@@ -94,6 +98,68 @@ MUTANTS = [
      "tests/test_cli.py::TestVerifyCommand::test_integer_flags_refuse_non_canonical_numbers"),
     (CLI, "return _int(text, minimum=1)", "return _int(text)",
      "tests/test_cli.py::TestVerifyCommand::test_sizes_below_one_are_refused"),
+    # values made exact in one place; divisor keys only ints
+    (ARITH, "if {*map(type, cs)} <= {int}:", "if {*map(type, cs)} <= {int, bool}:",
+     f"{LAWS}::test_exact_values_is_as_exact_on_each_value"),
+    (ARITH, "    return [as_exact(c) for c in cs]", "    return cs",
+     f"{LAWS}::test_exact_values_is_as_exact_on_each_value"),
+    (DIRICHLET, "cs = tuple(exact_values(coeffs))", "cs = tuple(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
+    (EXACTPOLY, "cs = exact_values(coeffs)", "cs = list(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
+    (EXACTPOLY, "tuple(_trim(exact_values(coeffs)))", "tuple(_trim(list(coeffs)))",
+     f"{LAWS}::test_polynomial_ring_laws"),
+    # any printed byte of the seed-42 analyze and series commands
+    (EXACTPOLY, 'f"{mag}*{var}" if isinstance(mag, Fraction)', 'f"{mag}*{var}" if mag > 1',
+     "tests/test_perfbench_checks.py::test_seed42_stdout_matches_the_benchmark_reference"),
+    (ARITH, "if not {*map(type, keys)} <= {int}:", "if not {*map(type, keys)} <= {int, bool}:",
+     "tests/test_arith.py::test_divisor_keys_must_be_ints"),
+    (ARITH, "        require_int_keys(values)\n        divs = divisors(n)", "        divs = divisors(n)",
+     "tests/test_arith.py::test_divisor_keys_must_be_ints"),
+    (ARITH, "        require_int_keys(values)\n        return cls(", "        return cls(",
+     "tests/test_arith.py::test_divisor_keys_must_be_ints"),
+    (DIRICHLET, "    require_int_keys(coeffs)\n", "",
+     "tests/test_dirichlet.py::TestSeriesAlgebra::test_support_indices_must_be_ints"),
+    (CLI, "exc.args[0] if isinstance(exc, KeyError) else exc", "exc",
+     "tests/test_cli.py::TestCatalogCommand::test_unknown_entry"),
+    (VERIFY, "        if line != entry.m_line:", "        if False:",
+     "tests/test_weights.py::TestDivisorLines::test_suite_reports_a_corrupted_parabolic_line"),
+    # earlier hand-seeded faults, where the code they broke still exists
+    (ARITH, "if (mu := mobius(g // d))", "if (mu := abs(mobius(g // d)))",
+     "tests/test_transform_laws.py::test_mobius_inversion_and_divisor_sums_are_inverse"),
+    (ARITH, "for d in divisors(g) if (mu", "for d in divisors(g)[1:] if (mu",
+     "tests/test_transform_laws.py::test_mobius_inversion_and_divisor_sums_are_inverse"),
+    (DIRICHLET, "b[k] = div_exact(-acc, a[0])", "b[k] = div_exact(acc, a[0])",
+     "tests/test_dirichlet.py::TestSeriesAlgebra::test_zeta_times_mobius_is_unit"),
+    (DIRICHLET, "m(n // d) * _totient_polynomial(d, 0, order)", "m(d) * _totient_polynomial(d, 0, order)",
+     "tests/test_dirichlet.py::TestStarSeries::test_zeta_and_mobius"),
+    (DIRICHLET, "return transform(multiplicities(z)), transform(power_sums(z))",
+     "return transform(power_sums(z)), transform(multiplicities(z))",
+     "tests/test_dirichlet.py::TestPowerSeriesTransforms::test_geometric_recovers_even_function_shifted"),
+    (DIRICHLET, "PowerSeriesQ([a(0)] + [a(k) - a(k - 1)", "PowerSeriesQ([0] + [a(k) - a(k - 1)",
+     "tests/test_dirichlet.py::TestPowerSeriesTransforms::test_matches_the_expanded_q_integer_sums"),
+    (ZETAPROD, '        report.fail(identity="multiplicity-side")', "        pass",
+     "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
+    (ZETAPROD, '        report.fail(identity="power-sum-side")', "        pass",
+     "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
+    (ZETAPROD, "RationalFunctionQ(-PolynomialQ(a.residues())", "RationalFunctionQ(PolynomialQ(a.residues())",
+     "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_is_the_partial_fraction_sum"),
+    (EXACTPOLY, "        elif k < 0:", "        elif k < -1:",
+     f"{POLY}::TestPowerProduct::test_mixed_exponents_split_into_numerator_and_denominator"),
+    (EXACTPOLY, "for i in range(len(r) - 1, db - 1, -1):", "for i in range(len(r) - 1, db, -1):",
+     f"{POLY}::TestPolynomialQ::test_divmod_and_exact_division"),
+    (EXACTPOLY, "for k, bj in enumerate(b[: size - i], i):", "for k, bj in enumerate(b[: size - i - 1], i):",
+     f"{POLY}::TestPowerSeriesQ::test_product_is_the_truncated_dense_product"),
+    (EXACTPOLY, "return PolynomialQ(_add(self.coeffs, _neg(o.coeffs)))", "return PolynomialQ(_add(self.coeffs, o.coeffs))",
+     f"{POLY}::TestPolynomialQ::test_arithmetic"),
+    (EXACTPOLY, "            g = poly_gcd(num, den)", "            g = ONE",
+     f"{POLY}::TestRationalFunctionQ::test_reduction_invariants"),
+    (EXACTPOLY, "            if not den.is_monic:", "            if False:",
+     f"{POLY}::TestRationalFunctionQ::test_reduction_invariants"),
+    (EXACTPOLY, "    return _make_monic(PolynomialQ(A))", "    return PolynomialQ(A)",
+     f"{LAWS}::test_rational_normal_form_under_field_operations"),
+    (EXACTPOLY, "scale = (-1) ** (t * l) * g.leading", "scale = g.leading",
+     f"{POLY}::TestTensorProduct::test_pinned_non_monic_zero_root_and_constant_inputs"),
+    (EXACTPOLY, "for i in range(1, min(k - 1, m) + 1):", "for i in range(1, min(k - 1, m)):",
+     f"{POLY}::TestTensorProduct::test_square"),
 ]
 
 

@@ -109,6 +109,20 @@ def test_divisor_map_requires_full_key_set():
         DivisorMap(6, {1: 1, 2: 0, 3: 0, 6: 0, 4: 5})
     dm = DivisorMap.from_partial(6, {2: 7})
     assert dm[2] == 7 and dm[1] == 0
+    with pytest.raises(ValueError):
+        DivisorMap.from_partial(6, {2: 7, 4: 1})
+
+
+# each would name the divisors 1 and 2 of 2 if its keys were rounded or parsed
+NON_INT_KEYS = [{1: 0, 2.7: 1}, {1: 0, 2.0: 1}, {1: 0, "2": 1}, {True: 0, 2: 1}]
+
+
+@pytest.mark.parametrize("values", NON_INT_KEYS, ids=repr)
+def test_divisor_keys_must_be_ints(values):
+    with pytest.raises(TypeError):
+        DivisorMap(2, values)
+    with pytest.raises(TypeError):
+        DivisorMap.from_partial(2, values)
 
 
 class TestDivisorMapAtResidues:

@@ -9,7 +9,6 @@ from cyclozeta.catalog import (
     entries,
     expected_anomalies,
     get,
-    p8_matches_weights,
     saito_dual_pairs,
     verify_all,
     verify_entry,
@@ -116,7 +115,3 @@ class TestDuality:
         assert dual["Z_13"] == "Q_11" and dual["Q_11"] == "Z_13"
         for name in ("E_12", "Z_12", "W_12", "Q_12", "S_12", "U_12"):
             assert dual[name] == name, name
-
-
-def test_parabolic_entry_matches_weight_system():
-    assert p8_matches_weights()

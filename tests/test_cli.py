@@ -226,8 +226,9 @@ class TestCatalogCommand:
         assert doc["payload"]["n"] == 30
 
     def test_unknown_entry(self, capsys):
-        code, _, err = run_cli(capsys, "catalog", "get", "B_2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "catalog", "get", "B_2")
+        assert code == 2 and not out
+        assert err == "error: unknown catalog entry 'B_2'\n"
 
     @pytest.mark.parametrize("action", ["get", "verify"])
     @pytest.mark.parametrize("name, reason", [

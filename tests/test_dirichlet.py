@@ -65,6 +65,11 @@ class TestSeriesAlgebra:
     def test_truncation_to_min_order(self):
         assert (zeta_series(10) * zeta_series(5)).order == 5
 
+    @pytest.mark.parametrize("support", [{2.9: 1, True: 3}, {True: 3, 2: 1}, {1: 0, 2.0: 1}, {1: 0, "2": 1}], ids=repr)
+    def test_support_indices_must_be_ints(self, support):
+        with pytest.raises(TypeError):
+            divisor_polynomial(support, 4)
+
 
 class TestEngineSeries:
     """Each worked identity rests on a quoted Dirichlet quotient; check each

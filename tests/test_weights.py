@@ -1,7 +1,10 @@
 """Weight systems, spectral polynomials and Seifert characteristic functions."""
 
+from dataclasses import replace
+
 import pytest
 
+from cyclozeta import catalog
 from cyclozeta.arith import mobius_transform
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.exactpoly import ONE, PolynomialQ, RationalFunctionQ
@@ -22,6 +25,7 @@ from cyclozeta.weights import (
     spectral_gf,
     spectral_mod,
 )
+from cyclozeta.verify import SuiteConfig, suite_weights
 from cyclozeta.zetaprod import dft_power_sums
 
 
@@ -67,6 +71,18 @@ class TestDivisorLines:
             w = WeightSystem.parse(text)
             line = {d: v for d, v in m_line_from_weights(w).items() if v}
             assert line == catalog_get(name).m_line, name
+
+    def test_suite_reports_a_corrupted_parabolic_line(self, monkeypatch):
+        # the weight-systems suite is the one place that compares P_8's
+        # stored m-line with the (1,1,1;3) weights
+        corrupted = tuple(
+            replace(e, m_line={**e.m_line, 1: e.m_line[1] + 1}) if e.name == "P_8" else e
+            for e in catalog.entries()
+        )
+        monkeypatch.setattr(catalog, "_FIXED", corrupted)
+        rep = suite_weights(SuiteConfig(seed=42, nmax=60, order=200))
+        assert rep.status == "fail"
+        assert {"identity": "m-line", "name": "P_8"} in rep.mismatches
 
     def test_exceptional_weight_lines(self):
         line = {d: v for d, v in m_line_from_weights(WeightSystem(15, 10, 6, 30)).items() if v}

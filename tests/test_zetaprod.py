@@ -467,3 +467,7 @@ class TestParsing:
             parse_zeta_product("n=6; e={1:1,6:1}")  # 2 and 3 missing
         with pytest.raises(ValueError):
             ZetaProduct(6, {1: Fraction(1, 2), 2: 0, 3: 0, 6: 0})  # non-integer
+
+    def test_divisor_keys_must_be_ints(self):
+        with pytest.raises(TypeError):
+            ZetaProduct(2, {1: 1, 2.5: -1})
