@@ -5,9 +5,15 @@ The two families are defined by exact power-series division in t:
     t e**(t x) / (q e**t - 1)  ->  B_r(x, q),  r! times the t**r coefficient
     2 e**(t x) / (q e**t + 1)  ->  E_r(x, q)
 
-with coefficients in the rational-function field of q.  Every x-coefficient
-of B_r is a polynomial over (q - 1)**r and of E_r over (q + 1)**(r + 1), so
-the recurrence needs no polynomial division at all; the classes keep that
+with coefficients in the rational-function field of q.  Both generating
+functions are e**(t x) G(t), so both families are Appell sequences:
+
+    P_r(x, q) = sum over k of binomial(r, k) P_k(0, q) x**(r - k),
+
+and every x-coefficient follows by binomials from the constants
+c_k = P_k(0, q) / k!, the t**k coefficients of G.  c_k is a polynomial over
+(q - 1)**k for B and over (q + 1)**(k + 1) for E, so the recurrence for the
+constants needs no polynomial division at all; the classes keep that
 representation and reduce only when a coefficient is asked for.
 
 q = 1 (B family) and q = -1 (E family) are poles; all identities below are
@@ -17,6 +23,7 @@ so the poles are never evaluated.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,6 +36,11 @@ from .exactpoly import (
 )
 from .report import Report
 from .zetaprod import ZetaProduct, lambert_polynomial
+
+
+def _base(family: str, power: int = 1) -> PolynomialQ:
+    """q**power - 1 for the Bernoulli family, q**power + 1 for the Euler family."""
+    return PolynomialQ.monomial(power) + (1 if family == "euler" else -1)
 
 
 class ApostolPoly:
@@ -45,18 +57,13 @@ class ApostolPoly:
         self._nums = nums
 
     @property
-    def _base(self) -> PolynomialQ:
-        # (q - 1) for the Bernoulli family, (q + 1) for the Euler family
-        return PolynomialQ([-1, 1]) if self.family == "bernoulli" else PolynomialQ([1, 1])
-
-    @property
     def x_degree(self) -> int:
         return len(self._nums) - 1
 
     @property
     def coefficients(self) -> tuple[RationalFunctionQ, ...]:
         """Reduced rational-function coefficients of x**0 .. x**deg."""
-        den = self._base**self.den_power
+        den = _base(self.family) ** self.den_power
         return tuple(RationalFunctionQ(num, den) for num in self._nums)
 
     def evaluate_pair(self, x0, power: int = 1) -> tuple[PolynomialQ, PolynomialQ]:
@@ -73,8 +80,7 @@ class ApostolPoly:
             xp = xp * x0
         if power != 1 and not num.is_zero:
             num = num.substitute_power(power)
-        base = PolynomialQ.monomial(power) + (-1 if self.family == "bernoulli" else 1)
-        return num, base**self.den_power
+        return num, _base(self.family, power) ** self.den_power
 
     def evaluate(self, x0, power: int = 1) -> RationalFunctionQ:
         num, den = self.evaluate_pair(x0, power)
@@ -86,70 +92,43 @@ class ApostolPoly:
 
 
 @lru_cache(maxsize=None)
-def _family_table(family: str, upto: int) -> tuple[ApostolPoly, ...]:
-    """The polynomials of one family up to the given index.
+def _family_member(family: str, r: int) -> ApostolPoly:
+    """P_r of one family, from its Appell constants.
 
-    The t-series quotient is computed by the standard division recurrence
-    c_j = (N_j - sum D_i c_{j-i}) / D_0 with every c_j held as x-coefficient
-    numerators over base**(j + offset); since D_0 is exactly the base factor,
-    the division only bumps the denominator exponent.
+    The constants c_j = P_j(0, q) / j! come from the division recurrence
+    c_j = (N_j - sum D_i c_{j-i}) / D_0 for G = N / D, with N = t (B) or
+    2 (E) and D = q e**t -+ 1, so D_0 is the base and D_i = q / i!.  Each c_j
+    is held as a numerator C_j over base**(j + offset): dividing by D_0 only
+    bumps that exponent, and N_j is nonzero only at j = 1 - offset, where the
+    exponent is 0.  Over base**(r + offset), the numerator of x**(r - k) in
+    P_r is then perm(r, k) C_k base**(r - k).
     """
-    euler = family == "euler"
-    base = PolynomialQ([1, 1]) if euler else PolynomialQ([-1, 1])
-    q_poly = PolynomialQ.monomial(1)
-    offset = 1 if euler else 0
-    factorial = [1] * (upto + 2)
-    for i in range(1, upto + 2):
-        factorial[i] = factorial[i - 1] * i
-
-    def numerator_term(j: int) -> tuple[int, Fraction]:
-        # (x-power, scalar) of the t**j coefficient of the numerator series
-        if euler:
-            return j, Fraction(2, factorial[j])
-        if j == 0:
-            return 0, Fraction(0)
-        return j - 1, Fraction(1, factorial[j - 1])
-
-    cs: list[list[PolynomialQ]] = []
-    for j in range(upto + 1):
-        common = j + offset - 1  # denominator exponent of the pre-division sum
-        xpow, scalar = numerator_term(j)
-        acc: list[PolynomialQ] = [ZERO] * (xpow + 1)
-        if scalar:
-            acc[xpow] = PolynomialQ.constant(scalar) * base ** max(common, 0)
+    base, q = _base(family), PolynomialQ.monomial(1)
+    offset, numerator = (1, 2) if family == "euler" else (0, 1)
+    cs: list[PolynomialQ] = []
+    for j in range(r + 1):
+        acc = PolynomialQ.constant(numerator if j == 1 - offset else 0)
         for i in range(1, j + 1):
-            prev = cs[j - i]
-            if not prev:
-                continue
-            factor = q_poly * Fraction(1, factorial[i]) * base ** (i - 1)
-            if len(acc) < len(prev):
-                acc.extend([ZERO] * (len(prev) - len(acc)))
-            for xdeg, num in enumerate(prev):
-                if not num.is_zero:
-                    acc[xdeg] = acc[xdeg] - factor * num
-        while acc and acc[-1].is_zero:
-            acc.pop()
+            acc = acc - cs[j - i] * (q * base ** (i - 1) * Fraction(1, math.factorial(i)))
         cs.append(acc)
-
-    polys = []
-    for j, nums in enumerate(cs):
-        scaled = tuple(num * factorial[j] for num in nums)
-        polys.append(ApostolPoly(family, j, (j + offset) if scaled else 0, scaled))
-    return tuple(polys)
+    nums = [cs[r - d] * math.perm(r, r - d) * base**d for d in range(r + 1)]
+    while nums and nums[-1].is_zero:
+        nums.pop()
+    return ApostolPoly(family, r, (r + offset) if nums else 0, tuple(nums))
 
 
 def apostol_bernoulli(r: int) -> ApostolPoly:
     """B_r(x, q); B_0 is identically zero and B_1 = 1/(q - 1)."""
     if r < 0:
         raise ValueError("index must be nonnegative")
-    return _family_table("bernoulli", r)[r]
+    return _family_member("bernoulli", r)
 
 
 def apostol_euler(r: int) -> ApostolPoly:
     """E_r(x, q); E_0 = 2/(q + 1)."""
     if r < 0:
         raise ValueError("index must be nonnegative")
-    return _family_table("euler", r)[r]
+    return _family_member("euler", r)
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +155,16 @@ def weighted_geometric_sum(n: int, b: int, c: int, r: int, alternating: bool = F
         "weighted-geometric-sum",
         context={"n": n, "b": b, "c": c, "r": r, "alternating": alternating},
     )
-    if not alternating:
-        lhs = PolynomialQ([(b * i + c) ** r for i in range(n + 1)])
-        B = apostol_bernoulli(r + 1)
-        num1, den = B.evaluate_pair(x1)
-        num0, _ = B.evaluate_pair(x0)
-        rhs = Fraction(b**r, r + 1) * (PolynomialQ.monomial(n + 1) * num1 - num0)
-        if lhs * den != rhs:
-            report.fail(lhs=str(lhs), rhs_cleared=str(rhs))
+    if alternating:
+        sign, P, scale = -1, apostol_euler(r), Fraction(b**r, 2)
     else:
-        lhs = PolynomialQ([(-1) ** i * (b * i + c) ** r for i in range(n + 1)])
-        E = apostol_euler(r)
-        num1, den = E.evaluate_pair(x1)
-        num0, _ = E.evaluate_pair(x0)
-        rhs = Fraction(b**r, 2) * ((-1) ** n * PolynomialQ.monomial(n + 1) * num1 + num0)
-        if lhs * den != rhs:
-            report.fail(lhs=str(lhs), rhs_cleared=str(rhs))
+        sign, P, scale = 1, apostol_bernoulli(r + 1), Fraction(b**r, r + 1)
+    lhs = PolynomialQ([sign**i * (b * i + c) ** r for i in range(n + 1)])
+    num1, den = P.evaluate_pair(x1)
+    num0, _ = P.evaluate_pair(x0)
+    rhs = scale * (sign**n * PolynomialQ.monomial(n + 1) * num1 - sign * num0)
+    if lhs * den != rhs:
+        report.fail(lhs=str(lhs), rhs_cleared=str(rhs))
     return report
 
 
@@ -218,45 +191,34 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
     if lhs1 != rhs1:
         report.fail(identity="partial-fractions", lhs=str(lhs1), rhs=str(rhs1))
 
-    B = apostol_bernoulli(r + 1)
+    B, E = apostol_bernoulli(r + 1), apostol_euler(r)
+    qn = PolynomialQ.monomial(n)
     lhs2 = PolynomialQ([a(k) * (b * k + c) ** r for k in range(n)])
-    master2 = (PolynomialQ.monomial(n) - 1) ** (r + 1)
-    rhs2 = ZERO
-    for d, ed in z.e.items():
-        if not ed:
-            continue
-        num1, _ = B.evaluate_pair(Fraction(c + b * n, b * d), power=d)
-        num0, _ = B.evaluate_pair(Fraction(c, b * d), power=d)
-        block = PolynomialQ.monomial(n) * num1 - num0
-        clear = geometric(d, n) ** (r + 1)
-        rhs2 = rhs2 + Fraction(ed * (b * d) ** r, r + 1) * block * clear
-    if lhs2 * master2 != rhs2:
-        report.fail(identity="power-weighted", divisor_block="all")
-
-    E = apostol_euler(r)
     lhs3 = PolynomialQ([a(k) * (b * k + c) ** r * (-1) ** k for k in range(n)])
-    master3 = (PolynomialQ.monomial(2 * n) - 1) ** (r + 1)
-    rhs3 = ZERO
+    rhs2 = rhs3 = ZERO
     for d, ed in z.e.items():
         if not ed:
             continue
         x1 = Fraction(c + b * n, b * d)
         x0 = Fraction(c, b * d)
+        # one Bernoulli block per divisor: all of identity 2, the even divisors of identity 3
+        bernoulli = Fraction(ed * (b * d) ** r, r + 1) * (
+            qn * B.evaluate_pair(x1, power=d)[0] - B.evaluate_pair(x0, power=d)[0]
+        )
+        rhs2 = rhs2 + bernoulli * geometric(d, n) ** (r + 1)
         if d % 2:
             # odd divisors alternate within their block; the telescoped Euler
             # closed form has a plus on the constant term
-            num1, _ = E.evaluate_pair(x1, power=d)
-            num0, _ = E.evaluate_pair(x0, power=d)
             sign = (-1) ** (n // d - 1)
-            block = sign * PolynomialQ.monomial(n) * num1 + num0
-            clear = ((PolynomialQ.monomial(d) - 1) * geometric(2 * d, 2 * n)) ** (r + 1)
-            rhs3 = rhs3 + Fraction(ed * (b * d) ** r, 2) * block * clear
+            euler = Fraction(ed * (b * d) ** r, 2) * (
+                sign * qn * E.evaluate_pair(x1, power=d)[0] + E.evaluate_pair(x0, power=d)[0]
+            )
+            clear = (PolynomialQ.monomial(d) - 1) * geometric(2 * d, 2 * n)
+            rhs3 = rhs3 + euler * clear ** (r + 1)
         else:
-            num1, _ = B.evaluate_pair(x1, power=d)
-            num0, _ = B.evaluate_pair(x0, power=d)
-            block = PolynomialQ.monomial(n) * num1 - num0
-            clear = geometric(d, 2 * n) ** (r + 1)
-            rhs3 = rhs3 + Fraction(ed * (b * d) ** r, r + 1) * block * clear
-    if lhs3 * master3 != rhs3:
+            rhs3 = rhs3 + bernoulli * geometric(d, 2 * n) ** (r + 1)
+    if lhs2 * (qn - 1) ** (r + 1) != rhs2:
+        report.fail(identity="power-weighted", divisor_block="all")
+    if lhs3 * (PolynomialQ.monomial(2 * n) - 1) ** (r + 1) != rhs3:
         report.fail(identity="alternating", divisor_block="all")
     return report

@@ -306,7 +306,9 @@ def _phi_inverse(k: int) -> int:
     return sum(d * mobius(d) for d in divisors(k))
 
 
-def _liouville(k: int) -> int:
+def liouville(k: int) -> int:
+    if k < 1:
+        raise ValueError(f"liouville: need a positive integer, got {k}")
     return -1 if sum(e for _, e in factorize(k)) % 2 else 1
 
 
@@ -343,7 +345,9 @@ def largest_odd_divisor(k: int) -> int:
     return k
 
 
-def _sigma(k: int) -> int:
+def sigma(k: int) -> int:
+    if k < 1:
+        raise ValueError(f"sigma: need a positive integer, got {k}")
     return sum(divisors(k))
 
 
@@ -353,11 +357,11 @@ _PLAIN: dict[str, Callable[[int], object]] = {
     "mobius": mobius,
     "euler_phi": euler_phi,
     "phi_inv": _phi_inverse,
-    "liouville": _liouville,
+    "liouville": liouville,
     "dedekind_psi": _dedekind_psi,
     "beta": _beta,
     "largest_odd": largest_odd_divisor,
-    "sigma": _sigma,
+    "sigma": sigma,
     "abs_mobius": lambda k: abs(mobius(k)),
 }
 
@@ -380,15 +384,3 @@ def named_function(name: str, *params: int) -> ArithmeticFunction:
         fn = {"klee": _klee, "rho": _rho, "rho_prime": _rho_prime}[name]
         return ArithmeticFunction(name, (r,), lambda k, _r=r, _f=fn: _f(k, _r))
     raise ValueError(f"unknown arithmetic function {name!r}")
-
-
-def liouville(k: int) -> int:
-    if k < 1:
-        raise ValueError(f"liouville: need a positive integer, got {k}")
-    return _liouville(k)
-
-
-def sigma(k: int) -> int:
-    if k < 1:
-        raise ValueError(f"sigma: need a positive integer, got {k}")
-    return _sigma(k)

@@ -240,10 +240,7 @@ def check_star_series(z: ZetaProduct, G: DirichletSeries) -> Report:
     v = sum((p(n // d) * _totient_polynomial(d, 2, order) for d in divisors(n)), zero)
     report = Report("star-series", context={"n": n, "order": order})
     for kind, lhs in (("mstar", G * u), ("pstar", div_exact(1, n) * (G * v))):
-        rhs = g_transform(z, G, kind)
-        if lhs != rhs:
-            k = _first_mismatch(lhs, rhs)
-            report.fail(identity=kind, k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
+        _record_first_difference(report, lhs, g_transform(z, G, kind), identity=kind)
     return report
 
 
@@ -257,11 +254,15 @@ def _totient_polynomial(d: int, t: int, order: int) -> DirichletSeries:
     return out
 
 
-def _first_mismatch(a: DirichletSeries, b: DirichletSeries) -> int:
-    for k in range(1, min(a.order, b.order) + 1):
-        if a.coefficient(k) != b.coefficient(k):
-            return k
-    return 0
+def _record_first_difference(report: Report, lhs: DirichletSeries, rhs: DirichletSeries, **labels) -> bool:
+    """If the two series differ, record the labels, the first index k where
+    their coefficients differ and both coefficients there; True when they differ."""
+    if lhs == rhs:
+        return False
+    common = range(1, min(lhs.order, rhs.order) + 1)
+    k = next((k for k in common if lhs.coefficient(k) != rhs.coefficient(k)), 0)
+    report.fail(**labels, k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
+    return True
 
 
 def check_transfer(z: ZetaProduct, G1: DirichletSeries, G2: DirichletSeries) -> Report:
@@ -277,9 +278,7 @@ def check_transfer(z: ZetaProduct, G1: DirichletSeries, G2: DirichletSeries) -> 
     lhs = G2.truncate(order) * m_g1.shift()
     rhs = G1.truncate(order).shift() * pstar_g2
     report = Report("transfer", context={"n": z.n, "order": order})
-    if lhs != rhs:
-        k = _first_mismatch(lhs, rhs)
-        report.fail(k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
+    _record_first_difference(report, lhs, rhs)
     return report
 
 
@@ -459,15 +458,10 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
             "order": order,
         },
     )
-    if lhs != rhs:
-        k = _first_mismatch(lhs, rhs)
-        report.fail(k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
-    elif index == 1:
+    if not _record_first_difference(report, lhs, rhs) and index == 1:
         phi_inv = DirichletSeries(named_function("phi_inv").values(order))
         inverse = phi_inv * g_transform(z, zeta_series(order), "m").shift()
-        if pstar != inverse:
-            k = _first_mismatch(pstar, inverse)
-            report.fail(identity="inverse", k=k, lhs=str(pstar.coefficient(k)), rhs=str(inverse.coefficient(k)))
+        _record_first_difference(report, pstar, inverse, identity="inverse")
     return report
 
 

@@ -63,11 +63,18 @@ class Report:
         }
 
 
+def carried_mismatches(sub: Report) -> list[dict]:
+    """sub's mismatches, each named by sub's check and context; a mismatch's
+    own keys win over the context's."""
+    return [{"check": sub.check, **sub.context, **mismatch} for mismatch in sub.mismatches]
+
+
 def merge_reports(check: str, reports: list[Report], context: dict | None = None) -> Report:
-    """Roll a list of reports into one; any failure fails the merge."""
+    """Roll a list of reports into one; any failure fails the merge, and each
+    merged mismatch names the sub-check it came from."""
     merged = Report(check, context=dict(context or {}))
     for r in reports:
-        merged.mismatches.extend(r.mismatches)
+        merged.mismatches.extend(carried_mismatches(r))
         merged.flags.extend(r.flags)
         merged.notes.extend(r.notes)
     return merged

@@ -28,7 +28,7 @@ from .dirichlet import (
 )
 from .etaprod import check_eta_forms
 from .exactpoly import ONE, PolynomialQ, cyclotomic, necklace, tensor_product
-from .report import Report, merge_reports
+from .report import Report, carried_mismatches, merge_reports
 from .weights import (
     SeifertData,
     WeightSystem,
@@ -335,7 +335,7 @@ def suite_eta(cfg: SuiteConfig) -> Report:
     sign_seen = False
     for entry in entries:
         sub = check_eta_forms(entry.zeta_product(), order)
-        report.mismatches.extend(sub.mismatches)
+        report.mismatches.extend(carried_mismatches(sub))
         sign_seen |= sub.status == "flagged"
     if report.status == "pass" and sign_seen:
         report.flag("eta sign: direct log derivative is the negative of the Lambert-form display")

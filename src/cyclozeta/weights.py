@@ -208,11 +208,6 @@ def p_dirichlet_from_weights(w: WeightSystem, s: int):
     return as_exact(total)
 
 
-def weight_even_functions(w: WeightSystem) -> tuple[DivisorMap, DivisorMap]:
-    """(m, p) as even functions; they satisfy the discrete Fourier pairing."""
-    return mobius_transform(m_line_from_weights(w)), mobius_transform(p_line_from_weights(w))
-
-
 def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Report:
     """Internal coherence of all the weight-derived data.
 
@@ -241,7 +236,7 @@ def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Repo
 
     m_line = m_line_from_weights(w)
     p_line = p_line_from_weights(w)
-    m_even, p_even = weight_even_functions(w)
+    m_even, p_even = mobius_transform(m_line), mobius_transform(p_line)
     reduced = spectral_mod(w)
     from_m = PolynomialQ(m_even.residues())
     if reduced != from_m:
@@ -301,24 +296,17 @@ def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) ->
     gr = 2 * sd.genus - 2 + sd.r
     report = Report("seifert-lines", context={"weights": str(w), "seifert": str(sd)})
 
+    # the signed divisors of the displayed forms: +d for each distinct weight
+    # d | n, -alpha for each alpha_i | n, and -n
+    signed = [(d, 1) for d in sorted({w.a, w.b, w.c}) if n % d == 0]
+    signed += [(alpha, -1) for alpha in sd.alphas if n % alpha == 0] + [(n, -1)]
     m_coeff: dict[int, object] = {d: 0 for d in divisors(n)}
-    m_coeff[1] += gr
-    m_coeff[n] -= 1
-    for d in sorted({w.a, w.b, w.c}):
-        if n % d == 0:
-            m_coeff[d] += 1
-    for alpha in sd.alphas:
-        if n % alpha == 0:
-            m_coeff[alpha] -= 1
     p_coeff: dict[int, object] = {d: 0 for d in divisors(n)}
+    m_coeff[1] += gr
     p_coeff[n] += n * gr
-    p_coeff[1] -= 1
-    for d in sorted({w.a, w.b, w.c}):
-        if n % d == 0:
-            p_coeff[n // d] += n // d
-    for alpha in sd.alphas:
-        if n % alpha == 0:
-            p_coeff[n // alpha] -= n // alpha
+    for d, sign in signed:
+        m_coeff[d] += sign
+        p_coeff[n // d] += sign * (n // d)
 
     m_poly = PolynomialQ(multiplicities(z).residues())
     p_poly = PolynomialQ(power_sums(z).residues())
@@ -331,25 +319,13 @@ def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) ->
 
     for s in s_values:
         lhs = sum(z.e[n // d] * rational_power(d, -s) for d in divisors(n))
-        rhs = gr - rational_power(n, -s)
-        for d in sorted({w.a, w.b, w.c}):
-            if n % d == 0:
-                rhs += rational_power(d, -s)
-        for alpha in sd.alphas:
-            if n % alpha == 0:
-                rhs -= rational_power(alpha, -s)
+        rhs = gr + sum(sign * rational_power(d, -s) for d, sign in signed)
         if lhs != rhs:
             report.fail(identity="m-dirichlet", s=s, lhs=str(lhs), rhs=str(rhs))
         lhs = rational_power(n, s - 1) * sum(
             d * z.e[d] * rational_power(d, -s) for d in divisors(n)
         )
-        rhs = gr - rational_power(n, s - 1)
-        for d in sorted({w.a, w.b, w.c}):
-            if n % d == 0:
-                rhs += rational_power(d, s - 1)
-        for alpha in sd.alphas:
-            if n % alpha == 0:
-                rhs -= rational_power(alpha, s - 1)
+        rhs = gr + sum(sign * rational_power(d, s - 1) for d, sign in signed)
         if lhs != rhs:
             report.fail(identity="p-dirichlet", s=s, lhs=str(lhs), rhs=str(rhs))
     return report

@@ -34,12 +34,16 @@ CLI = "src/cyclozeta/cli.py"
 CATALOG = "src/cyclozeta/catalog.py"
 EXACTPOLY = "src/cyclozeta/exactpoly.py"
 VERIFY = "src/cyclozeta/verify.py"
+APOSTOL = "src/cyclozeta/apostol.py"
+WEIGHTS = "src/cyclozeta/weights.py"
+REPORT = "src/cyclozeta/report.py"
 LAWS = "tests/test_exactpoly_laws.py"
 POLY = "tests/test_exactpoly.py"
 EVEN = "tests/test_arith.py::TestDivisorMapAtResidues"
 RATIONAL = "tests/test_zetaprod.py::TestRationalForm"
 FOURIER = "tests/test_zetaprod.py::TestFourier"
 EXAMPLES = "tests/test_dirichlet.py::TestConvolutionExamples"
+FAMILIES = "tests/test_apostol.py::TestFamilies"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -122,6 +126,25 @@ MUTANTS = [
      "tests/test_cli.py::TestCatalogCommand::test_unknown_entry"),
     (VERIFY, "        if line != entry.m_line:", "        if False:",
      "tests/test_weights.py::TestDivisorLines::test_suite_reports_a_corrupted_parabolic_line"),
+    # Apostol families as Appell sequences; one body per closed form
+    (APOSTOL, "cs[r - d] * math.perm(r, r - d)", "cs[r - d] * math.comb(r, r - d)",
+     f"{FAMILIES}::test_generating_series_round_trip"),
+    (APOSTOL, "q * base ** (i - 1) * Fraction", "q * base**i * Fraction", f"{FAMILIES}::test_bernoulli_base_cases"),
+    (APOSTOL, "(1, 2) if family", "(1, 1) if family", f"{FAMILIES}::test_euler_base_cases"),
+    (APOSTOL, "sign**n * PolynomialQ.monomial(n + 1) * num1 - sign * num0",
+     "sign**n * PolynomialQ.monomial(n + 1) * num1 + sign * num0",
+     "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
+    (APOSTOL, "rhs3 = rhs3 + bernoulli *", "rhs3 = rhs3 - bernoulli *",
+     "tests/test_apostol.py::TestWeightedSumIdentities::test_small_conductor_random"),
+    # each weight line built once; merged mismatches name their sub-check
+    (WEIGHTS, "[(alpha, -1) for alpha", "[(alpha, 1) for alpha",
+     "tests/test_weights.py::TestSeifert::test_exceptional_root_system"),
+    (REPORT, '{"check": sub.check, **sub.context, **mismatch}', '{**sub.context, **mismatch}',
+     "tests/test_report.py::test_merge_combines_the_same_way"),
+    (VERIFY, "report.mismatches.extend(carried_mismatches(sub))", "report.mismatches.extend(sub.mismatches)",
+     "tests/test_cli.py::TestVerifyCommand::test_a_merged_mismatch_names_its_sub_check"),
+    (DIRICHLET, "report.fail(**labels, k=k,", "report.fail(k=k,",
+     f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity"),
     # earlier hand-seeded faults, where the code they broke still exists
     (ARITH, "if (mu := mobius(g // d))", "if (mu := abs(mobius(g // d)))",
      "tests/test_transform_laws.py::test_mobius_inversion_and_divisor_sums_are_inverse"),

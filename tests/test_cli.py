@@ -6,8 +6,10 @@ import random
 import pytest
 
 import cyclozeta.cli
+import cyclozeta.etaprod
 import cyclozeta.verify
-from cyclozeta.arith import divisors
+import cyclozeta.zetaprod
+from cyclozeta.arith import DivisorMap, divisors
 from cyclozeta.cli import main
 from cyclozeta.report import Report
 from cyclozeta.verify import SuiteConfig
@@ -392,6 +394,23 @@ class TestVerifyCommand:
         assert out.count("mismatch:") == 5
         assert "(+2 more)" in out
         assert "status: fail  flags: 0  failures: 1" in out
+
+    @pytest.mark.parametrize("module, argv, first", [
+        (cyclozeta.zetaprod, ["prop", "--index", "4", "--n", "6", "--n", "12", "--trials", "2"],
+         "{'check': 'mobius-pairing[ones]', 'n': 6, 'identity': 'multiplicity-side'}"),
+        (cyclozeta.etaprod, ["eta"],
+         "{'check': 'eta-log-derivative', 'n': 12, 'order': 100, 'mu_e': 0, 'identity': 'cyclotomic'}"),
+    ], ids=["pairing", "eta"])
+    def test_a_merged_mismatch_names_its_sub_check(self, capsys, monkeypatch, module, argv, first):
+        real = module.multiplicities
+        monkeypatch.setattr(
+            module, "multiplicities", lambda z: DivisorMap(z.n, {d: v + 1 for d, v in real(z).items()})
+        )
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        shown = [line.strip() for line in out.splitlines() if "mismatch:" in line]
+        assert code == 1 and len(shown) == 5
+        assert shown[0] == f"mismatch: {first}"
+        assert all(line.startswith("mismatch: {'check': ") for line in shown)
 
     def test_bad_scope_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -24,6 +24,7 @@ from cyclozeta.dirichlet import (
     zeta_series,
 )
 from cyclozeta.exactpoly import PowerSeriesQ, RationalFunctionQ, expand, q_integer
+from cyclozeta.report import Report
 from cyclozeta.zetaprod import (
     ZetaProduct,
     multiplicities,
@@ -427,9 +428,12 @@ class TestConvolutionExamples:
         assert check_transfer(A2, G1, G2).status == "pass"
 
     def test_first_mismatch_location(self):
-        from cyclozeta.dirichlet import _first_mismatch
+        from cyclozeta.dirichlet import _record_first_difference
 
         a = DirichletSeries([1, 2, 3, 4])
         b = DirichletSeries([1, 2, 7, 4])
-        assert _first_mismatch(a, b) == 3
-        assert _first_mismatch(a, a) == 0
+        report = Report("series")
+        assert _record_first_difference(report, a, b, identity="mstar") is True
+        assert report.mismatches == [{"identity": "mstar", "k": 3, "lhs": "3", "rhs": "7"}]
+        assert _record_first_difference(report, a, a) is False
+        assert len(report.mismatches) == 1

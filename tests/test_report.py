@@ -15,12 +15,13 @@ def test_status_rules():
 
 def test_merge_combines_the_same_way():
     passing, flagged = Report("p"), Report("f").flag("known")
-    failing = Report("x").fail(k=3).flag("also")
+    # a merged mismatch names its sub-check and context; its own keys win
+    failing = Report("x", context={"n": 12, "k": 0}).fail(k=3).flag("also")
     assert merge_reports("m", []).status == "pass"
     assert merge_reports("m", [passing]).status == "pass"
     assert merge_reports("m", [passing, flagged]).status == "flagged"
     merged = merge_reports("m", [flagged, failing, passing], {"n": 6})
     assert merged.status == "fail"
-    assert merged.mismatches == [{"k": 3}]
+    assert merged.mismatches == [{"check": "x", "n": 12, "k": 3}]
     assert merged.flags == ["known", "also"]
     assert merged.to_dict()["status"] == "fail" and merged.context == {"n": 6}

@@ -82,7 +82,7 @@ class TestDivisorLines:
         monkeypatch.setattr(catalog, "_FIXED", corrupted)
         rep = suite_weights(SuiteConfig(seed=42, nmax=60, order=200))
         assert rep.status == "fail"
-        assert {"identity": "m-line", "name": "P_8"} in rep.mismatches
+        assert {"check": "weights-vs-catalog", "identity": "m-line", "name": "P_8"} in rep.mismatches
 
     def test_exceptional_weight_lines(self):
         line = {d: v for d, v in m_line_from_weights(WeightSystem(15, 10, 6, 30)).items() if v}
