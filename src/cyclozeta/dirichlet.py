@@ -256,12 +256,16 @@ def _totient_polynomial(d: int, t: int, order: int) -> DirichletSeries:
 
 def _record_first_difference(report: Report, lhs: DirichletSeries, rhs: DirichletSeries, **labels) -> bool:
     """If the two series differ, record the labels, the first index k where
-    their coefficients differ and both coefficients there; True when they differ."""
+    their coefficients differ and both coefficients there (or, when they
+    agree up to the smaller order, both orders); True when they differ."""
     if lhs == rhs:
         return False
     common = range(1, min(lhs.order, rhs.order) + 1)
-    k = next((k for k in common if lhs.coefficient(k) != rhs.coefficient(k)), 0)
-    report.fail(**labels, k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
+    k = next((k for k in common if lhs.coefficient(k) != rhs.coefficient(k)), None)
+    if k is None:
+        report.fail(**labels, lhs_order=lhs.order, rhs_order=rhs.order)
+    else:
+        report.fail(**labels, k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
     return True
 
 
@@ -420,34 +424,34 @@ TRANSFER_EXAMPLES: dict[int, TransferExample] = {
 
 @lru_cache
 def _example_series(ex: TransferExample, n: int, r: int, order: int):
-    # (G1, G2, h as a series) depend on the example, not on the product, so
-    # the brute-force evaluators behind h run once per key.  The key is the
-    # example itself, not its index, so a replaced TRANSFER_EXAMPLES entry
-    # is built afresh.
+    # (G1, G2, h * G2) depend on the example, not on the product, so the
+    # brute-force evaluators behind h and the dense product h * G2 run once
+    # per key.  The key is the example itself, not its index, so a replaced
+    # TRANSFER_EXAMPLES entry is built afresh.
     G1, G2, h = ex.build(n, r, order)
-    return G1, G2, DirichletSeries(h)
+    return G1, G2, DirichletSeries(h) * G2
 
 
 def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order: int = 200) -> Report:
     """Check one worked convolution identity, coefficientwise to ``order``.
 
     The left side k m_{G1}(k) comes from :func:`g_transform`; the right side
-    convolves the independently evaluated named sequence h with p*_{G2}.
-    Only these two transforms are computed.  G1, G2 and h depend on the
-    example, n, r and order but not on the product, so they are built once
-    per such key and shared by every product checked against it.  Example 1
-    additionally checks the inverse direction
-    p*(k) = sum of phi_inv(k/d) d m(d), with phi_inv evaluated afresh.
+    h * p*_{G2}, with h the independently evaluated named sequence, is read
+    as the p* transform of h * G2 (the weights times h * G2, a sparse times
+    a dense series).  G1, G2 and h * G2 depend on the example, n, r and
+    order but not on the product, so they are built once per such key and
+    shared by every product checked against it.  Example 1 additionally
+    checks the inverse direction p*(k) = sum of phi_inv(k/d) d m(d), with
+    phi_inv evaluated afresh.
     """
     if index not in TRANSFER_EXAMPLES:
         raise ValueError(f"unknown example index {index}")
     ex = TRANSFER_EXAMPLES[index]
     if ex.needs_r and (r is None or r < 1):
         raise ValueError(f"example {index} needs a parameter r >= 1")
-    G1, G2, h = _example_series(ex, z.n, r if ex.needs_r else 0, order)
+    G1, G2, hG2 = _example_series(ex, z.n, r if ex.needs_r else 0, order)
     lhs = g_transform(z, G1, "m").shift()
-    pstar = g_transform(z, G2, "pstar")
-    rhs = h * pstar
+    rhs = g_transform(z, hG2, "pstar")
     report = Report(
         f"convolution-example-{index}",
         context={
@@ -461,7 +465,7 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
     if not _record_first_difference(report, lhs, rhs) and index == 1:
         phi_inv = DirichletSeries(named_function("phi_inv").values(order))
         inverse = phi_inv * g_transform(z, zeta_series(order), "m").shift()
-        _record_first_difference(report, pstar, inverse, identity="inverse")
+        _record_first_difference(report, g_transform(z, G2, "pstar"), inverse, identity="inverse")
     return report
 
 

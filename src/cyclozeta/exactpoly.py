@@ -8,7 +8,9 @@ tuple).  Rational functions are kept reduced with a monic denominator.
 Power series are truncated hard at their stated order; mixed-order
 arithmetic truncates to the minimum rather than extending precision.
 Products of powers f**k with exponents of either sign are split into a
-numerator and a denominator in one place, :func:`power_product`.
+numerator and a denominator in one place, :func:`power_product`; products
+of cyclotomic powers are built from binomials q**c - 1 in one place,
+:func:`cyclotomic_product`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 from .arith import as_exact, div_exact, divisors, exact_values, mobius
 
@@ -623,17 +626,41 @@ def expand(f, order: int) -> PowerSeriesQ:
 # cyclotomic and necklace polynomials
 
 
+def cyclotomic_product(exponents: Mapping[int, int]) -> PolynomialQ:
+    """The product of Phi_d**k over the items (d, k) of ``exponents``, k >= 0.
+
+    Phi_d is the product of (q**c - 1)**mu(d/c) over c | d, so the product is
+    that of (q**c - 1)**a(c) with a(c) the sum of mu(d/c) k over the items
+    with c | d.  Each binomial multiplies by one shift-and-subtract; only
+    after every multiplication, each divides by the prefix sums along the
+    residue classes mod c.  A remainder raises :class:`ExactDivisionError`:
+    that is an arithmetic bug, or a negative k (the Phi_d are coprime, so
+    Phi_d**k with k < 0 is never a polynomial factor).
+    """
+    a: dict[int, int] = {}
+    for d, k in exponents.items():
+        for c in divisors(d):
+            a[c] = a.get(c, 0) + mobius(d // c) * k
+    out = [1]
+    for c, ac in a.items():
+        for _ in range(ac):
+            out = [x - y for x, y in zip([0] * c + out, out + [0] * c)]
+    for c, ac in a.items():
+        for _ in range(-ac):
+            # out = (q**c - 1) quo: quo[i] = quo[i - c] - out[i]
+            sums = [0] * len(out)
+            for r in range(c):
+                sums[r::c] = accumulate(out[r::c])
+            if any(sums[-c:]):
+                raise ExactDivisionError(f"{PolynomialQ(out)} is not divisible by q^{c} - 1")
+            out = [-x for x in sums[:-c]]
+    return PolynomialQ(out)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> PolynomialQ:
-    """n-th cyclotomic polynomial, by the Möbius product over q**d - 1.
-
-    Exact rational-function evaluation of the product; an inexact division
-    here would indicate an arithmetic bug, so it raises.
-    """
-    if n < 1:
-        raise ValueError(f"cyclotomic: need a positive integer, got {n}")
-    num, den = power_product((PolynomialQ.monomial(d) - 1, mobius(n // d)) for d in divisors(n))
-    return num.exact_div(den)
+    """n-th cyclotomic polynomial, by the Möbius product over q**d - 1."""
+    return cyclotomic_product({n: 1})
 
 
 @lru_cache(maxsize=None)

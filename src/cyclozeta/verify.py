@@ -335,6 +335,7 @@ def suite_eta(cfg: SuiteConfig) -> Report:
     sign_seen = False
     for entry in entries:
         sub = check_eta_forms(entry.zeta_product(), order)
+        sub.context["name"] = entry.name
         report.mismatches.extend(carried_mismatches(sub))
         sign_seen |= sub.status == "flagged"
     if report.status == "pass" and sign_seen:

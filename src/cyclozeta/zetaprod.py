@@ -47,6 +47,7 @@ from .exactpoly import (
     Q,
     RationalFunctionQ,
     cyclotomic,
+    cyclotomic_product,
     geometric,
     necklace,
     power_product,
@@ -282,10 +283,16 @@ def to_rational_function(z: ZetaProduct) -> RationalFunctionQ:
     is already in lowest terms.
     """
     n = z.n
-    num, den = power_product(
-        (cyclotomic(d), sum(z.e[dp] for dp in divisors(n) if dp % d == 0)) for d in divisors(n)
-    )
+    num, den = _cyclotomic_fraction({d: sum(z.e[dp] for dp in divisors(n) if dp % d == 0) for d in divisors(n)})
     return RationalFunctionQ(num, den, _normalized=True)
+
+
+def _cyclotomic_fraction(exponents: Mapping[int, int]) -> tuple[PolynomialQ, PolynomialQ]:
+    """(product of Phi_d**k over k > 0, product of Phi_d**(-k) over k < 0)."""
+    return (
+        cyclotomic_product({d: k for d, k in exponents.items() if k > 0}),
+        cyclotomic_product({d: -k for d, k in exponents.items() if k < 0}),
+    )
 
 
 def expand_divisor_product(z: ZetaProduct) -> tuple[PolynomialQ, PolynomialQ]:
@@ -304,13 +311,13 @@ def _division_count(p: PolynomialQ, f: PolynomialQ) -> int:
     return count
 
 
-def _cyclotomic_valuation(p: PolynomialQ, d: int, phi: PolynomialQ) -> int:
+def _cyclotomic_valuation(p: PolynomialQ, d: int, deg: int, low: list[tuple[int, int]]) -> int:
     # the least j whose Hasse derivative sum_k C(k, j) a_k q**(k - j) is
-    # non-zero mod phi = Phi_d: folded mod q**d - 1 first, then reduced
-    # mod the monic phi.  A non-zero p has one by j = deg p, where the
+    # non-zero mod Phi_d: folded mod q**d - 1 first, then reduced mod the
+    # monic Phi_d of degree deg, whose non-zero lower coefficients are the
+    # (k, c) pairs of low.  A non-zero p has one by j = deg p, where the
     # derivative is its leading coefficient.
-    cs, low = p.coeffs, phi.coeffs[:-1]
-    deg = len(low)
+    cs = p.coeffs
     for j in range(len(cs)):
         folded = [0] * d
         for k in range(j, len(cs)):
@@ -318,8 +325,8 @@ def _cyclotomic_valuation(p: PolynomialQ, d: int, phi: PolynomialQ) -> int:
                 folded[(k - j) % d] += math.comb(k, j) * cs[k]
         for i in range(d - 1, deg - 1, -1):
             if t := folded[i]:
-                for k, c in enumerate(low, i - deg):
-                    folded[k] -= t * c
+                for k, c in low:
+                    folded[i - deg + k] -= t * c
         if any(folded[:deg]):
             return j
     return 0
@@ -337,8 +344,10 @@ def cyclotomic_exponents(f: RationalFunctionQ, n: int) -> DivisorMap:
     """
     out = {}
     for d in divisors(n):
-        phi = cyclotomic(d)
-        out[d] = _cyclotomic_valuation(f.num, d, phi) - _cyclotomic_valuation(f.den, d, phi)
+        phi = cyclotomic(d).coeffs
+        low = [(k, c) for k, c in enumerate(phi[:-1]) if c]
+        deg = len(phi) - 1
+        out[d] = _cyclotomic_valuation(f.num, d, deg, low) - _cyclotomic_valuation(f.den, d, deg, low)
     return DivisorMap(n, out)
 
 
@@ -422,9 +431,7 @@ def lambert_form(a: DivisorMap) -> RationalFunctionQ:
     """
     n = a.n
     at_roots = dft_power_sums(a)
-    kept, cancelled = power_product(
-        (cyclotomic(c), 1 if at_roots[n // c] else -1) for c in divisors(n)
-    )
+    kept, cancelled = _cyclotomic_fraction({c: 1 if at_roots[n // c] else -1 for c in divisors(n)})
     return RationalFunctionQ(-PolynomialQ(a.residues()).exact_div(cancelled), kept, _normalized=True)
 
 

@@ -43,6 +43,7 @@ EVEN = "tests/test_arith.py::TestDivisorMapAtResidues"
 RATIONAL = "tests/test_zetaprod.py::TestRationalForm"
 FOURIER = "tests/test_zetaprod.py::TestFourier"
 EXAMPLES = "tests/test_dirichlet.py::TestConvolutionExamples"
+KERNEL = "tests/test_exactpoly.py::TestCyclotomicProduct"
 FAMILIES = "tests/test_apostol.py::TestFamilies"
 
 MUTANTS = [
@@ -72,7 +73,8 @@ MUTANTS = [
      f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
     (ZETAPROD, "math.comb(k, j) * cs[k]", "math.comb(k, j + 1) * cs[k]",
      f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
-    (ZETAPROD, "enumerate(low, i - deg)", "enumerate(low, i - deg + 1)", f"{RATIONAL}::test_high_multiplicities"),
+    (ZETAPROD, "folded[i - deg + k] -= t * c", "folded[i - deg + k + 1] -= t * c",
+     f"{RATIONAL}::test_high_multiplicities"),
     (ZETAPROD, "if any(folded[:deg]):", "if any(folded):", f"{RATIONAL}::test_high_multiplicities"),
     # one integer Ramanujan matrix over one common denominator
     (ZETAPROD, "tuple(ramanujan_sum(d, g) for d in divs)", "tuple(ramanujan_sum(g, d) for d in divs)",
@@ -145,6 +147,23 @@ MUTANTS = [
      "tests/test_cli.py::TestVerifyCommand::test_a_merged_mismatch_names_its_sub_check"),
     (DIRICHLET, "report.fail(**labels, k=k,", "report.fail(k=k,",
      f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity"),
+    # products of cyclotomic powers from binomials q**c - 1; the valuation
+    # reduces over the non-zero coefficients of Phi_d; h * G2 built once
+    (EXACTPOLY, "a.get(c, 0) + mobius(d // c) * k", "a.get(c, 0) - mobius(d // c) * k",
+     f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
+    (EXACTPOLY, "zip([0] * c + out, out + [0] * c)", "zip([0] * (c + 1) + out, out + [0] * c)",
+     f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
+    (EXACTPOLY, "            if any(sums[-c:]):\n", "            if False:\n",
+     f"{KERNEL}::test_an_inexact_division_raises"),
+    (EXACTPOLY, "out = [-x for x in sums[:-c]]", "out = sums[:-c]",
+     f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
+    (DIRICHLET, "return G1, G2, DirichletSeries(h) * G2", "return G1, G2, G2", f"{EXAMPLES}::test_all_examples_random"),
+    (ZETAPROD, "enumerate(phi[:-1]) if c]", "enumerate(phi[:-1]) if c > 0]",
+     f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
+    (VERIFY, '        sub.context["name"] = entry.name\n', "",
+     "tests/test_cli.py::TestVerifyCommand::test_eta_mismatches_name_their_catalog_entry"),
+    (DIRICHLET, "rhs.coefficient(k)), None)", "rhs.coefficient(k)), 0)",
+     f"{EXAMPLES}::test_a_length_mismatch_records_both_orders"),
     # earlier hand-seeded faults, where the code they broke still exists
     (ARITH, "if (mu := mobius(g // d))", "if (mu := abs(mobius(g // d)))",
      "tests/test_transform_laws.py::test_mobius_inversion_and_divisor_sums_are_inverse"),

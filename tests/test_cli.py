@@ -12,7 +12,7 @@ import cyclozeta.zetaprod
 from cyclozeta.arith import DivisorMap, divisors
 from cyclozeta.cli import main
 from cyclozeta.report import Report
-from cyclozeta.verify import SuiteConfig
+from cyclozeta.verify import SuiteConfig, suite_eta
 from cyclozeta.zetaprod import (
     ZetaProduct,
     cyclotomic_exponents,
@@ -399,7 +399,7 @@ class TestVerifyCommand:
         (cyclozeta.zetaprod, ["prop", "--index", "4", "--n", "6", "--n", "12", "--trials", "2"],
          "{'check': 'mobius-pairing[ones]', 'n': 6, 'identity': 'multiplicity-side'}"),
         (cyclozeta.etaprod, ["eta"],
-         "{'check': 'eta-log-derivative', 'n': 12, 'order': 100, 'mu_e': 0, 'identity': 'cyclotomic'}"),
+         "{'check': 'eta-log-derivative', 'n': 12, 'order': 100, 'mu_e': 0, 'name': 'E_6', 'identity': 'cyclotomic'}"),
     ], ids=["pairing", "eta"])
     def test_a_merged_mismatch_names_its_sub_check(self, capsys, monkeypatch, module, argv, first):
         real = module.multiplicities
@@ -411,6 +411,15 @@ class TestVerifyCommand:
         assert code == 1 and len(shown) == 5
         assert shown[0] == f"mismatch: {first}"
         assert all(line.startswith("mismatch: {'check': ") for line in shown)
+
+    def test_eta_mismatches_name_their_catalog_entry(self, monkeypatch):
+        """Four catalog entries share n = 12; each carried mismatch says which one failed."""
+        real = cyclozeta.etaprod.multiplicities
+        monkeypatch.setattr(
+            cyclozeta.etaprod, "multiplicities", lambda z: DivisorMap(z.n, {d: v + 1 for d, v in real(z).items()})
+        )
+        rep = suite_eta(SuiteConfig())
+        assert {m["name"] for m in rep.mismatches if m["n"] == 12} == {"E_6", "U_12", "A_11", "D_7"}
 
     def test_bad_scope_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

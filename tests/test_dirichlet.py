@@ -437,3 +437,29 @@ class TestConvolutionExamples:
         assert report.mismatches == [{"identity": "mstar", "k": 3, "lhs": "3", "rhs": "7"}]
         assert _record_first_difference(report, a, a) is False
         assert len(report.mismatches) == 1
+
+    def test_a_length_mismatch_records_both_orders(self):
+        from cyclozeta.dirichlet import _record_first_difference
+
+        short, long = DirichletSeries([1, 2]), DirichletSeries([1, 2, 3])
+        report = Report("series")
+        assert _record_first_difference(report, short, long, identity="mstar") is True
+        assert _record_first_difference(report, long, short) is True
+        assert report.mismatches == [
+            {"identity": "mstar", "lhs_order": 2, "rhs_order": 3},
+            {"lhs_order": 3, "rhs_order": 2},
+        ]
+
+    def test_right_side_is_h_times_the_pstar_transform(self):
+        """The p* transform of the cached h * G2 equals h times the p*
+        transform of G2, the product the right side used to be."""
+        from cyclozeta.dirichlet import _example_series
+
+        rng = random.Random(29)
+        for index, ex in sorted(TRANSFER_EXAMPLES.items()):
+            for n in (6, 12, 30):
+                r = rng.randint(1, 3) if ex.needs_r else 0
+                z = random_zeta_product(rng, n)
+                G1, G2, h = ex.build(n, r, 90)
+                hG2 = _example_series(ex, n, r, 90)[2]
+                assert g_transform(z, hG2, "pstar") == DirichletSeries(h) * g_transform(z, G2, "pstar"), (index, n)

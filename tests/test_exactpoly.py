@@ -15,6 +15,7 @@ from cyclozeta.exactpoly import (
     PowerSeriesQ,
     RationalFunctionQ,
     cyclotomic,
+    cyclotomic_product,
     expand,
     log_derivative,
     necklace,
@@ -148,6 +149,31 @@ class TestCyclotomic:
         for n in range(1, 121):
             want = reversed(sympy.Poly(sympy.cyclotomic_poly(n, q), q).all_coeffs())
             assert cyclotomic(n).coeffs == tuple(int(c) for c in want), n
+
+
+class TestCyclotomicProduct:
+    def test_equals_the_written_out_product_of_cyclotomic_powers(self):
+        """The binomial kernel against schoolbook powers of the dense Phi_d,
+        on random exponent maps over divisors of the analyze ladder's n."""
+        rng = random.Random(61)
+        for n in (60, 360, 720, 1260, 2520, 5040):
+            divs = divisors(n)
+            for _ in range(3):
+                exponents = {d: rng.randint(0, 3) for d in rng.sample(divs, 4)}
+                exponents.update({d: rng.randint(0, 2) for d in rng.sample(divs[:8], 3)})
+                want = power_product((cyclotomic(d), k) for d, k in exponents.items())[0]
+                got = cyclotomic_product(exponents)
+                assert got == want, (n, exponents)
+                assert all(type(c) is int for c in got.coeffs), (n, exponents)
+
+    def test_empty_and_zero_exponents_give_one(self):
+        assert cyclotomic_product({}) == ONE
+        assert cyclotomic_product({1: 0, 12: 0}) == ONE
+
+    def test_an_inexact_division_raises(self):
+        for exponents in ({1: -1}, {6: 1, 4: -1}, {12: 2, 60: -1}):
+            with pytest.raises(ExactDivisionError):
+                cyclotomic_product(exponents)
 
 
 class TestNecklace:
