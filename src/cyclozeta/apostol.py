@@ -28,19 +28,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import as_exact, mobius_transform
-from .exactpoly import (
-    ZERO,
-    PolynomialQ,
-    RationalFunctionQ,
-    geometric,
-)
+from .exactpoly import ZERO, PolynomialQ, RationalFunctionQ, binomial_product
 from .report import Report
 from .zetaprod import ZetaProduct, lambert_polynomial
 
 
-def _base(family: str, power: int = 1) -> PolynomialQ:
-    """q**power - 1 for the Bernoulli family, q**power + 1 for the Euler family."""
-    return PolynomialQ.monomial(power) + (1 if family == "euler" else -1)
+def _base(family: str, power: int = 1, exponent: int = 1) -> PolynomialQ:
+    """(q**power - 1)**exponent for the Bernoulli family, (q**power + 1)**exponent
+    = ((q**(2 power) - 1) / (q**power - 1))**exponent for the Euler family."""
+    if family == "euler":
+        return binomial_product([(2 * power, exponent), (power, -exponent)])
+    return binomial_product([(power, exponent)])
 
 
 class ApostolPoly:
@@ -63,7 +61,7 @@ class ApostolPoly:
     @property
     def coefficients(self) -> tuple[RationalFunctionQ, ...]:
         """Reduced rational-function coefficients of x**0 .. x**deg."""
-        den = _base(self.family) ** self.den_power
+        den = _base(self.family, 1, self.den_power)
         return tuple(RationalFunctionQ(num, den) for num in self._nums)
 
     def evaluate_pair(self, x0, power: int = 1) -> tuple[PolynomialQ, PolynomialQ]:
@@ -80,7 +78,7 @@ class ApostolPoly:
             xp = xp * x0
         if power != 1 and not num.is_zero:
             num = num.substitute_power(power)
-        return num, _base(self.family, power) ** self.den_power
+        return num, _base(self.family, power, self.den_power)
 
     def evaluate(self, x0, power: int = 1) -> RationalFunctionQ:
         num, den = self.evaluate_pair(x0, power)
@@ -103,15 +101,15 @@ def _family_member(family: str, r: int) -> ApostolPoly:
     exponent is 0.  Over base**(r + offset), the numerator of x**(r - k) in
     P_r is then perm(r, k) C_k base**(r - k).
     """
-    base, q = _base(family), PolynomialQ.monomial(1)
+    q = PolynomialQ.monomial(1)
     offset, numerator = (1, 2) if family == "euler" else (0, 1)
     cs: list[PolynomialQ] = []
     for j in range(r + 1):
         acc = PolynomialQ.constant(numerator if j == 1 - offset else 0)
         for i in range(1, j + 1):
-            acc = acc - cs[j - i] * (q * base ** (i - 1) * Fraction(1, math.factorial(i)))
+            acc = acc - cs[j - i] * (q * _base(family, 1, i - 1) * Fraction(1, math.factorial(i)))
         cs.append(acc)
-    nums = [cs[r - d] * math.perm(r, r - d) * base**d for d in range(r + 1)]
+    nums = [cs[r - d] * math.perm(r, r - d) * _base(family, 1, d) for d in range(r + 1)]
     while nums and nums[-1].is_zero:
         nums.pop()
     return ApostolPoly(family, r, (r + offset) if nums else 0, tuple(nums))
@@ -205,7 +203,7 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
         bernoulli = Fraction(ed * (b * d) ** r, r + 1) * (
             qn * B.evaluate_pair(x1, power=d)[0] - B.evaluate_pair(x0, power=d)[0]
         )
-        rhs2 = rhs2 + bernoulli * geometric(d, n) ** (r + 1)
+        rhs2 = rhs2 + bernoulli * binomial_product([(n, r + 1), (d, -r - 1)])
         if d % 2:
             # odd divisors alternate within their block; the telescoped Euler
             # closed form has a plus on the constant term
@@ -213,12 +211,11 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
             euler = Fraction(ed * (b * d) ** r, 2) * (
                 sign * qn * E.evaluate_pair(x1, power=d)[0] + E.evaluate_pair(x0, power=d)[0]
             )
-            clear = (PolynomialQ.monomial(d) - 1) * geometric(2 * d, 2 * n)
-            rhs3 = rhs3 + euler * clear ** (r + 1)
+            rhs3 = rhs3 + euler * binomial_product([(d, r + 1), (2 * n, r + 1), (2 * d, -r - 1)])
         else:
-            rhs3 = rhs3 + bernoulli * geometric(d, 2 * n) ** (r + 1)
-    if lhs2 * (qn - 1) ** (r + 1) != rhs2:
+            rhs3 = rhs3 + bernoulli * binomial_product([(2 * n, r + 1), (d, -r - 1)])
+    if lhs2 * binomial_product([(n, r + 1)]) != rhs2:
         report.fail(identity="power-weighted", divisor_block="all")
-    if lhs3 * (PolynomialQ.monomial(2 * n) - 1) ** (r + 1) != rhs3:
+    if lhs3 * binomial_product([(2 * n, r + 1)]) != rhs3:
         report.fail(identity="alternating", divisor_block="all")
     return report

@@ -4,8 +4,9 @@ Inputs use the grammar ``n=<int>; e={d:v,...}`` (whitespace-insensitive, all
 divisors of n required) or the equivalent JSON object {"n": ..., "e": {...}}.
 Exit codes: 0 for pass (documented flags allowed), 1 for a verification
 failure, 2 for usage or parse errors and for input above the size contract
-(:data:`MAX_N`, :data:`MAX_DEGREE`).  All randomness flows from --seed, and
-output for a fixed seed and sizes is byte-identical across runs.
+(:data:`MAX_N`, :data:`MAX_DEGREE`, :data:`MAX_ORDER`).  All randomness flows
+from --seed, and output for a fixed seed and sizes is byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ _SHOWN_MISMATCHES = 5
 # of the reduced product (its cyclotomic powers, whose coefficients grow with
 # the exponents).  At these limits the slowest inputs measured, such as
 # n = 5040 with e(2) = 1250, run analyze in about 4 s on a 2-core x86 host.
+# The cost of series grows with --order, quadratically for --kind power; the
+# limit is the order of the benchmark's series ladder.
 MAX_N = 5040
 MAX_DEGREE = 2500
+MAX_ORDER = 4000
 
 
 def _int(text: str, minimum: int | None = None) -> int:
@@ -68,13 +72,15 @@ def _positive_int(text: str) -> int:
     return _int(text, minimum=1)
 
 
-def size_error(n: int, degree: int = 0) -> str | None:
-    """Why input of conductor n (and reduced degree ``degree``) is refused, or
-    None if it is within the size contract."""
+def size_error(n: int, degree: int = 0, order: int = 0) -> str | None:
+    """Why input of conductor n (reduced degree ``degree``, series order
+    ``order``) is refused, or None if it is within the size contract."""
     if n > MAX_N:
         return f"n = {n} is above the size limit n <= {MAX_N}"
     if degree > MAX_DEGREE:
         return f"the reduced product has degree {degree}, above the size limit {MAX_DEGREE}"
+    if order > MAX_ORDER:
+        return f"--order {order} is above the size limit {MAX_ORDER}"
     return None
 
 
@@ -84,12 +90,12 @@ def reduced_degree(z: ZetaProduct) -> int:
     return sum(abs(m(z.n // d)) * euler_phi(d) for d in divisors(z.n))
 
 
-def _read_product(text: str, *, bound_degree: bool = False) -> ZetaProduct:
-    """Parse an input product, refusing it above the size contract: n before
-    any divisor is computed and, with ``bound_degree``, the reduced degree
-    before any polynomial is."""
+def _read_product(text: str, *, bound_degree: bool = False, order: int = 0) -> ZetaProduct:
+    """Parse an input product, refusing it above the size contract: n and the
+    series order before any divisor is computed and, with ``bound_degree``,
+    the reduced degree before any polynomial is."""
     n, e = parse_zeta_fields(text)
-    if refusal := size_error(n):
+    if refusal := size_error(n, order=order):
         raise ValueError(refusal)
     z = ZetaProduct(n, e)
     if bound_degree and (refusal := size_error(n, reduced_degree(z))):
@@ -154,7 +160,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    z = _read_product(args.input)
+    z = _read_product(args.input, order=args.order)
     which = args.which
     payload = {"n": z.n, "order": args.order, "kind": args.kind}
     if args.kind == "dirichlet":

@@ -7,10 +7,10 @@ dense tuples with trailing zeros stripped (the zero polynomial is the empty
 tuple).  Rational functions are kept reduced with a monic denominator.
 Power series are truncated hard at their stated order; mixed-order
 arithmetic truncates to the minimum rather than extending precision.
-Products of powers f**k with exponents of either sign are split into a
-numerator and a denominator in one place, :func:`power_product`; products
-of cyclotomic powers are built from binomials q**c - 1 in one place,
-:func:`cyclotomic_product`.
+Every product of binomials (q**c - 1)**a, a of either sign, is built in
+one place, :func:`binomial_product`; products of cyclotomic powers
+(:func:`cyclotomic_product`, :func:`cyclotomic`) are such products by the
+Möbius formula.
 """
 
 from __future__ import annotations
@@ -285,30 +285,9 @@ ONE = PolynomialQ.constant(1)
 Q = PolynomialQ.monomial(1)
 
 
-def geometric(d: int, n: int) -> PolynomialQ:
-    """(1 - q**n) / (1 - q**d) = 1 + q**d + ... + q**(n-d), for d | n."""
-    if n % d:
-        raise ValueError(f"geometric: {d} does not divide {n}")
-    out = [0] * (n - d + 1)
-    for i in range(0, n, d):
-        out[i] = 1
-    return PolynomialQ(out)
-
-
 def q_integer(m: int) -> PolynomialQ:
     """1 + q + ... + q**(m-1)."""
     return PolynomialQ([1] * m)
-
-
-def power_product(factors) -> tuple[PolynomialQ, PolynomialQ]:
-    """(product of f**k over k > 0, product of f**(-k) over k < 0) for (f, k) pairs, unreduced."""
-    num, den = ONE, ONE
-    for f, k in factors:
-        if k > 0:
-            num = num * f**k
-        elif k < 0:
-            den = den * f ** (-k)
-    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -626,21 +605,19 @@ def expand(f, order: int) -> PowerSeriesQ:
 # cyclotomic and necklace polynomials
 
 
-def cyclotomic_product(exponents: Mapping[int, int]) -> PolynomialQ:
-    """The product of Phi_d**k over the items (d, k) of ``exponents``, k >= 0.
+def binomial_product(pairs: Iterable[tuple[int, int]]) -> PolynomialQ:
+    """The product of (q**c - 1)**a over the pairs (c, a), a of either sign.
 
-    Phi_d is the product of (q**c - 1)**mu(d/c) over c | d, so the product is
-    that of (q**c - 1)**a(c) with a(c) the sum of mu(d/c) k over the items
-    with c | d.  Each binomial multiplies by one shift-and-subtract; only
-    after every multiplication, each divides by the prefix sums along the
-    residue classes mod c.  A remainder raises :class:`ExactDivisionError`:
-    that is an arithmetic bug, or a negative k (the Phi_d are coprime, so
-    Phi_d**k with k < 0 is never a polynomial factor).
+    The exponents of a repeated c add up first, so (c, a) and (c, -a) cancel.
+    Each binomial multiplies by one shift-and-subtract; only after every
+    multiplication, each divides by the prefix sums along the residue classes
+    mod c.  A remainder raises :class:`ExactDivisionError`.
     """
     a: dict[int, int] = {}
-    for d, k in exponents.items():
-        for c in divisors(d):
-            a[c] = a.get(c, 0) + mobius(d // c) * k
+    for c, k in pairs:
+        if c < 1:
+            raise ValueError(f"binomial_product: need c >= 1, got {c}")
+        a[c] = a.get(c, 0) + k
     out = [1]
     for c, ac in a.items():
         for _ in range(ac):
@@ -655,6 +632,17 @@ def cyclotomic_product(exponents: Mapping[int, int]) -> PolynomialQ:
                 raise ExactDivisionError(f"{PolynomialQ(out)} is not divisible by q^{c} - 1")
             out = [-x for x in sums[:-c]]
     return PolynomialQ(out)
+
+
+def cyclotomic_product(exponents: Mapping[int, int]) -> PolynomialQ:
+    """The product of Phi_d**k over the items (d, k) of ``exponents``, k >= 0.
+
+    Phi_d is the product of (q**c - 1)**mu(d/c) over c | d, so this is the
+    :func:`binomial_product` of the pairs (c, mu(d/c) k).  A negative k
+    raises :class:`ExactDivisionError` (the Phi_d are coprime, so Phi_d**k
+    with k < 0 is never a polynomial factor).
+    """
+    return binomial_product((c, mobius(d // c) * k) for d, k in exponents.items() for c in divisors(d))
 
 
 @lru_cache(maxsize=None)

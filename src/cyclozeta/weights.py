@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import DivisorMap, as_exact, divisors, mobius_transform, rational_power
-from .exactpoly import ONE, PolynomialQ, RationalFunctionQ, power_product
+from .exactpoly import PolynomialQ, RationalFunctionQ, binomial_product
 from .report import Report
 from .zetaprod import (
     ZetaProduct,
@@ -34,6 +34,7 @@ from .zetaprod import (
     lambert_polynomial,
     multiplicities,
     power_sums,
+    to_rational_function,
 )
 
 
@@ -117,9 +118,7 @@ def spectral_gf(w: WeightSystem) -> PolynomialQ:
     num = (qn - PolynomialQ.monomial(w.a)) * (qn - PolynomialQ.monomial(w.b)) * (
         qn - PolynomialQ.monomial(w.c)
     )
-    den = PolynomialQ.monomial(w.n)
-    for wt in (w.a, w.b, w.c):
-        den = den * (PolynomialQ.monomial(wt) - 1)
+    den = qn * binomial_product([(w.a, 1), (w.b, 1), (w.c, 1)])
     quo, rem = divmod(num, den)
     if not rem.is_zero:
         raise NonRegularWeightSystem(f"({w}) spectral quotient has a remainder")
@@ -268,6 +267,8 @@ def char_poly_from_seifert(w: WeightSystem, sd: SeifertData) -> tuple[RationalFu
     (1 - q**n)**(2g - 2 + r) times (1 - q**(n/d)) over d | n, d in {a, b, c},
     divided by (1 - q) and by (1 - q**(n/alpha_i)) over alpha_i | n.  Returns
     the function together with its exponent vector on the divisors of n.
+    As (1 - q**d)**e = (-1)**e (q**d - 1)**e, the function is the reduced
+    form of that vector, negated when its exponent sum mu_e is odd.
     """
     n = w.n
     expo: dict[int, int] = {d: 0 for d in divisors(n)}
@@ -279,8 +280,9 @@ def char_poly_from_seifert(w: WeightSystem, sd: SeifertData) -> tuple[RationalFu
     for alpha in sd.alphas:
         if n % alpha == 0:
             expo[n // alpha] -= 1
-    num, den = power_product((ONE - PolynomialQ.monomial(d), ed) for d, ed in expo.items())
-    return RationalFunctionQ(num, den), ZetaProduct(n, expo)
+    z = ZetaProduct(n, expo)
+    rf = to_rational_function(z)
+    return (-rf if z.mu_e % 2 else rf), z
 
 
 def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) -> Report:

@@ -46,11 +46,10 @@ from .exactpoly import (
     PolynomialQ,
     Q,
     RationalFunctionQ,
+    binomial_product,
     cyclotomic,
     cyclotomic_product,
-    geometric,
     necklace,
-    power_product,
 )
 from .report import Report
 
@@ -296,8 +295,14 @@ def _cyclotomic_fraction(exponents: Mapping[int, int]) -> tuple[PolynomialQ, Pol
 
 
 def expand_divisor_product(z: ZetaProduct) -> tuple[PolynomialQ, PolynomialQ]:
-    """Unreduced (numerator, denominator) of the literal product of (q**d - 1)**e(d)."""
-    return power_product((PolynomialQ.monomial(d) - 1, ed) for d, ed in z.e.items())
+    """Unreduced (numerator, denominator) of the literal product of (q**d - 1)**e(d).
+
+    Multiplied out densely, power by power: the reference that the
+    ``direct-product`` check compares :func:`to_rational_function` against.
+    """
+    num = math.prod(((PolynomialQ.monomial(d) - 1) ** k for d, k in z.e.items() if k > 0), start=ONE)
+    den = math.prod(((PolynomialQ.monomial(d) - 1) ** -k for d, k in z.e.items() if k < 0), start=ONE)
+    return num, den
 
 
 def _division_count(p: PolynomialQ, f: PolynomialQ) -> int:
@@ -357,10 +362,11 @@ def partial_zeta(z: ZetaProduct, k: int) -> RationalFunctionQ:
     Defined as the restricted PRODUCT: only then is the multiplicity of the
     root q = 1 the divisor sum a(k) = sum of e(d) over d | (k, n), which is
     the property this object exists to carry (a termwise sum of the factors
-    would not even be multiplicative in e).
+    would not even be multiplicative in e).  It is the product of z with e
+    set to 0 off the divisors of (k, n), so it comes out reduced.
     """
     g = math.gcd(k, z.n)
-    return RationalFunctionQ(*power_product((PolynomialQ.monomial(d) - 1, z.e[d]) for d in divisors(g)))
+    return to_rational_function(ZetaProduct(z.n, {d: ed if g % d == 0 else 0 for d, ed in z.e.items()}))
 
 
 def root_multiplicity_at_one(f: RationalFunctionQ) -> int:
@@ -441,7 +447,7 @@ def lambert_polynomial(n: int, w: Mapping[int, object]) -> PolynomialQ:
     acc = ZERO
     for d, v in w.items():
         if v:
-            acc = acc + v * geometric(d, n)
+            acc = acc + v * binomial_product([(n, 1), (d, -1)])
     return acc
 
 
@@ -464,7 +470,7 @@ def gf_power_series(a: DivisorMap, e: DivisorMap) -> Report:
     rhs_tail = ZERO
     for d, ed in e.items():
         if ed:
-            rhs_tail = rhs_tail + PolynomialQ.monomial(d, ed) * geometric(d, n)
+            rhs_tail = rhs_tail + PolynomialQ.monomial(d, ed) * binomial_product([(n, 1), (d, -1)])
     if lhs_tail != rhs_tail:
         report.fail(identity="k=1..n", lhs=str(lhs_tail), rhs=str(rhs_tail))
     lhs_head = PolynomialQ(a.residues())

@@ -4,9 +4,11 @@ must catch the fault.
     python tests/mutants.py
 
 Each entry is (path, old, new, test id).  An entry whose ``old`` text does
-not occur exactly once in its file is refused before anything runs.  The
-repository is copied, without ``.git``, to a temporary directory; each entry
-is applied there alone and its test is run with ``python -m pytest -q -x``.
+not occur exactly once in its file, or whose test function is not defined in
+its test file, is refused before anything runs; tier-1 makes the same check
+in tests/test_mutation_entries.py.  The repository is copied, without
+``.git``, to a temporary directory; each entry is applied there alone and
+its test is run with ``python -m pytest -q -x``.
 The script exits 1 and names every mutant whose test still passes (or could
 not run), and 0 when every mutant is caught.
 
@@ -44,6 +46,7 @@ RATIONAL = "tests/test_zetaprod.py::TestRationalForm"
 FOURIER = "tests/test_zetaprod.py::TestFourier"
 EXAMPLES = "tests/test_dirichlet.py::TestConvolutionExamples"
 KERNEL = "tests/test_exactpoly.py::TestCyclotomicProduct"
+BINOMIAL = "tests/test_exactpoly.py::TestBinomialProduct"
 FAMILIES = "tests/test_apostol.py::TestFamilies"
 
 MUTANTS = [
@@ -113,6 +116,8 @@ MUTANTS = [
     (EXACTPOLY, "cs = exact_values(coeffs)", "cs = list(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
     (EXACTPOLY, "tuple(_trim(exact_values(coeffs)))", "tuple(_trim(list(coeffs)))",
      f"{LAWS}::test_polynomial_ring_laws"),
+    (EXACTPOLY, "tuple(_trim(exact_values(coeffs)))", "tuple(_trim(list(coeffs)))",
+     f"{POLY}::TestPolynomialQ::test_an_integral_coefficient_beside_a_fraction_prints_as_an_int"),
     # any printed byte of the seed-42 analyze and series commands
     (EXACTPOLY, 'f"{mag}*{var}" if isinstance(mag, Fraction)', 'f"{mag}*{var}" if mag > 1',
      "tests/test_perfbench_checks.py::test_seed42_stdout_matches_the_benchmark_reference"),
@@ -131,7 +136,8 @@ MUTANTS = [
     # Apostol families as Appell sequences; one body per closed form
     (APOSTOL, "cs[r - d] * math.perm(r, r - d)", "cs[r - d] * math.comb(r, r - d)",
      f"{FAMILIES}::test_generating_series_round_trip"),
-    (APOSTOL, "q * base ** (i - 1) * Fraction", "q * base**i * Fraction", f"{FAMILIES}::test_bernoulli_base_cases"),
+    (APOSTOL, "q * _base(family, 1, i - 1) * Fraction", "q * _base(family, 1, i) * Fraction",
+     f"{FAMILIES}::test_bernoulli_base_cases"),
     (APOSTOL, "(1, 2) if family", "(1, 1) if family", f"{FAMILIES}::test_euler_base_cases"),
     (APOSTOL, "sign**n * PolynomialQ.monomial(n + 1) * num1 - sign * num0",
      "sign**n * PolynomialQ.monomial(n + 1) * num1 + sign * num0",
@@ -149,14 +155,14 @@ MUTANTS = [
      f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity"),
     # products of cyclotomic powers from binomials q**c - 1; the valuation
     # reduces over the non-zero coefficients of Phi_d; h * G2 built once
-    (EXACTPOLY, "a.get(c, 0) + mobius(d // c) * k", "a.get(c, 0) - mobius(d // c) * k",
+    (EXACTPOLY, "(c, mobius(d // c) * k)", "(c, -mobius(d // c) * k)",
      f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
     (EXACTPOLY, "zip([0] * c + out, out + [0] * c)", "zip([0] * (c + 1) + out, out + [0] * c)",
-     f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
+     f"{BINOMIAL}::test_equals_the_written_out_product"),
     (EXACTPOLY, "            if any(sums[-c:]):\n", "            if False:\n",
-     f"{KERNEL}::test_an_inexact_division_raises"),
+     f"{BINOMIAL}::test_a_remainder_raises"),
     (EXACTPOLY, "out = [-x for x in sums[:-c]]", "out = sums[:-c]",
-     f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
+     f"{BINOMIAL}::test_equals_the_written_out_product"),
     (DIRICHLET, "return G1, G2, DirichletSeries(h) * G2", "return G1, G2, G2", f"{EXAMPLES}::test_all_examples_random"),
     (ZETAPROD, "enumerate(phi[:-1]) if c]", "enumerate(phi[:-1]) if c > 0]",
      f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
@@ -164,6 +170,31 @@ MUTANTS = [
      "tests/test_cli.py::TestVerifyCommand::test_eta_mismatches_name_their_catalog_entry"),
     (DIRICHLET, "rhs.coefficient(k)), None)", "rhs.coefficient(k)), 0)",
      f"{EXAMPLES}::test_a_length_mismatch_records_both_orders"),
+    # every product of binomials q**c - 1 from binomial_product
+    (EXACTPOLY, "a[c] = a.get(c, 0) + k", "a[c] = k", f"{BINOMIAL}::test_repeated_c_add_up"),
+    (EXACTPOLY, "        if c < 1:\n", "        if c < 0:\n", f"{BINOMIAL}::test_a_c_below_one_is_refused"),
+    (ZETAPROD, "ed if g % d == 0 else 0", "0 if g % d == 0 else ed",
+     "tests/test_zetaprod.py::TestPartialZeta::test_equals_the_reduced_dense_restricted_product"),
+    (ZETAPROD, "** -k for d, k in z.e.items() if k < 0)", "** -k for d, k in z.e.items() if k < -1)",
+     f"{RATIONAL}::test_matches_literal_divisor_product"),
+    (ZETAPROD, "acc = acc + v * binomial_product([(n, 1), (d, -1)])",
+     "acc = acc + v * binomial_product([(n, 1), (n // d, -1)])",
+     "tests/test_zetaprod.py::TestGeneratingForms::test_rank_family_line"),
+    (WEIGHTS, "(-rf if z.mu_e % 2 else rf)", "rf",
+     "tests/test_weights.py::TestSeifert::test_equals_the_reduced_dense_product_of_one_minus_q_powers"),
+    (WEIGHTS, "binomial_product([(w.a, 1), (w.b, 1), (w.c, 1)])", "binomial_product([(w.a, 1), (w.b, 1), (w.c, 2)])",
+     "tests/test_weights.py::TestSpectral::test_cubic_cone"),
+    (APOSTOL, "lhs2 * binomial_product([(n, r + 1)])", "lhs2 * binomial_product([(n, r)])",
+     "tests/test_apostol.py::TestWeightedSumIdentities::test_small_conductor_random"),
+    (APOSTOL, "binomial_product([(2 * n, r + 1), (d, -r - 1)])", "binomial_product([(2 * n, r + 1), (d, -r)])",
+     "tests/test_apostol.py::TestWeightedSumIdentities::test_small_conductor_random"),
+    (APOSTOL, "(2 * power, exponent), (power, -exponent)", "(2 * power, exponent), (power, 1 - exponent)",
+     f"{FAMILIES}::test_euler_base_cases"),
+    # series --order within the size contract
+    (CLI, "    if order > MAX_ORDER:", "    if order > MAX_ORDER + 1:",
+     "tests/test_cli.py::TestSizeContract::test_series_refuses_an_order_above_the_limit_before_any_series"),
+    (CLI, "_read_product(args.input, order=args.order)", "_read_product(args.input)",
+     "tests/test_cli.py::TestSizeContract::test_series_refuses_an_order_above_the_limit_before_any_series"),
     # earlier hand-seeded faults, where the code they broke still exists
     (ARITH, "if (mu := mobius(g // d))", "if (mu := abs(mobius(g // d)))",
      "tests/test_transform_laws.py::test_mobius_inversion_and_divisor_sums_are_inverse"),
@@ -184,8 +215,6 @@ MUTANTS = [
      "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
     (ZETAPROD, "RationalFunctionQ(-PolynomialQ(a.residues())", "RationalFunctionQ(PolynomialQ(a.residues())",
      "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_is_the_partial_fraction_sum"),
-    (EXACTPOLY, "        elif k < 0:", "        elif k < -1:",
-     f"{POLY}::TestPowerProduct::test_mixed_exponents_split_into_numerator_and_denominator"),
     (EXACTPOLY, "for i in range(len(r) - 1, db - 1, -1):", "for i in range(len(r) - 1, db, -1):",
      f"{POLY}::TestPolynomialQ::test_divmod_and_exact_division"),
     (EXACTPOLY, "for k, bj in enumerate(b[: size - i], i):", "for k, bj in enumerate(b[: size - i - 1], i):",
@@ -205,11 +234,17 @@ MUTANTS = [
 ]
 
 
-def check_entries() -> None:
-    for path, old, _, _ in MUTANTS:
+def check_entries() -> list[str]:
+    """Why each malformed entry is refused; empty when every entry is sound."""
+    problems = []
+    for path, old, _, test in MUTANTS:
         count = (ROOT / path).read_text().count(old)
         if count != 1:
-            sys.exit(f"{path}: {old!r} occurs {count} times, not exactly once")
+            problems.append(f"{path}: {old!r} occurs {count} times, not exactly once")
+        test_file, *_, name = test.split("[")[0].split("::")
+        if f"def {name}(" not in (ROOT / test_file).read_text():
+            problems.append(f"{test}: no such test")
+    return problems
 
 
 def run(copy: Path, path: str, old: str, new: str, test: str) -> int | str:
@@ -227,7 +262,8 @@ def run(copy: Path, path: str, old: str, new: str, test: str) -> int | str:
 
 
 def main() -> int:
-    check_entries()
+    if problems := check_entries():
+        sys.exit("\n".join(problems))
     survivors = []
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"

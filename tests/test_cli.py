@@ -185,6 +185,8 @@ class TestSizeContract:
         assert "n <= 5040" in cyclozeta.cli.size_error(cyclozeta.cli.MAX_N + 1)
         assert cyclozeta.cli.size_error(1, cyclozeta.cli.MAX_DEGREE) is None
         assert "limit 2500" in cyclozeta.cli.size_error(1, cyclozeta.cli.MAX_DEGREE + 1)
+        assert cyclozeta.cli.size_error(1, order=cyclozeta.cli.MAX_ORDER) is None
+        assert "--order 4001 is above the size limit 4000" in cyclozeta.cli.size_error(1, order=4001)
 
     def test_reduced_degree_is_that_of_the_reduced_product(self):
         rng = random.Random(13)
@@ -211,6 +213,20 @@ class TestSizeContract:
         text = ZetaProduct(5040, {d: (-1) ** i for i, d in enumerate(divisors(5040))}).to_text()
         code, out, _ = run_cli(capsys, "dual", text)
         assert code == 0 and out.startswith("input: n=5040; e={1:1,2:-1,")
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "power"])
+    def test_series_refuses_an_order_above_the_limit_before_any_series(self, capsys, monkeypatch, kind):
+        # neither the product nor any series may be built
+        monkeypatch.setattr(cyclozeta.cli, "ZetaProduct", lambda n, e: pytest.fail("not refused"))
+        code, out, err = run_cli(capsys, "series", "n=3; e={1:-1,3:1}", "--kind", kind, "--order", "4001")
+        assert code == 2 and not out
+        assert err == "error: --order 4001 is above the size limit 4000\n"
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "power"])
+    def test_series_takes_the_order_at_the_limit(self, capsys, kind):
+        code, out, _ = run_cli(capsys, "--format", "json", "series", "n=1; e={1:1}", "--kind", kind,
+                               "--order", "4000", "--which", "m")
+        assert code == 0 and len(json.loads(out)["payload"]["m"]) == 4000
 
     @pytest.mark.parametrize("text, degree", [("n=1; e={1:2501}", 2501), ("n=2; e={1:0,2:-1251}", 2502)])
     def test_analyze_refuses_a_degree_above_the_limit(self, capsys, monkeypatch, text, degree):

@@ -1,5 +1,6 @@
 """Exact polynomial, rational-function and power-series algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,13 +15,13 @@ from cyclozeta.exactpoly import (
     PolynomialQ,
     PowerSeriesQ,
     RationalFunctionQ,
+    binomial_product,
     cyclotomic,
     cyclotomic_product,
     expand,
     log_derivative,
     necklace,
     poly_gcd,
-    power_product,
     tensor_product,
 )
 from cyclozeta.exactpoly import _mul
@@ -69,6 +70,11 @@ class TestPolynomialQ:
         assert str(half) == "3q + 1"
         assert str(RationalFunctionQ(PolynomialQ([2, 6]), PolynomialQ([1, 2]))) == "(3q + 1) / (q + 1/2)"
 
+    def test_an_integral_coefficient_beside_a_fraction_prints_as_an_int(self):
+        p = PolynomialQ([Fraction(1, 2), Fraction(6, 2)])
+        assert str(p) == "3q + 1/2"
+        assert str(PolynomialQ([Fraction(4, 2), 0, Fraction(-1, 3)])) == "-1/3*q^2 + 2"
+
     def test_products_sums_quotients_and_derivatives_keep_integral_coefficients_as_ints(self):
         half = Fraction(1, 2)
         product = PolynomialQ([0, 2]) * PolynomialQ([Fraction(3, 2)])
@@ -81,18 +87,6 @@ class TestPolynomialQ:
                         (derivative, (0, 1, 1))):
             assert p.coeffs == want
             assert all(type(c) is int or c.denominator != 1 for c in p.coeffs), p.coeffs
-
-
-class TestPowerProduct:
-    def test_empty_and_zero_exponents_give_one_over_one(self):
-        assert power_product([]) == (ONE, ONE)
-        assert power_product([(Q - 1, 0), (ZERO, 0)]) == (ONE, ONE)
-
-    def test_mixed_exponents_split_into_numerator_and_denominator(self):
-        factors = [(Q - 1, 2), (Q + 1, -1), (Q**2 + 1, 0), (2 * Q + 3, -3), (Q, 1), (Q + 1, -2)]
-        num, den = power_product(iter(factors))
-        assert num == (Q - 1) ** 2 * Q
-        assert den == (Q + 1) ** 3 * (2 * Q + 3) ** 3
 
 
 def test_poly_gcd():
@@ -151,17 +145,57 @@ class TestCyclotomic:
             assert cyclotomic(n).coeffs == tuple(int(c) for c in want), n
 
 
+class TestBinomialProduct:
+    def test_equals_the_written_out_product(self):
+        """Mixed signs that divide exactly, against dense numerator and
+        denominator products; repeated c add up, d = n included."""
+        rng = random.Random(71)
+        for n in (1, 6, 12, 30, 60):
+            divs = divisors(n)
+            for _ in range(12):
+                num = [(c, rng.randint(0, 3)) for c in rng.choices(divs, k=4)]
+                # each denominator binomial divides its numerator power: d | c, at most a times
+                den = [(rng.choice(divisors(c)), -rng.randint(0, a)) for c, a in num]
+                pairs = [p for pair in zip(num, den) for p in pair]
+                want = math.prod((PolynomialQ.monomial(c) - 1) ** a for c, a in num)
+                want = want.exact_div(math.prod((PolynomialQ.monomial(d) - 1) ** -a for d, a in den))
+                got = binomial_product(iter(pairs))
+                assert got == want, pairs
+                assert all(type(c) is int for c in got.coeffs), pairs
+
+    def test_repeated_c_add_up(self):
+        for r in range(4):
+            for n in (1, 6, 12):
+                assert binomial_product([(n, r + 1), (n, -r - 1)]) == ONE
+                assert binomial_product([(n, r + 1), (n, 1), (n, -r - 1)]) == PolynomialQ.monomial(n) - 1
+        assert binomial_product([(2, 1), (1, 2), (2, 1), (1, -1)]) == (Q**2 - 1) ** 2 * (Q - 1)
+
+    def test_empty_and_zero_exponents_give_one(self):
+        assert binomial_product([]) == ONE
+        assert binomial_product([(1, 0), (12, 0)]) == ONE
+
+    def test_a_remainder_raises(self):
+        for pairs in ([(1, -1)], [(4, 1), (6, -1)], [(2, 3), (1, -1), (3, -1)], [(6, 1), (6, -2)]):
+            with pytest.raises(ExactDivisionError):
+                binomial_product(pairs)
+
+    def test_a_c_below_one_is_refused(self):
+        for pairs in ([(0, 1)], [(0, -1)], [(6, 1), (-2, 1)]):
+            with pytest.raises(ValueError):
+                binomial_product(pairs)
+
+
 class TestCyclotomicProduct:
     def test_equals_the_written_out_product_of_cyclotomic_powers(self):
-        """The binomial kernel against schoolbook powers of the dense Phi_d,
-        on random exponent maps over divisors of the analyze ladder's n."""
+        """The binomial kernel against the dense product of powers of the
+        Phi_d, on random exponent maps over divisors of the analyze ladder's n."""
         rng = random.Random(61)
         for n in (60, 360, 720, 1260, 2520, 5040):
             divs = divisors(n)
             for _ in range(3):
                 exponents = {d: rng.randint(0, 3) for d in rng.sample(divs, 4)}
                 exponents.update({d: rng.randint(0, 2) for d in rng.sample(divs[:8], 3)})
-                want = power_product((cyclotomic(d), k) for d, k in exponents.items())[0]
+                want = math.prod((cyclotomic(d) ** k for d, k in exponents.items()), start=ONE)
                 got = cyclotomic_product(exponents)
                 assert got == want, (n, exponents)
                 assert all(type(c) is int for c in got.coeffs), (n, exponents)

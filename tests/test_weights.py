@@ -1,11 +1,13 @@
 """Weight systems, spectral polynomials and Seifert characteristic functions."""
 
+import math
+import random
 from dataclasses import replace
 
 import pytest
 
 from cyclozeta import catalog
-from cyclozeta.arith import mobius_transform
+from cyclozeta.arith import divisors, mobius_transform
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.exactpoly import ONE, PolynomialQ, RationalFunctionQ
 from cyclozeta.weights import (
@@ -154,6 +156,23 @@ class TestSeifert:
         q = PolynomialQ.monomial(1)
         assert rf == RationalFunctionQ(ONE, (ONE - q) * (ONE - PolynomialQ.monomial(5)) ** 2)
         assert check_seifert_lines(w, sd).status == "pass"
+
+    def test_equals_the_reduced_dense_product_of_one_minus_q_powers(self):
+        """On random Seifert data, against the written-out product of
+        (1 - q**d)**e(d), reduced by a gcd; both parities of mu_e occur."""
+        rng = random.Random(37)
+        parities = set()
+        for _ in range(40):
+            n = rng.choice([6, 10, 12, 20, 30])
+            w = WeightSystem(*(rng.choice((*divisors(n), 7)) for _ in range(3)), n)
+            pairs = tuple((rng.choice((*divisors(n), 4, 9)), rng.randint(1, 5)) for _ in range(rng.randint(0, 4)))
+            rf, z = char_poly_from_seifert(w, SeifertData(rng.randint(0, 2), pairs))
+            powers = [(ONE - PolynomialQ.monomial(d), k) for d, k in z.e.items()]
+            num = math.prod((f**k for f, k in powers if k > 0), start=ONE)
+            den = math.prod((f**-k for f, k in powers if k < 0), start=ONE)
+            assert rf == RationalFunctionQ(num, den), (w, pairs)
+            parities.add(z.mu_e % 2)
+        assert parities == {0, 1}
 
     def test_betas_are_inert(self):
         w = WeightSystem(15, 10, 6, 30)

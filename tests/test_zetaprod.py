@@ -252,6 +252,21 @@ class TestPartialZeta:
         z = ZetaProduct(6, {1: 1, 2: 1, 3: 0, 6: 0})
         assert partial_zeta(z, 0) == to_rational_function(z)
 
+    def test_equals_the_reduced_dense_restricted_product(self):
+        """For every k, the written-out product of (q**d - 1)**e(d) over
+        d | (k, n), reduced by a gcd."""
+        rng = random.Random(29)
+        for n in (1, 6, 12, 30, 60):
+            z = random_zeta_product(rng, n)
+            want = {}
+            for g in divisors(n):
+                powers = [(PolynomialQ.monomial(d) - 1, z.e[d]) for d in divisors(g)]
+                num = math.prod((f**k for f, k in powers if k > 0), start=ONE)
+                den = math.prod((f**-k for f, k in powers if k < 0), start=ONE)
+                want[g] = RationalFunctionQ(num, den)
+            for k in range(n + 1):
+                assert partial_zeta(z, k) == want[math.gcd(k, n)], (n, k)
+
     def test_unit_root_multiplicity_is_divisor_sum(self):
         z6 = ZetaProduct(6, {1: 1, 2: 1, 3: 0, 6: 0})
         pz = partial_zeta(z6, 2)
