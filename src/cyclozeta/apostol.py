@@ -64,11 +64,9 @@ class ApostolPoly:
         den = _base(self.family, 1, self.den_power)
         return tuple(RationalFunctionQ(num, den) for num in self._nums)
 
-    def evaluate_pair(self, x0, power: int = 1) -> tuple[PolynomialQ, PolynomialQ]:
-        """(numerator, denominator) at rational x = x0 with q -> q**power, unreduced.
-
-        The denominator is (q**power -+ 1)**den_power exactly as stored.
-        """
+    def numerator(self, x0, power: int = 1) -> PolynomialQ:
+        """The numerator at rational x = x0 with q -> q**power, unreduced, over
+        the denominator (q**power -+ 1)**den_power exactly as stored."""
         x0 = as_exact(x0)
         num = ZERO
         xp = 1
@@ -78,11 +76,10 @@ class ApostolPoly:
             xp = xp * x0
         if power != 1 and not num.is_zero:
             num = num.substitute_power(power)
-        return num, _base(self.family, power, self.den_power)
+        return num
 
     def evaluate(self, x0, power: int = 1) -> RationalFunctionQ:
-        num, den = self.evaluate_pair(x0, power)
-        return RationalFunctionQ(num, den)
+        return RationalFunctionQ(self.numerator(x0, power), _base(self.family, power, self.den_power))
 
     def __repr__(self):
         tag = "B" if self.family == "bernoulli" else "E"
@@ -158,11 +155,8 @@ def weighted_geometric_sum(n: int, b: int, c: int, r: int, alternating: bool = F
     else:
         sign, P, scale = 1, apostol_bernoulli(r + 1), Fraction(b**r, r + 1)
     lhs = PolynomialQ([sign**i * (b * i + c) ** r for i in range(n + 1)])
-    num1, den = P.evaluate_pair(x1)
-    num0, _ = P.evaluate_pair(x0)
-    rhs = scale * (sign**n * PolynomialQ.monomial(n + 1) * num1 - sign * num0)
-    if lhs * den != rhs:
-        report.fail(lhs=str(lhs), rhs_cleared=str(rhs))
+    rhs = scale * (sign**n * PolynomialQ.monomial(n + 1) * P.numerator(x1) - sign * P.numerator(x0))
+    report.expect(lhs * _base(P.family, 1, P.den_power) == rhs, lhs=lhs, rhs=rhs)
     return report
 
 
@@ -186,8 +180,7 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
 
     lhs1 = PolynomialQ(a.residues())
     rhs1 = lambert_polynomial(n, z.e)
-    if lhs1 != rhs1:
-        report.fail(identity="partial-fractions", lhs=str(lhs1), rhs=str(rhs1))
+    report.expect(lhs1 == rhs1, identity="partial-fractions", lhs=lhs1, rhs=rhs1)
 
     B, E = apostol_bernoulli(r + 1), apostol_euler(r)
     qn = PolynomialQ.monomial(n)
@@ -201,7 +194,7 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
         x0 = Fraction(c, b * d)
         # one Bernoulli block per divisor: all of identity 2, the even divisors of identity 3
         bernoulli = Fraction(ed * (b * d) ** r, r + 1) * (
-            qn * B.evaluate_pair(x1, power=d)[0] - B.evaluate_pair(x0, power=d)[0]
+            qn * B.numerator(x1, power=d) - B.numerator(x0, power=d)
         )
         rhs2 = rhs2 + bernoulli * binomial_product([(n, r + 1), (d, -r - 1)])
         if d % 2:
@@ -209,13 +202,12 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
             # closed form has a plus on the constant term
             sign = (-1) ** (n // d - 1)
             euler = Fraction(ed * (b * d) ** r, 2) * (
-                sign * qn * E.evaluate_pair(x1, power=d)[0] + E.evaluate_pair(x0, power=d)[0]
+                sign * qn * E.numerator(x1, power=d) + E.numerator(x0, power=d)
             )
             rhs3 = rhs3 + euler * binomial_product([(d, r + 1), (2 * n, r + 1), (2 * d, -r - 1)])
         else:
             rhs3 = rhs3 + bernoulli * binomial_product([(2 * n, r + 1), (d, -r - 1)])
-    if lhs2 * binomial_product([(n, r + 1)]) != rhs2:
-        report.fail(identity="power-weighted", divisor_block="all")
-    if lhs3 * binomial_product([(2 * n, r + 1)]) != rhs3:
-        report.fail(identity="alternating", divisor_block="all")
+    cleared2, cleared3 = lhs2 * binomial_product([(n, r + 1)]), lhs3 * binomial_product([(2 * n, r + 1)])
+    report.expect(cleared2 == rhs2, identity="power-weighted", divisor_block="all")
+    report.expect(cleared3 == rhs3, identity="alternating", divisor_block="all")
     return report

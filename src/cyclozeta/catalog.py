@@ -181,8 +181,8 @@ def verify_entry(entry: CatalogEntry) -> Report:
     report = Report("catalog-entry", context={"name": entry.name, "n": entry.n})
     n = entry.n
     bad_m = [d for d in entry.m_line if n % d != 0]
-    if bad_m:
-        return report.fail(error=f"m-line exponents {bad_m} do not divide {n}")
+    if not report.expect(not bad_m, error=f"m-line exponents {bad_m} do not divide {n}"):
+        return report
     implied = {d: v for d, v in root_weights(entry.zeta_product(), "p").items() if v}
     problems = []
     for d in sorted(entry.p_line):
@@ -203,12 +203,7 @@ def verify_entry(entry: CatalogEntry) -> Report:
     if expo is not None:
         expansion = PolynomialQ(entry.m_even().residues())
         want = PolynomialQ([sum(1 for x in expo if x == k) for k in range(n)])
-        if expansion != want:
-            report.fail(
-                identity="root-exponents",
-                lhs=str(expansion),
-                rhs=str(want),
-            )
+        report.expect(expansion == want, identity="root-exponents", lhs=expansion, rhs=want)
     return report
 
 
@@ -226,6 +221,17 @@ def expected_anomalies() -> tuple[str, ...]:
     return _EXPECTED_ANOMALIES
 
 
+def verify_catalog(max_family_rank: int = 12) -> list[Report]:
+    """:func:`verify_all`, the dual-pair search, and one check that the
+    flagged entries are exactly the expected anomalies."""
+    reports = verify_all(max_family_rank)
+    found = sorted(r.context["name"] for r in reports if r.status == "flagged")
+    expected = sorted(expected_anomalies())
+    anomalies = Report("anomaly-set")
+    anomalies.expect(found == expected, found=found, expected=expected)
+    return reports + [saito_dual_pairs(), anomalies]
+
+
 def saito_dual_pairs() -> Report:
     """Apply the exponent reindexing d -> e(n/d) to every fixed entry and
     search the catalog for matches of the transform and of its negation."""
@@ -238,8 +244,7 @@ def saito_dual_pairs() -> Report:
     for entry in entries():
         z = entry.zeta_product()
         star = saito_transform(z)
-        if saito_transform(star) != z:
-            report.fail(error=f"transform is not an involution on {entry.name}")
+        report.expect(saito_transform(star) == z, error=f"transform is not an involution on {entry.name}")
         negated = ZetaProduct(z.n, {d: -v for d, v in star.e.items()})
         table.append(
             {

@@ -255,18 +255,19 @@ def _totient_polynomial(d: int, t: int, order: int) -> DirichletSeries:
 
 
 def _record_first_difference(report: Report, lhs: DirichletSeries, rhs: DirichletSeries, **labels) -> bool:
-    """If the two series differ, record the labels, the first index k where
-    their coefficients differ and both coefficients there (or, when they
-    agree up to the smaller order, both orders); True when they differ."""
-    if lhs == rhs:
-        return False
-    common = range(1, min(lhs.order, rhs.order) + 1)
-    k = next((k for k in common if lhs.coefficient(k) != rhs.coefficient(k)), None)
-    if k is None:
-        report.fail(**labels, lhs_order=lhs.order, rhs_order=rhs.order)
-    else:
-        report.fail(**labels, k=k, lhs=str(lhs.coefficient(k)), rhs=str(rhs.coefficient(k)))
-    return True
+    """Expect the two series equal; if they differ, record the labels, the
+    first index k where their coefficients differ and both coefficients there
+    (or, when they agree up to the smaller order, both orders).  True when
+    they differ."""
+    same = lhs == rhs
+    if not same:
+        common = range(1, min(lhs.order, rhs.order) + 1)
+        k = next((k for k in common if lhs.coefficient(k) != rhs.coefficient(k)), None)
+        if k is None:
+            labels.update(lhs_order=lhs.order, rhs_order=rhs.order)
+        else:
+            labels.update(k=k, lhs=lhs.coefficient(k), rhs=rhs.coefficient(k))
+    return not report.expect(same, **labels)
 
 
 def check_transfer(z: ZetaProduct, G1: DirichletSeries, G2: DirichletSeries) -> Report:

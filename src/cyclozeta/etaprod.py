@@ -126,12 +126,13 @@ def check_eta_forms(z: ZetaProduct, order: int = 100) -> Report:
     """
     exp = eta_log_derivative(z, order)
     report = Report("eta-log-derivative", context={"n": z.n, "order": order, "mu_e": exp.mu_e})
-    if exp.series != -exp.lambert_form:
-        report.fail(identity="lambert", detail="direct expansion != -(divisor Lambert combination)")
-    if exp.series != exp.cyclotomic_form:
-        report.fail(identity="cyclotomic")
-    if exp.series != exp.ramanujan_form:
-        report.fail(identity="ramanujan")
+    report.expect(
+        exp.series == -exp.lambert_form,
+        identity="lambert",
+        detail="direct expansion != -(divisor Lambert combination)",
+    )
+    report.expect(exp.series == exp.cyclotomic_form, identity="cyclotomic")
+    report.expect(exp.series == exp.ramanujan_form, identity="ramanujan")
     if report.status == "pass":
         nonzero = any(exp.series.coeffs)
         if nonzero:

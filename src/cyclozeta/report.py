@@ -23,8 +23,9 @@ def json_safe(value):
 class Report:
     """Outcome of one identity check or verification sweep.
 
-    mismatches carry enough data to reproduce the first failure; flags are
-    known, documented discrepancies.
+    checks counts the identity instances checked; mismatches carry enough
+    data to reproduce the first failure; flags are known, documented
+    discrepancies.
     """
 
     check: str
@@ -32,17 +33,34 @@ class Report:
     mismatches: list = field(default_factory=list)
     flags: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    checks: int = 0
 
     @property
     def status(self) -> str:
-        """"fail" if there is a mismatch, else "flagged" if there is a flag, else "pass"."""
+        """"fail" if there is a mismatch, else "empty" if nothing was checked,
+        else "flagged" if there is a flag, else "pass"."""
         if self.mismatches:
             return "fail"
+        if not self.checks:
+            return "empty"
         return "flagged" if self.flags else "pass"
 
-    def fail(self, **details) -> "Report":
-        self.mismatches.append(details)
-        return self
+    def expect(self, ok: bool, **details) -> bool:
+        """Count one identity instance; when ok is false, record details as a
+        mismatch, its lhs and rhs rendered by str.  Returns ok."""
+        self.checks += 1
+        if not ok:
+            for side in ("lhs", "rhs"):
+                if side in details:
+                    details[side] = str(details[side])
+            self.mismatches.append(details)
+        return ok
+
+    def absorb(self, sub: "Report") -> None:
+        """Add sub's checks and its mismatches, each named by sub's check and
+        context; a mismatch's own keys win over the context's."""
+        self.checks += sub.checks
+        self.mismatches.extend({"check": sub.check, **sub.context, **mismatch} for mismatch in sub.mismatches)
 
     def flag(self, message: str) -> "Report":
         self.flags.append(message)
@@ -56,6 +74,7 @@ class Report:
         return {
             "check": self.check,
             "status": self.status,
+            "checks": self.checks,
             "context": json_safe(self.context),
             "mismatches": json_safe(self.mismatches),
             "flags": list(self.flags),
@@ -63,18 +82,12 @@ class Report:
         }
 
 
-def carried_mismatches(sub: Report) -> list[dict]:
-    """sub's mismatches, each named by sub's check and context; a mismatch's
-    own keys win over the context's."""
-    return [{"check": sub.check, **sub.context, **mismatch} for mismatch in sub.mismatches]
-
-
 def merge_reports(check: str, reports: list[Report], context: dict | None = None) -> Report:
-    """Roll a list of reports into one; any failure fails the merge, and each
-    merged mismatch names the sub-check it came from."""
+    """Roll a list of reports into one; any failure fails the merge, the
+    checks add up, and each merged mismatch names the sub-check it came from."""
     merged = Report(check, context=dict(context or {}))
     for r in reports:
-        merged.mismatches.extend(carried_mismatches(r))
+        merged.absorb(r)
         merged.flags.extend(r.flags)
         merged.notes.extend(r.notes)
     return merged

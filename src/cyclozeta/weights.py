@@ -220,17 +220,16 @@ def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Repo
     try:
         spec = spectral_gf(w)
     except NonRegularWeightSystem as exc:
-        return report.fail(error=str(exc))
-    mu = milnor_number(w)
-    if sum(spec.coeffs) != mu:
-        report.fail(identity="multiplicity-sum", lhs=str(sum(spec.coeffs)), rhs=str(mu))
-    if not spec.is_zero and spec.degree != 2 * n - w.a - w.b - w.c:
-        report.fail(identity="degree", lhs=spec.degree, rhs=2 * n - w.a - w.b - w.c)
+        report.expect(False, error=str(exc))
+        return report
+    total, mu = sum(spec.coeffs), milnor_number(w)
+    report.expect(total == mu, identity="multiplicity-sum", lhs=total, rhs=mu)
+    degree = 2 * n - w.a - w.b - w.c
+    report.expect(spec.is_zero or spec.degree == degree, identity="degree", lhs=spec.degree, rhs=degree)
     # reciprocity: the spectral function satisfies P(1/q) = q**(-n) P(q),
     # i.e. exponents pair up as m <-> n - m
     for k in range(n + 1):
-        if spec.coefficient(k) != spec.coefficient(n - k):
-            report.fail(identity="reciprocity", k=k)
+        if not report.expect(spec.coefficient(k) == spec.coefficient(n - k), identity="reciprocity", k=k):
             break
 
     m_line = m_line_from_weights(w)
@@ -238,22 +237,17 @@ def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Repo
     m_even, p_even = mobius_transform(m_line), mobius_transform(p_line)
     reduced = spectral_mod(w)
     from_m = PolynomialQ(m_even.residues())
-    if reduced != from_m:
-        report.fail(identity="spectral-mod", lhs=str(reduced), rhs=str(from_m))
-    if dft_power_sums(m_even) != p_even:
-        report.fail(identity="fourier-pairing")
+    report.expect(reduced == from_m, identity="spectral-mod", lhs=reduced, rhs=from_m)
+    report.expect(dft_power_sums(m_even) == p_even, identity="fourier-pairing")
     for d in divisors(n):
-        if p_line[d] != d * m_line[n // d]:
-            report.fail(identity="exponent-relation", d=d)
+        report.expect(p_line[d] == d * m_line[n // d], identity="exponent-relation", d=d)
     for s in s_values:
         lhs = m_dirichlet_from_weights(w, s)
         rhs = sum(v * rational_power(d, -s) for d, v in m_line.items())
-        if lhs != rhs:
-            report.fail(identity="m-dirichlet", s=s, lhs=str(lhs), rhs=str(rhs))
+        report.expect(lhs == rhs, identity="m-dirichlet", s=s, lhs=lhs, rhs=rhs)
         lhs = p_dirichlet_from_weights(w, s)
         rhs = sum(v * rational_power(d, -s) for d, v in p_line.items())
-        if lhs != rhs:
-            report.fail(identity="p-dirichlet", s=s, lhs=str(lhs), rhs=str(rhs))
+        report.expect(lhs == rhs, identity="p-dirichlet", s=s, lhs=lhs, rhs=rhs)
     return report
 
 
@@ -314,20 +308,16 @@ def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) ->
     p_poly = PolynomialQ(power_sums(z).residues())
     rhs_m = lambert_polynomial(n, m_coeff)
     rhs_p = lambert_polynomial(n, p_coeff)
-    if m_poly != rhs_m:
-        report.fail(identity="m-line", lhs=str(m_poly), rhs=str(rhs_m))
-    if p_poly != rhs_p:
-        report.fail(identity="p-line", lhs=str(p_poly), rhs=str(rhs_p))
+    report.expect(m_poly == rhs_m, identity="m-line", lhs=m_poly, rhs=rhs_m)
+    report.expect(p_poly == rhs_p, identity="p-line", lhs=p_poly, rhs=rhs_p)
 
     for s in s_values:
         lhs = sum(z.e[n // d] * rational_power(d, -s) for d in divisors(n))
         rhs = gr + sum(sign * rational_power(d, -s) for d, sign in signed)
-        if lhs != rhs:
-            report.fail(identity="m-dirichlet", s=s, lhs=str(lhs), rhs=str(rhs))
+        report.expect(lhs == rhs, identity="m-dirichlet", s=s, lhs=lhs, rhs=rhs)
         lhs = rational_power(n, s - 1) * sum(
             d * z.e[d] * rational_power(d, -s) for d in divisors(n)
         )
         rhs = gr + sum(sign * rational_power(d, s - 1) for d, sign in signed)
-        if lhs != rhs:
-            report.fail(identity="p-dirichlet", s=s, lhs=str(lhs), rhs=str(rhs))
+        report.expect(lhs == rhs, identity="p-dirichlet", s=s, lhs=lhs, rhs=rhs)
     return report

@@ -471,12 +471,10 @@ def gf_power_series(a: DivisorMap, e: DivisorMap) -> Report:
     for d, ed in e.items():
         if ed:
             rhs_tail = rhs_tail + PolynomialQ.monomial(d, ed) * binomial_product([(n, 1), (d, -1)])
-    if lhs_tail != rhs_tail:
-        report.fail(identity="k=1..n", lhs=str(lhs_tail), rhs=str(rhs_tail))
+    report.expect(lhs_tail == rhs_tail, identity="k=1..n", lhs=lhs_tail, rhs=rhs_tail)
     lhs_head = PolynomialQ(a.residues())
     rhs_head = lambert_polynomial(n, e)
-    if lhs_head != rhs_head:
-        report.fail(identity="k=0..n-1", lhs=str(lhs_head), rhs=str(rhs_head))
+    report.expect(lhs_head == rhs_head, identity="k=0..n-1", lhs=lhs_head, rhs=rhs_head)
     one_minus_qn = ONE - PolynomialQ.monomial(n)
     report.context["series_form"] = str(RationalFunctionQ(lhs_tail, one_minus_qn))
     report.context["partial_fractions"] = {d: v for d, v in e.items() if v}
@@ -515,10 +513,13 @@ def _mobius_pairing(z: ZetaProduct, x: Mapping[int, object]):
     m = multiplicities(z)
     p = power_sums(z)
     report = Report("mobius-pairing", context={"n": n})
-    if sum(m(n // d) * Z[d] for d in divs) != sum(z.e[d] * X[d] for d in divs):
-        report.fail(identity="multiplicity-side")
-    if sum(p(n // d) * Z[d] for d in divs) != sum((n // d) * z.e[n // d] * X[d] for d in divs):
-        report.fail(identity="power-sum-side")
+    report.expect(
+        sum(m(n // d) * Z[d] for d in divs) == sum(z.e[d] * X[d] for d in divs), identity="multiplicity-side"
+    )
+    report.expect(
+        sum(p(n // d) * Z[d] for d in divs) == sum((n // d) * z.e[n // d] * X[d] for d in divs),
+        identity="power-sum-side",
+    )
     return report, Z, D
 
 
@@ -558,10 +559,9 @@ def check_pairing_preset(z: ZetaProduct, name: str) -> Report:
         if name in ("log-derivative", "ramanujan"):
             phi = cyclotomic(d)
             knum, kden = (Q * phi.derivative(), phi) if name == "log-derivative" else ramanujan_kernel(d)
-            if Z[d] * kden != knum * D:
-                report.fail(identity=f"kernel at d={d}")
-        elif name == "necklace" and Z[d] != d * necklace(d) * D:
-            report.fail(identity=f"necklace kernel at d={d}")
+            report.expect(Z[d] * kden == knum * D, identity=f"kernel at d={d}")
+        elif name == "necklace":
+            report.expect(Z[d] == d * necklace(d) * D, identity=f"necklace kernel at d={d}")
     return report
 
 
@@ -611,8 +611,7 @@ def check_totient_pairing(z: ZetaProduct, s_values) -> Report:
             ),
         ]
         for label, lhs, rhs in checks:
-            if lhs != rhs:
-                report.fail(identity=label, s=s, lhs=str(lhs), rhs=str(rhs))
+            report.expect(lhs == rhs, identity=label, s=s, lhs=lhs, rhs=rhs)
     return report
 
 
@@ -631,6 +630,6 @@ def check_fourier_pair_family(n: int, F: DivisorMap, s: int) -> Report:
     expansion = ramanujan_reconstruct(DivisorMap(n, divisor_sums(n, prime_weights)))
     report = Report("fourier-pair-family", context={"n": n, "s": s})
     for k in range(n):
-        if f_s(k) != expansion(k):
-            report.fail(k=k, lhs=str(f_s(k)), rhs=str(expansion(k)))
+        lhs, rhs = f_s(k), expansion(k)
+        report.expect(lhs == rhs, k=k, lhs=lhs, rhs=rhs)
     return report

@@ -131,7 +131,7 @@ MUTANTS = [
      "tests/test_dirichlet.py::TestSeriesAlgebra::test_support_indices_must_be_ints"),
     (CLI, "exc.args[0] if isinstance(exc, KeyError) else exc", "exc",
      "tests/test_cli.py::TestCatalogCommand::test_unknown_entry"),
-    (VERIFY, "        if line != entry.m_line:", "        if False:",
+    (VERIFY, "cross.expect(line == entry.m_line,", "cross.expect(True,",
      "tests/test_weights.py::TestDivisorLines::test_suite_reports_a_corrupted_parabolic_line"),
     # Apostol families as Appell sequences; one body per closed form
     (APOSTOL, "cs[r - d] * math.perm(r, r - d)", "cs[r - d] * math.comb(r, r - d)",
@@ -139,8 +139,8 @@ MUTANTS = [
     (APOSTOL, "q * _base(family, 1, i - 1) * Fraction", "q * _base(family, 1, i) * Fraction",
      f"{FAMILIES}::test_bernoulli_base_cases"),
     (APOSTOL, "(1, 2) if family", "(1, 1) if family", f"{FAMILIES}::test_euler_base_cases"),
-    (APOSTOL, "sign**n * PolynomialQ.monomial(n + 1) * num1 - sign * num0",
-     "sign**n * PolynomialQ.monomial(n + 1) * num1 + sign * num0",
+    (APOSTOL, "PolynomialQ.monomial(n + 1) * P.numerator(x1) - sign * P.numerator(x0)",
+     "PolynomialQ.monomial(n + 1) * P.numerator(x1) + sign * P.numerator(x0)",
      "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
     (APOSTOL, "rhs3 = rhs3 + bernoulli *", "rhs3 = rhs3 - bernoulli *",
      "tests/test_apostol.py::TestWeightedSumIdentities::test_small_conductor_random"),
@@ -149,9 +149,9 @@ MUTANTS = [
      "tests/test_weights.py::TestSeifert::test_exceptional_root_system"),
     (REPORT, '{"check": sub.check, **sub.context, **mismatch}', '{**sub.context, **mismatch}',
      "tests/test_report.py::test_merge_combines_the_same_way"),
-    (VERIFY, "report.mismatches.extend(carried_mismatches(sub))", "report.mismatches.extend(sub.mismatches)",
+    (VERIFY, "        report.absorb(sub)\n", "",
      "tests/test_cli.py::TestVerifyCommand::test_a_merged_mismatch_names_its_sub_check"),
-    (DIRICHLET, "report.fail(**labels, k=k,", "report.fail(k=k,",
+    (DIRICHLET, "labels.update(k=k,", "labels = dict(k=k,",
      f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity"),
     # products of cyclotomic powers from binomials q**c - 1; the valuation
     # reduces over the non-zero coefficients of Phi_d; h * G2 built once
@@ -209,9 +209,9 @@ MUTANTS = [
      "tests/test_dirichlet.py::TestPowerSeriesTransforms::test_geometric_recovers_even_function_shifted"),
     (DIRICHLET, "PowerSeriesQ([a(0)] + [a(k) - a(k - 1)", "PowerSeriesQ([0] + [a(k) - a(k - 1)",
      "tests/test_dirichlet.py::TestPowerSeriesTransforms::test_matches_the_expanded_q_integer_sums"),
-    (ZETAPROD, '        report.fail(identity="multiplicity-side")', "        pass",
+    (ZETAPROD, "sum(m(n // d) * Z[d] for d in divs) == sum(z.e[d] * X[d] for d in divs)", "True",
      "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
-    (ZETAPROD, '        report.fail(identity="power-sum-side")', "        pass",
+    (ZETAPROD, "sum(p(n // d) * Z[d] for d in divs) == sum((n // d) * z.e[n // d] * X[d] for d in divs)", "True",
      "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
     (ZETAPROD, "RationalFunctionQ(-PolynomialQ(a.residues())", "RationalFunctionQ(PolynomialQ(a.residues())",
      "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_is_the_partial_fraction_sum"),
@@ -231,6 +231,23 @@ MUTANTS = [
      f"{POLY}::TestTensorProduct::test_pinned_non_monic_zero_root_and_constant_inputs"),
     (EXACTPOLY, "for i in range(1, min(k - 1, m) + 1):", "for i in range(1, min(k - 1, m)):",
      f"{POLY}::TestTensorProduct::test_square"),
+    # one identity-check recorder: Report.expect counts every instance, and a
+    # report that checked nothing is "empty", never a pass
+    (REPORT, "        self.checks += 1\n", "",
+     "tests/test_report.py::test_expect_counts_every_instance_and_renders_only_a_failure"),
+    (REPORT, "        if not ok:", "        if ok:", "tests/test_report.py::test_status_rules"),
+    (REPORT, "                    details[side] = str(details[side])\n", "                    pass\n",
+     "tests/test_report.py::test_expect_counts_every_instance_and_renders_only_a_failure"),
+    (REPORT, "        self.checks += sub.checks\n", "", "tests/test_report.py::test_merge_combines_the_same_way"),
+    (REPORT, '        if not self.checks:\n            return "empty"\n', "", "tests/test_report.py::test_status_rules"),
+    (VERIFY, 'r.status not in ("pass", "flagged"))', 'r.status == "fail")',
+     "tests/test_cli.py::TestVerifyCommand::test_a_suite_that_checked_nothing_fails_the_run"),
+    (CLI, "catalog_mod.verify_catalog(max_family_rank=12)", "catalog_mod.verify_all(max_family_rank=12)",
+     "tests/test_cli.py::TestCatalogCommand::test_verify_fails_when_the_flagged_set_is_not_the_expected_one"),
+    (CATALOG, "anomalies.expect(found == expected,", "anomalies.expect(True,",
+     "tests/test_cli.py::TestCatalogCommand::test_verify_fails_when_the_flagged_set_is_not_the_expected_one"),
+    (APOSTOL, "lhs * _base(P.family, 1, P.den_power) == rhs", "lhs * _base(P.family, 1, P.den_power + 1) == rhs",
+     "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
 ]
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import cyclozeta.catalog
 import cyclozeta.cli
 import cyclozeta.etaprod
 import cyclozeta.verify
@@ -12,7 +13,7 @@ import cyclozeta.zetaprod
 from cyclozeta.arith import DivisorMap, divisors
 from cyclozeta.cli import main
 from cyclozeta.report import Report
-from cyclozeta.verify import SuiteConfig, suite_eta
+from cyclozeta.verify import SuiteConfig, suite_catalog, suite_eta
 from cyclozeta.zetaprod import (
     ZetaProduct,
     cyclotomic_exponents,
@@ -277,6 +278,13 @@ class TestCatalogCommand:
         assert out.count("flag:") == 2
         assert "status: flagged  flags: 2  failures: 0" in out
 
+    def test_verify_fails_when_the_flagged_set_is_not_the_expected_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cyclozeta.catalog, "expected_anomalies", lambda: ("X_9",))
+        code, out, _ = run_cli(capsys, "catalog", "verify")
+        assert code == 1
+        assert "[FAIL   ] anomaly-set" in out and "status: fail  flags: 2  failures: 1" in out
+        assert suite_catalog(SuiteConfig()).status == "fail"
+
     def test_verify_single(self, capsys):
         code, out, _ = run_cli(capsys, "catalog", "verify", "X_9")
         assert code == 0 and "FLAGGED" in out
@@ -403,13 +411,31 @@ class TestVerifyCommand:
     def test_text_mode_counts_mismatches_beyond_the_shown_five(self, capsys, monkeypatch):
         report = Report("stub-suite")
         for k in range(7):
-            report.fail(k=k)
+            report.expect(False, k=k)
         monkeypatch.setattr(cyclozeta.cli, "run_scope", lambda scope, cfg: [report])
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 1
         assert out.count("mismatch:") == 5
         assert "(+2 more)" in out
         assert "status: fail  flags: 0  failures: 1" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_suite_that_checked_nothing_fails_the_run(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(cyclozeta.cli, "run_scope", lambda scope, cfg: [Report("stub")])
+        code, out, _ = run_cli(capsys, "--format", fmt, "verify", "all")
+        assert code == 1
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["summary"]["status"] == "fail" and doc["suites"][0]["status"] == "empty"
+        else:
+            assert out == "[EMPTY  ] stub\nstatus: fail  flags: 0  failures: 1\n"
+
+    def test_json_counts_the_checks_of_each_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "weights")
+        doc = json.loads(out)
+        assert code == 0
+        checks = doc["suites"][0]["checks"]
+        assert checks > 0 and doc["summary"]["checks"] == checks
 
     @pytest.mark.parametrize("module, argv, first", [
         (cyclozeta.zetaprod, ["prop", "--index", "4", "--n", "6", "--n", "12", "--trials", "2"],

@@ -1,27 +1,82 @@
-"""Report status is derived from its mismatches and flags."""
+"""Report status is derived from its checks, mismatches and flags."""
 
+from cyclozeta.catalog import get as catalog_get
+from cyclozeta.etaprod import check_eta_forms
 from cyclozeta.report import Report, merge_reports
+from cyclozeta.verify import SuiteConfig, suite_cyclotomic, suite_fourier
+from cyclozeta.zetaprod import ZetaProduct, check_totient_pairing
+
+
+def checked(check: str, *oks: bool) -> Report:
+    report = Report(check)
+    for ok in oks:
+        report.expect(ok)
+    return report
 
 
 def test_status_rules():
-    assert Report("a").status == "pass"
-    assert Report("a").flag("known").status == "flagged"
-    assert Report("a").fail(k=1).status == "fail"
+    assert Report("a").status == "empty"
+    # a flag is not a check
+    assert Report("a").flag("known").status == "empty"
+    assert checked("a", True).status == "pass"
+    assert checked("a", True).flag("known").status == "flagged"
+    assert checked("a", True, False).status == "fail"
     # a fail outranks a flag, in either order
-    assert Report("a").flag("known").fail(k=1).status == "fail"
-    assert Report("a").fail(k=1).flag("known").status == "fail"
-    assert Report("a").fail().status == "fail"
+    assert checked("a", False).flag("known").status == "fail"
+    flagged_first = Report("a").flag("known")
+    flagged_first.expect(False)
+    assert flagged_first.status == "fail"
+
+
+def test_expect_counts_every_instance_and_renders_only_a_failure():
+    class Loud:
+        def __str__(self):
+            raise AssertionError("a passing check rendered its sides")
+
+    report = Report("a")
+    assert report.expect(True, lhs=Loud(), rhs=Loud()) is True
+    assert report.expect(False, identity="x", lhs=3, rhs=[1, 2], k=4) is False
+    assert report.checks == 2
+    assert report.mismatches == [{"identity": "x", "lhs": "3", "rhs": "[1, 2]", "k": 4}]
+    assert report.to_dict()["checks"] == 2
 
 
 def test_merge_combines_the_same_way():
-    passing, flagged = Report("p"), Report("f").flag("known")
+    passing, flagged = checked("p", True), checked("f", True, True).flag("known")
     # a merged mismatch names its sub-check and context; its own keys win
-    failing = Report("x", context={"n": 12, "k": 0}).fail(k=3).flag("also")
-    assert merge_reports("m", []).status == "pass"
+    failing = Report("x", context={"n": 12, "k": 0})
+    failing.expect(False, k=3)
+    failing.flag("also")
+    assert merge_reports("m", []).status == "empty"
+    assert merge_reports("m", [Report("a"), Report("b")]).status == "empty"
     assert merge_reports("m", [passing]).status == "pass"
     assert merge_reports("m", [passing, flagged]).status == "flagged"
     merged = merge_reports("m", [flagged, failing, passing], {"n": 6})
     assert merged.status == "fail"
+    assert merged.checks == 4
     assert merged.mismatches == [{"check": "x", "n": 12, "k": 3}]
     assert merged.flags == ["known", "also"]
     assert merged.to_dict()["status"] == "fail" and merged.context == {"n": 6}
+
+
+class TestCounts:
+    """Each identity instance is one check, so the counts can be worked out by hand."""
+
+    def test_cyclotomic_suite_checks_three_identities_per_conductor(self):
+        for nmax in (1, 7):
+            assert suite_cyclotomic(SuiteConfig(nmax=nmax)).checks == 3 * nmax
+
+    def test_fourier_suite_checks_both_directions_per_trial(self):
+        assert suite_fourier(SuiteConfig(nmax=6, trials=2)).checks == 2 * 6 * 2
+
+    def test_a_fourier_suite_without_trials_is_not_a_pass(self):
+        report = suite_fourier(SuiteConfig(nmax=6, trials=0))
+        assert report.checks == 0 and report.status == "empty"
+
+    def test_totient_pairing_checks_four_identities_per_exponent(self):
+        z = ZetaProduct(6, {1: -1, 2: 1, 3: 2, 6: -1})
+        report = check_totient_pairing(z, range(-2, 4))
+        assert report.checks == 4 * 6 and report.status == "pass"
+
+    def test_eta_forms_check_three_closed_forms(self):
+        assert check_eta_forms(catalog_get("E_6").zeta_product(), 40).checks == 3
