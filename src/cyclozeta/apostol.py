@@ -156,7 +156,8 @@ def weighted_geometric_sum(n: int, b: int, c: int, r: int, alternating: bool = F
         sign, P, scale = 1, apostol_bernoulli(r + 1), Fraction(b**r, r + 1)
     lhs = PolynomialQ([sign**i * (b * i + c) ** r for i in range(n + 1)])
     rhs = scale * (sign**n * PolynomialQ.monomial(n + 1) * P.numerator(x1) - sign * P.numerator(x0))
-    report.expect(lhs * _base(P.family, 1, P.den_power) == rhs, lhs=lhs, rhs=rhs)
+    cleared = lhs * _base(P.family, 1, P.den_power)
+    report.expect(cleared == rhs, lhs=cleared, rhs=rhs)
     return report
 
 

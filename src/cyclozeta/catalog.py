@@ -181,7 +181,7 @@ def verify_entry(entry: CatalogEntry) -> Report:
     report = Report("catalog-entry", context={"name": entry.name, "n": entry.n})
     n = entry.n
     bad_m = [d for d in entry.m_line if n % d != 0]
-    if not report.expect(not bad_m, error=f"m-line exponents {bad_m} do not divide {n}"):
+    if not report.expect(not bad_m, identity="m-line divides n", exponents=bad_m):
         return report
     implied = {d: v for d, v in root_weights(entry.zeta_product(), "p").items() if v}
     problems = []
@@ -221,10 +221,10 @@ def expected_anomalies() -> tuple[str, ...]:
     return _EXPECTED_ANOMALIES
 
 
-def verify_catalog(max_family_rank: int = 12) -> list[Report]:
+def verify_catalog() -> list[Report]:
     """:func:`verify_all`, the dual-pair search, and one check that the
     flagged entries are exactly the expected anomalies."""
-    reports = verify_all(max_family_rank)
+    reports = verify_all()
     found = sorted(r.context["name"] for r in reports if r.status == "flagged")
     expected = sorted(expected_anomalies())
     anomalies = Report("anomaly-set")
@@ -244,7 +244,7 @@ def saito_dual_pairs() -> Report:
     for entry in entries():
         z = entry.zeta_product()
         star = saito_transform(z)
-        report.expect(saito_transform(star) == z, error=f"transform is not an involution on {entry.name}")
+        report.expect(saito_transform(star) == z, identity="involution", entry=entry.name)
         negated = ZetaProduct(z.n, {d: -v for d, v in star.e.items()})
         table.append(
             {

@@ -26,7 +26,7 @@ from .dirichlet import (
     zeta_series,
 )
 from .exactpoly import PowerSeriesQ
-from .report import json_safe, merge_reports
+from .report import json_safe
 from .verify import SCOPE_SUITES, SuiteConfig, run_scope, summarize
 from .zetaprod import (
     ZetaParseError,
@@ -216,11 +216,10 @@ def _cmd_catalog(args) -> int:
         if args.name:
             reports = [catalog_mod.verify_entry(_catalog_entry(args.name))]
         else:
-            reports = catalog_mod.verify_catalog(max_family_rank=12)
-        failures = [r for r in reports if r.status not in ("pass", "flagged")]
-        merged = merge_reports("catalog", reports)
+            reports = catalog_mod.verify_catalog()
+        summary = summarize(reports)
         if args.format == "json":
-            _emit(args, "catalog", merged.status, {"reports": [r.to_dict() for r in reports]})
+            _emit(args, "catalog", summary["status"], {"reports": [r.to_dict() for r in reports]})
         else:
             for r in reports:
                 name = r.context.get("name", r.check)
@@ -229,8 +228,8 @@ def _cmd_catalog(args) -> int:
                     print(f"          flag: {f}")
                 for mm in r.mismatches:
                     print(f"          mismatch: {mm}")
-            print(f"status: {merged.status}  flags: {len(merged.flags)}  failures: {len(failures)}")
-        return 1 if failures else 0
+            print(f"status: {summary['status']}  flags: {summary['flags']}  failures: {summary['failures']}")
+        return 1 if summary["failures"] else 0
     raise ValueError(f"unknown catalog action {args.action!r}")
 
 

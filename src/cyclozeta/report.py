@@ -45,6 +45,11 @@ class Report:
             return "empty"
         return "flagged" if self.flags else "pass"
 
+    @property
+    def failed(self) -> bool:
+        """Whether this report fails a run: every status but pass and flagged."""
+        return self.status not in ("pass", "flagged")
+
     def expect(self, ok: bool, **details) -> bool:
         """Count one identity instance; when ok is false, record details as a
         mismatch, its lhs and rhs rendered by str.  Returns ok."""

@@ -3,6 +3,7 @@
 import pytest
 
 from cyclozeta.catalog import (
+    CatalogEntry,
     a_family,
     coxeter_exponents,
     d_family,
@@ -69,6 +70,11 @@ class TestConsistency:
         assert rep.status == "flagged"
         assert "4 does not divide 6" in rep.flags[0]
         assert "d=3" in rep.flags[0]
+
+    def test_an_m_line_exponent_off_the_divisors_fails_naming_it(self):
+        rep = verify_entry(CatalogEntry("bad", 6, {1: 1, 4: 1}, {}, "test"))
+        assert rep.status == "fail" and rep.checks == 1
+        assert rep.mismatches == [{"identity": "m-line divides n", "exponents": [4]}]
 
     def test_rank_four_expansion(self):
         a4 = get("A_4")

@@ -28,6 +28,13 @@ def test_status_rules():
     assert flagged_first.status == "fail"
 
 
+def test_only_pass_and_flagged_leave_a_run_passing():
+    assert Report("a").failed
+    assert checked("a", True, False).failed
+    assert not checked("a", True).failed
+    assert not checked("a", True).flag("known").failed
+
+
 def test_expect_counts_every_instance_and_renders_only_a_failure():
     class Loud:
         def __str__(self):
