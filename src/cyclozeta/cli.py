@@ -4,30 +4,22 @@ Inputs use the grammar ``n=<int>; e={d:v,...}`` (whitespace-insensitive, all
 divisors of n required) or the equivalent JSON object {"n": ..., "e": {...}}.
 Exit codes: 0 for pass (documented flags allowed), 1 for a verification
 failure, 2 for usage or parse errors and for input above the size contract
-(:data:`MAX_N`, :data:`MAX_DEGREE`, :data:`MAX_ORDER`).  All randomness flows
-from --seed, and output for a fixed seed and sizes is byte-identical across
-runs.
+(:data:`MAX_N`, :data:`MAX_DEGREE`, :data:`MAX_ORDER`), 141 when the reader
+closes stdout early (``| head``).  All randomness flows from --seed, and
+output for a fixed seed and sizes is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
-from . import catalog as catalog_mod
 from .arith import divisors, euler_phi
-from .dirichlet import (
-    g_transforms,
-    mobius_series,
-    ps_g_transforms,
-    unit_series,
-    zeta_series,
-)
 from .exactpoly import PowerSeriesQ
 from .report import json_safe
-from .verify import SCOPE_SUITES, SuiteConfig, run_scope, summarize
 from .zetaprod import (
     ZetaParseError,
     ZetaProduct,
@@ -43,7 +35,12 @@ from .zetaprod import (
     to_rational_function,
 )
 
-_SERIES_MAKERS = {"zeta": zeta_series, "unit": unit_series, "mobius": mobius_series}
+# The choices of ``verify`` and ``series --G``, spelled out so that building
+# the parser imports neither ``verify`` nor ``dirichlet``: each command
+# imports only the modules it runs.  They are sorted(verify.SCOPE_SUITES)
+# and sorted(dirichlet.SERIES_MAKERS).
+SCOPES = ("all", "catalog", "eta", "example", "prop", "weights")
+SERIES_G = ("mobius", "unit", "zeta")
 
 _SHOWN_MISMATCHES = 5
 
@@ -161,12 +158,14 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from . import dirichlet
+
     z = _read_product(args.input, order=args.order)
     which = args.which
     payload = {"n": z.n, "order": args.order, "kind": args.kind}
     if args.kind == "dirichlet":
-        G = _SERIES_MAKERS[args.G](args.order)
-        t = g_transforms(z, G)
+        G = dirichlet.SERIES_MAKERS[args.G](args.order)
+        t = dirichlet.g_transforms(z, G)
         table = {"m": t.m, "p": t.p, "mstar": t.mstar, "pstar": t.pstar}
         payload["G"] = args.G
         for key in (["m", "p", "mstar", "pstar"] if which == "all" else [which]):
@@ -176,7 +175,7 @@ def _cmd_series(args) -> int:
         if which in ("mstar", "pstar"):
             raise ValueError(f"--kind power has only the m and p transforms, not {which!r}")
         g = PowerSeriesQ([0] + [1] * (args.order - 1), args.order)
-        m_ps, p_ps = ps_g_transforms(z, g)
+        m_ps, p_ps = dirichlet.ps_g_transforms(z, g)
         table = {"m": m_ps, "p": p_ps}
         for key in (["m", "p"] if which == "all" else [which]):
             payload[key] = [str(c) if not isinstance(c, int) else c for c in table[key].coeffs]
@@ -184,8 +183,10 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _catalog_entry(name: str) -> catalog_mod.CatalogEntry:
+def _catalog_entry(name: str):
     """A catalog entry by name, refused if its conductor is above the size contract."""
+    from . import catalog as catalog_mod
+
     entry = catalog_mod.get(name)
     if refusal := size_error(entry.n):
         raise ValueError(f"{entry.name}: {refusal}")
@@ -193,6 +194,8 @@ def _catalog_entry(name: str) -> catalog_mod.CatalogEntry:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as catalog_mod
+
     if args.action == "list":
         payload = {
             "entries": [
@@ -213,11 +216,13 @@ def _cmd_catalog(args) -> int:
         _emit(args, "catalog", "pass", _catalog_entry(args.name).to_json_dict())
         return 0
     if args.action == "verify":
+        from . import verify
+
         if args.name:
             reports = [catalog_mod.verify_entry(_catalog_entry(args.name))]
         else:
             reports = catalog_mod.verify_catalog()
-        summary = summarize(reports)
+        summary = verify.summarize(reports)
         if args.format == "json":
             _emit(args, "catalog", summary["status"], {"reports": [r.to_dict() for r in reports]})
         else:
@@ -234,7 +239,9 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(
+    from . import verify
+
+    cfg = verify.SuiteConfig(
         seed=args.seed,
         nmax=args.nmax,
         order=args.order,
@@ -242,8 +249,8 @@ def _cmd_verify(args) -> int:
         ns=tuple(args.n) if args.n else None,
         index=args.index,
     )
-    reports = run_scope(args.scope, cfg)
-    summary = summarize(reports)
+    reports = verify.run_scope(args.scope, cfg)
+    summary = verify.summarize(reports)
     if args.format == "json":
         doc = {
             "command": getattr(args, "_echo", f"verify {args.scope}"),
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("series", help="truncated Dirichlet or q-power-series transforms")
     p.add_argument("input")
-    p.add_argument("--G", choices=sorted(_SERIES_MAKERS), default="zeta")
+    p.add_argument("--G", choices=SERIES_G, default="zeta")
     p.add_argument("--kind", choices=("dirichlet", "power"), default="dirichlet")
     p.add_argument("--order", type=_positive_int, default=200)
     p.add_argument("--which", choices=("m", "p", "mstar", "pstar", "all"), default="all")
@@ -307,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_catalog)
 
     p = subparser("verify", help="run verification suites")
-    p.add_argument("scope", choices=sorted(SCOPE_SUITES))
+    p.add_argument("scope", choices=SCOPES)
     p.add_argument("--index", type=_int, default=None, help="proposition or example index")
     p.add_argument("--n", type=_positive_int, action="append", help="restrict to these conductors")
     p.add_argument("--nmax", type=_positive_int, default=60)
@@ -334,7 +341,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``), which is no verification
+        # failure.  Point stdout at devnull so the interpreter's final flush
+        # stays quiet, and exit 128 + SIGPIPE, as a shell reports a process
+        # that SIGPIPE killed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

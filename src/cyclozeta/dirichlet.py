@@ -162,6 +162,10 @@ def mobius_series(order: int) -> DirichletSeries:
     return DirichletSeries([mobius(k) for k in range(1, order + 1)])
 
 
+# the series G that ``cyclozeta series --G`` offers, by name
+SERIES_MAKERS = {"zeta": zeta_series, "unit": unit_series, "mobius": mobius_series}
+
+
 def divisor_polynomial(coeffs: Mapping[int, object], order: int) -> DirichletSeries:
     """Finite Dirichlet polynomial with the given support."""
     require_int_keys(coeffs)

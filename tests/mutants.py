@@ -39,6 +39,7 @@ VERIFY = "src/cyclozeta/verify.py"
 APOSTOL = "src/cyclozeta/apostol.py"
 WEIGHTS = "src/cyclozeta/weights.py"
 REPORT = "src/cyclozeta/report.py"
+PACKAGE = "src/cyclozeta/__init__.py"
 LAWS = "tests/test_exactpoly_laws.py"
 POLY = "tests/test_exactpoly.py"
 EVEN = "tests/test_arith.py::TestDivisorMapAtResidues"
@@ -248,6 +249,20 @@ MUTANTS = [
      "tests/test_cli.py::TestCatalogCommand::test_verify_fails_when_the_flagged_set_is_not_the_expected_one"),
     (APOSTOL, "cleared = lhs * _base(P.family, 1, P.den_power)\n", "cleared = lhs * _base(P.family, 1, P.den_power + 1)\n",
      "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
+    # each command imports only what it runs: the lazy package namespace,
+    # the CLI's per-command imports and literal choices, and a closed stdout
+    (PACKAGE, '"Report": "report",', '"Report": "zetaprod",',
+     "tests/test_imports.py::TestLazyNamespace::test_each_name_comes_from_the_module_that_defines_it"),
+    (PACKAGE, "    if name != module:\n", "    if True:\n",
+     "tests/test_imports.py::TestLazyNamespace::test_a_fresh_interpreter_lists_and_resolves_every_name"),
+    (PACKAGE, "return sorted(set(globals()) | set(__all__))", "return sorted(globals())",
+     "tests/test_imports.py::TestLazyNamespace::test_a_fresh_interpreter_lists_and_resolves_every_name"),
+    (CLI, "from .report import json_safe\n", "from .report import json_safe\nfrom . import verify\n",
+     "tests/test_imports.py::TestImportFootprint::test_the_package_and_the_cli_load_only_the_core"),
+    (CLI, '"prop", "weights")', '"prop")',
+     "tests/test_imports.py::TestLazyNamespace::test_the_cli_choices_are_the_ones_the_modules_define"),
+    (CLI, "sys.exit(141)", "sys.exit(1)",
+     "tests/test_cli.py::TestEntryPoint::test_a_closed_stdout_exits_141_without_a_traceback"),
 ]
 
 

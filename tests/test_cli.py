@@ -1,7 +1,11 @@
 """Command-line surface: grammar, JSON schema, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -357,7 +361,7 @@ class TestVerifyCommand:
         ["series", "n=3; e={1:-1,3:1}", "--order", "\u0663"],
     ])
     def test_integer_flags_refuse_non_canonical_numbers(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(cyclozeta.cli, "run_scope", lambda scope, cfg: pytest.fail("not refused"))
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg: pytest.fail("not refused"))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -412,7 +416,7 @@ class TestVerifyCommand:
         report = Report("stub-suite")
         for k in range(7):
             report.expect(False, k=k)
-        monkeypatch.setattr(cyclozeta.cli, "run_scope", lambda scope, cfg: [report])
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg: [report])
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 1
         assert out.count("mismatch:") == 5
@@ -421,7 +425,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_suite_that_checked_nothing_fails_the_run(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(cyclozeta.cli, "run_scope", lambda scope, cfg: [Report("stub")])
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg: [Report("stub")])
         code, out, _ = run_cli(capsys, "--format", fmt, "verify", "all")
         assert code == 1
         if fmt == "json":
@@ -467,3 +471,21 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
         assert exc.value.code == 2
+
+
+class TestEntryPoint:
+    def test_a_closed_stdout_exits_141_without_a_traceback(self):
+        """``cyclozeta ... | head -1`` is no verification failure (exit 1)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        e = ",".join(f"{d}:{(-1) ** i}" for i, d in enumerate(divisors(360)))
+        # about 150 kB of JSON, more than a pipe holds, so the command is
+        # still writing when its reader goes away
+        argv = [sys.executable, "-m", "cyclozeta.cli", "--format", "json", "series", f"n=360; e={{{e}}}",
+                "--order", "4000"]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err, err.decode()
