@@ -259,7 +259,7 @@ def _cmd_verify(args) -> int:
             "summary": summary,
         }
         if args.scope == "example":
-            doc["examples"] = [d for r in reports for d in getattr(r, "example_docs", [])]
+            doc["examples"] = [d for r in reports for d in r.example_docs]
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for r in reports:

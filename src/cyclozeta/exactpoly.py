@@ -605,8 +605,9 @@ def expand(f, order: int) -> PowerSeriesQ:
 # cyclotomic and necklace polynomials
 
 
-def binomial_product(pairs: Iterable[tuple[int, int]]) -> PolynomialQ:
-    """The product of (q**c - 1)**a over the pairs (c, a), a of either sign.
+def binomial_product(pairs: Iterable[tuple[int, int]], start: PolynomialQ | None = None) -> PolynomialQ:
+    """The product of (q**c - 1)**a over the pairs (c, a), a of either sign,
+    times the polynomial ``start`` (1 when it is None), as for ``math.prod``.
 
     The exponents of a repeated c add up first, so (c, a) and (c, -a) cancel.
     Each binomial multiplies by one shift-and-subtract; only after every
@@ -618,7 +619,7 @@ def binomial_product(pairs: Iterable[tuple[int, int]]) -> PolynomialQ:
         if c < 1:
             raise ValueError(f"binomial_product: need c >= 1, got {c}")
         a[c] = a.get(c, 0) + k
-    out = [1]
+    out = [1] if start is None else list(start.coeffs)
     for c, ac in a.items():
         for _ in range(ac):
             out = [x - y for x, y in zip([0] * c + out, out + [0] * c)]
@@ -634,15 +635,17 @@ def binomial_product(pairs: Iterable[tuple[int, int]]) -> PolynomialQ:
     return PolynomialQ(out)
 
 
-def cyclotomic_product(exponents: Mapping[int, int]) -> PolynomialQ:
-    """The product of Phi_d**k over the items (d, k) of ``exponents``, k >= 0.
+def cyclotomic_product(exponents: Mapping[int, int], start: PolynomialQ | None = None) -> PolynomialQ:
+    """The product of Phi_d**k over the items (d, k) of ``exponents``, times
+    the polynomial ``start`` (1 when it is None).
 
     Phi_d is the product of (q**c - 1)**mu(d/c) over c | d, so this is the
     :func:`binomial_product` of the pairs (c, mu(d/c) k).  A negative k
-    raises :class:`ExactDivisionError` (the Phi_d are coprime, so Phi_d**k
-    with k < 0 is never a polynomial factor).
+    means exact division of ``start`` by Phi_d**(-k); a remainder raises
+    :class:`ExactDivisionError`.  Without ``start`` a negative k always
+    raises: the Phi_d are coprime, so none divides the others' product.
     """
-    return binomial_product((c, mobius(d // c) * k) for d, k in exponents.items() for c in divisors(d))
+    return binomial_product(((c, mobius(d // c) * k) for d, k in exponents.items() for c in divisors(d)), start)
 
 
 @lru_cache(maxsize=None)

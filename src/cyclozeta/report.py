@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -19,21 +18,25 @@ def json_safe(value):
     return str(value)
 
 
-@dataclass
 class Report:
     """Outcome of one identity check or verification sweep.
 
     checks counts the identity instances checked; mismatches carry enough
     data to reproduce the first failure; flags are known, documented
-    discrepancies.
+    discrepancies.  example_docs holds the per-example JSON documents of
+    ``verify example``; it is not part of :meth:`to_dict`.
     """
 
-    check: str
-    context: dict = field(default_factory=dict)
-    mismatches: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    checks: int = 0
+    __slots__ = ("check", "context", "mismatches", "flags", "notes", "checks", "example_docs")
+
+    def __init__(self, check: str, context: dict | None = None):
+        self.check = check
+        self.context = {} if context is None else context
+        self.mismatches: list = []
+        self.flags: list = []
+        self.notes: list = []
+        self.checks = 0
+        self.example_docs: list = []
 
     @property
     def status(self) -> str:

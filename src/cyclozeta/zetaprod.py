@@ -282,16 +282,10 @@ def to_rational_function(z: ZetaProduct) -> RationalFunctionQ:
     is already in lowest terms.
     """
     n = z.n
-    num, den = _cyclotomic_fraction({d: sum(z.e[dp] for dp in divisors(n) if dp % d == 0) for d in divisors(n)})
+    exponents = {d: sum(z.e[dp] for dp in divisors(n) if dp % d == 0) for d in divisors(n)}
+    num = cyclotomic_product({d: k for d, k in exponents.items() if k > 0})
+    den = cyclotomic_product({d: -k for d, k in exponents.items() if k < 0})
     return RationalFunctionQ(num, den, _normalized=True)
-
-
-def _cyclotomic_fraction(exponents: Mapping[int, int]) -> tuple[PolynomialQ, PolynomialQ]:
-    """(product of Phi_d**k over k > 0, product of Phi_d**(-k) over k < 0)."""
-    return (
-        cyclotomic_product({d: k for d, k in exponents.items() if k > 0}),
-        cyclotomic_product({d: -k for d, k in exponents.items() if k < 0}),
-    )
 
 
 def expand_divisor_product(z: ZetaProduct) -> tuple[PolynomialQ, PolynomialQ]:
@@ -433,12 +427,15 @@ def lambert_form(a: DivisorMap) -> RationalFunctionQ:
     root of unity the value sum of a(n/d) c_d(n/c) over d | n, the
     Fourier-Ramanujan transform :func:`dft_power_sums` at n/c.  So Phi_c
     cancels exactly when that value is 0; the other Phi_c form the monic
-    denominator.
+    denominator.  The numerator -A(q) is divided by the cancelled Phi_c
+    through :func:`cyclotomic_product`, one binomial q**c - 1 at a time.
     """
     n = a.n
     at_roots = dft_power_sums(a)
-    kept, cancelled = _cyclotomic_fraction({c: 1 if at_roots[n // c] else -1 for c in divisors(n)})
-    return RationalFunctionQ(-PolynomialQ(a.residues()).exact_div(cancelled), kept, _normalized=True)
+    divs = divisors(n)
+    num = cyclotomic_product({c: -1 for c in divs if not at_roots[n // c]}, start=-PolynomialQ(a.residues()))
+    kept = cyclotomic_product({c: 1 for c in divs if at_roots[n // c]})
+    return RationalFunctionQ(num, kept, _normalized=True)
 
 
 def lambert_polynomial(n: int, w: Mapping[int, object]) -> PolynomialQ:

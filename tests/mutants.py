@@ -63,7 +63,7 @@ MUTANTS = [
      "tests/test_zetaprod.py::TestFourier::test_dft_power_sums"),
     (ZETAPROD, "_ramanujan_synthesis(a, a.n)", "_ramanujan_synthesis(a)",
      "tests/test_zetaprod.py::TestFourier::test_reconstruction_of_multiplicities"),
-    (ZETAPROD, "1 if at_roots[n // c] else -1", "1 if at_roots[c] else -1",
+    (ZETAPROD, "if not at_roots[n // c]}, start", "if not at_roots[c]}, start",
      "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_is_the_partial_fraction_sum"),
     (ZETAPROD, ", parse_int=_refuse_minus_zero", "",
      "tests/test_cli.py::TestDualAndSeries::test_json_input_refuses_minus_zero"),
@@ -214,7 +214,7 @@ MUTANTS = [
      "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
     (ZETAPROD, "sum(p(n // d) * Z[d] for d in divs) == sum((n // d) * z.e[n // d] * X[d] for d in divs)", "True",
      "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
-    (ZETAPROD, "RationalFunctionQ(-PolynomialQ(a.residues())", "RationalFunctionQ(PolynomialQ(a.residues())",
+    (ZETAPROD, "start=-PolynomialQ(a.residues())", "start=PolynomialQ(a.residues())",
      "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_is_the_partial_fraction_sum"),
     (EXACTPOLY, "for i in range(len(r) - 1, db - 1, -1):", "for i in range(len(r) - 1, db, -1):",
      f"{POLY}::TestPolynomialQ::test_divmod_and_exact_division"),
@@ -263,6 +263,19 @@ MUTANTS = [
      "tests/test_imports.py::TestLazyNamespace::test_the_cli_choices_are_the_ones_the_modules_define"),
     (CLI, "sys.exit(141)", "sys.exit(1)",
      "tests/test_cli.py::TestEntryPoint::test_a_closed_stdout_exits_141_without_a_traceback"),
+    # Lambert numerators divided through binomial_product's start; Report a
+    # plain class, and the CLI core without dataclasses
+    (EXACTPOLY, "out = [1] if start is None else list(start.coeffs)", "out = [1]",
+     f"{BINOMIAL}::test_start_multiplies_the_product"),
+    (ZETAPROD, "if not at_roots[n // c]}, start", "if at_roots[n // c]}, start",
+     "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_equals_the_schoolbook_division_it_replaces"),
+    (REPORT, "None = None):\n        self.check = check\n        self.context = {} if context is None else context\n"
+     "        self.mismatches: list = []\n",
+     "None = None, mismatches: list = []):\n        self.check = check\n"
+     "        self.context = {} if context is None else context\n        self.mismatches: list = mismatches\n",
+     "tests/test_report.py::test_reports_never_share_a_container"),
+    (REPORT, "from fractions import Fraction\n", "from dataclasses import dataclass\nfrom fractions import Fraction\n",
+     "tests/test_imports.py::TestImportFootprint::test_the_cli_core_loads_neither_dataclasses_nor_inspect"),
 ]
 
 

@@ -184,6 +184,39 @@ class TestBinomialProduct:
             with pytest.raises(ValueError):
                 binomial_product(pairs)
 
+    def test_start_multiplies_the_product(self):
+        """start * product for random start polynomials, int and Fraction,
+        where the pairs divide: a start that is a multiple of the denominator
+        binomials is divided exactly."""
+        rng = random.Random(73)
+        for n in (1, 6, 12, 30):
+            divs = divisors(n)
+            for _ in range(10):
+                s = PolynomialQ([F(rng.randint(-5, 5), rng.choice((1, 1, 3))) for _ in range(rng.randint(0, 6))])
+                pairs = [(c, rng.randint(0, 2)) for c in rng.choices(divs, k=3)]
+                assert binomial_product(pairs, start=s) == s * binomial_product(pairs), (s, pairs)
+                den = [(c, -rng.randint(1, 2)) for c in rng.choices(divs, k=2)]
+                multiple = s * binomial_product([(c, -a) for c, a in den])
+                assert binomial_product(pairs + den, start=multiple) == s * binomial_product(pairs), (s, pairs, den)
+        assert binomial_product([(3, 2)], start=ZERO) == ZERO
+        assert binomial_product([(3, -2)], start=ZERO) == ZERO
+
+    def test_a_start_that_is_not_divisible_raises(self):
+        for pairs, start in (([(1, -1)], ONE), ([(2, -1)], Q + 1), ([(3, -1)], Q**3 - Q),
+                             ([(1, -2)], Q - 1), ([(6, 1), (4, -1)], Q**2 + Q + 1), ([(2, -1)], F(1, 2) * Q)):
+            with pytest.raises(ExactDivisionError):
+                binomial_product(pairs, start=start)
+
+    def test_integral_fractions_are_demoted(self):
+        """Coefficients of a Fraction start that come out integral are ints,
+        from a product ((1/2 + 3/2 q)(q - 1)) and from a quotient
+        ((1/2 + 1/2 q)(q**2 - 1) / (q - 1))."""
+        got = binomial_product([(1, 1)], start=PolynomialQ([F(1, 2), F(3, 2)]))
+        assert got.coeffs == (F(-1, 2), -1, F(3, 2)) and type(got.coeffs[1]) is int
+        got = binomial_product([(1, -1)], start=PolynomialQ([F(1, 2), F(1, 2)]) * (Q**2 - 1))
+        assert got.coeffs == (F(1, 2), 1, F(1, 2)) and type(got.coeffs[1]) is int
+        got = binomial_product([(2, 1), (1, -1)], start=PolynomialQ([F(1, 2), F(1, 2)]))
+        assert got.coeffs == (F(1, 2), 1, F(1, 2)) and type(got.coeffs[1]) is int
 
 class TestCyclotomicProduct:
     def test_equals_the_written_out_product_of_cyclotomic_powers(self):

@@ -30,16 +30,20 @@ def run_fresh(script: str) -> str:
     return proc.stdout
 
 
-def loaded_after(*argvs: list[str]) -> set[str]:
-    """The package modules that a fresh interpreter has loaded after
-    ``import cyclozeta, cyclozeta.cli`` and the CLI commands ``argvs``."""
+def loaded_after(*argvs: list[str], watch: tuple[str, ...] = ("cyclozeta",)) -> set[str]:
+    """The modules under the top-level names ``watch`` that a fresh
+    interpreter has loaded after ``import cyclozeta, cyclozeta.cli`` and the
+    CLI commands ``argvs``; none of them may be loaded before the import."""
     return set(run_fresh(
-        "import contextlib, io, sys\n"
+        "import sys\n"
+        f"watch = {watch!r}\n"
+        "assert not [m for m in sys.modules if m.partition('.')[0] in watch], 'loaded before the import'\n"
+        "import contextlib, io\n"
         "import cyclozeta, cyclozeta.cli\n"
         f"for argv in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cyclozeta.cli.main(argv) == 0, argv\n"
-        "print(' '.join(m for m in sys.modules if m.partition('.')[0] == 'cyclozeta'))\n"
+        "print(' '.join(m for m in sys.modules if m.partition('.')[0] in watch))\n"
     ).split())
 
 
@@ -50,6 +54,13 @@ class TestImportFootprint:
     def test_analyze_and_dual_load_nothing_more(self):
         product = "n=12; e={1:1,2:-1,3:0,4:2,6:-1,12:1}"
         assert loaded_after(["analyze", product], ["dual", product]) == CLI_CORE
+
+    def test_the_cli_core_loads_neither_dataclasses_nor_inspect(self):
+        """Neither is loaded by ``site`` (asserted before the import), so the
+        CLI core, analyze and dual would be the ones to load them."""
+        product = "n=12; e={1:1,2:-1,3:0,4:2,6:-1,12:1}"
+        argvs = (["analyze", product], ["--format", "json", "analyze", product], ["dual", product])
+        assert loaded_after(*argvs, watch=("dataclasses", "inspect")) == set()
 
     def test_a_power_series_adds_only_dirichlet(self):
         argv = ["series", "n=6; e={1:-1,2:1,3:1,6:-1}", "--kind", "power", "--order", "20"]

@@ -66,6 +66,25 @@ def test_merge_combines_the_same_way():
     assert merged.to_dict()["status"] == "fail" and merged.context == {"n": 6}
 
 
+def test_reports_never_share_a_container():
+    first, second = Report("a"), Report("b")
+    first.expect(False, k=1)
+    first.flag("known").note("seen")
+    first.context["n"] = 6
+    first.example_docs.append({"index": 1})
+    assert (second.mismatches, second.flags, second.notes, second.context, second.example_docs) == ([], [], [], {}, [])
+    assert second.checks == 0 and second.status == "empty"
+
+
+def test_context_is_kept_as_given_and_example_docs_stay_out_of_the_dict():
+    context = {"n": 12}
+    report = Report("a", context=context)
+    assert report.context is context
+    assert report.example_docs == []
+    report.example_docs.append({"index": 1})
+    assert set(report.to_dict()) == {"check", "status", "checks", "context", "mismatches", "flags", "notes"}
+
+
 class TestCounts:
     """Each identity instance is one check, so the counts can be worked out by hand."""
 
