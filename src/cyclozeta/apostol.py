@@ -78,9 +78,6 @@ class ApostolPoly:
             num = num.substitute_power(power)
         return num
 
-    def evaluate(self, x0, power: int = 1) -> RationalFunctionQ:
-        return RationalFunctionQ(self.numerator(x0, power), _base(self.family, power, self.den_power))
-
     def __repr__(self):
         tag = "B" if self.family == "bernoulli" else "E"
         return f"ApostolPoly({tag}_{self.index}, x-degree {self.x_degree})"

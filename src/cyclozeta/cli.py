@@ -249,7 +249,10 @@ def _cmd_verify(args) -> int:
         ns=tuple(args.n) if args.n else None,
         index=args.index,
     )
-    reports = verify.run_scope(args.scope, cfg)
+    timings = {} if args.timings else None
+    reports = verify.run_scope(args.scope, cfg, timings)
+    for name, seconds in (timings or {}).items():
+        print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)
     summary = verify.summarize(reports)
     if args.format == "json":
         doc = {
@@ -321,14 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_positive_int, default=200)
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=_int, default=42)
+    p.add_argument("--timings", action="store_true", help="write each suite's wall time to stderr")
     p.set_defaults(func=_cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._echo = "cyclozeta " + " ".join(argv if argv is not None else sys.argv[1:])
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
+    # --timings writes to stderr only, so the echoed command leaves it out
+    # and stdout stays byte-identical with and without it
+    args._echo = "cyclozeta " + " ".join(a for a in argv if a != "--timings")
     try:
         return args.func(args)
     except ZetaParseError as exc:

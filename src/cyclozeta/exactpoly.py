@@ -285,11 +285,6 @@ ONE = PolynomialQ.constant(1)
 Q = PolynomialQ.monomial(1)
 
 
-def q_integer(m: int) -> PolynomialQ:
-    """1 + q + ... + q**(m-1)."""
-    return PolynomialQ([1] * m)
-
-
 # ---------------------------------------------------------------------------
 # gcd over the rationals (primitive remainder sequence on integer clears)
 

@@ -10,6 +10,7 @@ do not fail a run.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -412,8 +413,9 @@ _PROP_INDEX_SUITE = {
 }
 
 
-def run_scope(scope: str, cfg: SuiteConfig) -> list[Report]:
-    """Run the suites of one scope in canonical order."""
+def run_scope(scope: str, cfg: SuiteConfig, timings: dict[str, float] | None = None) -> list[Report]:
+    """Run the suites of one scope in canonical order; each suite's wall time
+    in seconds goes into ``timings`` when it is given."""
     if scope not in SCOPE_SUITES:
         raise ValueError(f"unknown scope {scope!r}")
     names = SCOPE_SUITES[scope]
@@ -424,7 +426,13 @@ def run_scope(scope: str, cfg: SuiteConfig) -> list[Report]:
             raise ValueError(f"prop index must be 1..9, got {cfg.index}")
         names = [_PROP_INDEX_SUITE[cfg.index]]
     table = dict(SUITES)
-    return [table[name](cfg) for name in names]
+    reports = []
+    for name in names:
+        start = time.perf_counter()
+        reports.append(table[name](cfg))
+        if timings is not None:
+            timings[name] = time.perf_counter() - start
+    return reports
 
 
 def summarize(reports: list[Report]) -> dict:

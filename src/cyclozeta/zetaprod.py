@@ -36,6 +36,8 @@ from .arith import (
     div_exact,
     divisor_sums,
     divisors,
+    euler_phi,
+    factorize,
     mobius_inversion,
     ramanujan_sum,
     rational_power,
@@ -182,14 +184,6 @@ def _refuse_repeated_keys(pairs) -> dict:
     return obj
 
 
-def zeta_product_from_json(obj: Mapping) -> ZetaProduct:
-    """The JSON mirror {"n": <int>, "e": {"<d>": <int>, ...}}; like the text
-    grammar it refuses exponents that are not integers (booleans included),
-    and it takes divisors only as :meth:`ZetaProduct.to_json_dict` writes
-    them, in decimal without sign, padding or leading zeros."""
-    return ZetaProduct(*_json_fields(obj))
-
-
 def _json_fields(obj: Mapping) -> tuple[int, dict[int, int]]:
     for field in ("n", "e"):
         if field not in obj:
@@ -299,55 +293,63 @@ def expand_divisor_product(z: ZetaProduct) -> tuple[PolynomialQ, PolynomialQ]:
     return num, den
 
 
-def _division_count(p: PolynomialQ, f: PolynomialQ) -> int:
-    count = 0
-    while not p.is_zero:
-        quo, rem = divmod(p, f)
-        if not rem.is_zero:
-            break
-        p = quo
-        count += 1
-    return count
+@lru_cache(maxsize=None)
+def _primitive_root_tests(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(d, phi(d), the d/p for the primes p | d) for each d | n."""
+    return tuple((d, euler_phi(d), tuple(d // p for p, _ in factorize(d))) for d in divisors(n))
 
 
-def _cyclotomic_valuation(p: PolynomialQ, d: int, deg: int, low: list[tuple[int, int]]) -> int:
-    # the least j whose Hasse derivative sum_k C(k, j) a_k q**(k - j) is
-    # non-zero mod Phi_d: folded mod q**d - 1 first, then reduced mod the
-    # monic Phi_d of degree deg, whose non-zero lower coefficients are the
-    # (k, c) pairs of low.  A non-zero p has one by j = deg p, where the
-    # derivative is its leading coefficient.
-    cs = p.coeffs
-    for j in range(len(cs)):
-        folded = [0] * d
-        for k in range(j, len(cs)):
-            if cs[k]:
-                folded[(k - j) % d] += math.comb(k, j) * cs[k]
-        for i in range(d - 1, deg - 1, -1):
-            if t := folded[i]:
-                for k, c in low:
-                    folded[i - deg + k] -= t * c
-        if any(folded[:deg]):
-            return j
-    return 0
+def _vanishes_at_primitive_root(h: list, d: int, shifts: tuple[int, ...]) -> bool:
+    # fold h mod q**d - 1, then multiply by each q**s - 1, s = d/p, mod
+    # q**d - 1: one rotate-and-subtract per prime p | d
+    f = [sum(h[r::d]) for r in range(d)]
+    for s in shifts:
+        f = [a - b for a, b in zip(f[-s:] + f[:-s], f)]
+    return not any(f)
+
+
+def _cyclotomic_valuations(p: PolynomialQ, n: int) -> dict[int, int]:
+    top = p.degree
+    # derivatives[j] is the j-th derivative of p, built once from the
+    # (j - 1)-th for every d that asks for it
+    derivatives = [list(p.coeffs)]
+    out = {}
+    for d, phi, shifts in _primitive_root_tests(n):
+        j = 0
+        while (j + 1) * phi <= top:
+            if j == len(derivatives):
+                derivatives.append([k * c for k, c in enumerate(derivatives[-1][1:], 1)])
+            if not _vanishes_at_primitive_root(derivatives[j], d, shifts):
+                break
+            j += 1
+        out[d] = j
+    return out
 
 
 def cyclotomic_exponents(f: RationalFunctionQ, n: int) -> DivisorMap:
     """Exponent of each cyclotomic factor of f among indices dividing n.
 
     The exponent of Phi_d in a polynomial P is the multiplicity of a
-    primitive d-th root of unity as a root of P: the least j such that the
-    j-th Hasse derivative of P, folded mod q**d - 1 and reduced mod Phi_d, is
-    non-zero (Phi_d is irreducible, so one root stands for all).  Each step
-    costs O(deg P + d phi(d)) instead of a division of P.  The zero
-    polynomial counts as exponent 0.
+    primitive d-th root of unity zeta as a root of P (Phi_d is irreducible,
+    so one root stands for all): the least j whose j-th derivative has
+    P^(j)(zeta) != 0.  P^(j) is j! times the j-th Hasse derivative
+    sum_k C(k, j) a_k q**(k - j), so both vanish at the same points, and it
+    is built from P^(j - 1) with one product per coefficient.  A
+    multiplicity v needs v phi(d) <= deg P, so j stops there.
+
+    P^(j)(zeta) = 0 is tested without Phi_d's coefficients.  Fold P^(j) mod
+    q**d - 1 to F, then multiply F mod q**d - 1 by the product of
+    q**(d/p) - 1 over the primes p | d, one rotate-and-subtract per prime.
+    q**d - 1 is the product of Phi_c over c | d, each once.  The product of
+    the q**(d/p) - 1 is 0 mod every Phi_c with c a proper divisor of d (c
+    divides some d/p) and a unit mod Phi_d (zeta**(d/p) != 1).  So the
+    result is zero exactly when Phi_d divides F, that is, when
+    P^(j)(zeta) = 0.  Each derivative is built once and shared by every
+    d | n; each test costs O(deg P + d omega(d)).  The zero polynomial
+    counts as exponent 0.
     """
-    out = {}
-    for d in divisors(n):
-        phi = cyclotomic(d).coeffs
-        low = [(k, c) for k, c in enumerate(phi[:-1]) if c]
-        deg = len(phi) - 1
-        out[d] = _cyclotomic_valuation(f.num, d, deg, low) - _cyclotomic_valuation(f.den, d, deg, low)
-    return DivisorMap(n, out)
+    num, den = _cyclotomic_valuations(f.num, n), _cyclotomic_valuations(f.den, n)
+    return DivisorMap(n, {d: v - den[d] for d, v in num.items()})
 
 
 def partial_zeta(z: ZetaProduct, k: int) -> RationalFunctionQ:
@@ -361,12 +363,6 @@ def partial_zeta(z: ZetaProduct, k: int) -> RationalFunctionQ:
     """
     g = math.gcd(k, z.n)
     return to_rational_function(ZetaProduct(z.n, {d: ed if g % d == 0 else 0 for d, ed in z.e.items()}))
-
-
-def root_multiplicity_at_one(f: RationalFunctionQ) -> int:
-    """Sign-counted multiplicity of the root q = 1."""
-    linear = Q - 1
-    return _division_count(f.num, linear) - _division_count(f.den, linear)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,9 @@ EXAMPLES = "tests/test_dirichlet.py::TestConvolutionExamples"
 KERNEL = "tests/test_exactpoly.py::TestCyclotomicProduct"
 BINOMIAL = "tests/test_exactpoly.py::TestBinomialProduct"
 FAMILIES = "tests/test_apostol.py::TestFamilies"
+DIVISOR_SUMS = "tests/test_arith.py::test_divisor_sums_equal_the_sum_over_each_divisor"
+REFUSALS = "tests/test_arith.py::test_divisor_map_refusals_name_the_offending_keys_and_values"
+TIMINGS = "tests/test_cli.py::TestVerifyCommand::test_timings_go_to_stderr_and_leave_stdout_byte_identical"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -71,15 +74,16 @@ MUTANTS = [
      "tests/test_dirichlet.py::TestSeriesAlgebra::test_invert_round_trip"),
     (DIRICHLET, "u = sum((m(n // d)", "u = sum((p(n // d)",
      "tests/test_dirichlet.py::TestStarSeries::test_zeta_and_mobius"),
-    # folded cyclotomic valuation
-    # (k - j) % d -> (k + j) % d is no fault: it multiplies the fold by the unit q**(2j)
-    (ZETAPROD, "for k in range(j, len(cs)):", "for k in range(j + 1, len(cs)):",
+    # cyclotomic valuation: derivatives folded mod q**d - 1, tested against
+    # the product of q**(d/p) - 1 by rotate-and-subtract; rotating the fold
+    # is no fault (it multiplies F by the unit q**k)
+    (ZETAPROD, "f = [sum(h[r::d]) for r in range(d)]", "f = [sum(h[r + 1::d]) for r in range(d)]",
      f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
-    (ZETAPROD, "math.comb(k, j) * cs[k]", "math.comb(k, j + 1) * cs[k]",
-     f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
-    (ZETAPROD, "folded[i - deg + k] -= t * c", "folded[i - deg + k + 1] -= t * c",
+    (ZETAPROD, "enumerate(derivatives[-1][1:], 1)", "enumerate(derivatives[-1][1:], 2)",
      f"{RATIONAL}::test_high_multiplicities"),
-    (ZETAPROD, "if any(folded[:deg]):", "if any(folded):", f"{RATIONAL}::test_high_multiplicities"),
+    (ZETAPROD, "enumerate(derivatives[-1][1:], 1)", "enumerate(derivatives[0][1:], 1)",
+     f"{RATIONAL}::test_high_multiplicities"),
+    (ZETAPROD, "return not any(f)", "return not any(f[1:])", f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
     # one integer Ramanujan matrix over one common denominator
     (ZETAPROD, "tuple(ramanujan_sum(d, g) for d in divs)", "tuple(ramanujan_sum(g, d) for d in divs)",
      f"{FOURIER}::test_synthesis_equals_the_written_out_sum"),
@@ -154,8 +158,7 @@ MUTANTS = [
      "tests/test_cli.py::TestVerifyCommand::test_a_merged_mismatch_names_its_sub_check"),
     (DIRICHLET, "labels.update(k=k,", "labels = dict(k=k,",
      f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity"),
-    # products of cyclotomic powers from binomials q**c - 1; the valuation
-    # reduces over the non-zero coefficients of Phi_d; h * G2 built once
+    # products of cyclotomic powers from binomials q**c - 1; h * G2 built once
     (EXACTPOLY, "(c, mobius(d // c) * k)", "(c, -mobius(d // c) * k)",
      f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
     (EXACTPOLY, "zip([0] * c + out, out + [0] * c)", "zip([0] * (c + 1) + out, out + [0] * c)",
@@ -165,8 +168,6 @@ MUTANTS = [
     (EXACTPOLY, "out = [-x for x in sums[:-c]]", "out = sums[:-c]",
      f"{BINOMIAL}::test_equals_the_written_out_product"),
     (DIRICHLET, "return G1, G2, DirichletSeries(h) * G2", "return G1, G2, G2", f"{EXAMPLES}::test_all_examples_random"),
-    (ZETAPROD, "enumerate(phi[:-1]) if c]", "enumerate(phi[:-1]) if c > 0]",
-     f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
     (VERIFY, '        sub.context["name"] = entry.name\n', "",
      "tests/test_cli.py::TestVerifyCommand::test_eta_mismatches_name_their_catalog_entry"),
     (DIRICHLET, "rhs.coefficient(k)), None)", "rhs.coefficient(k)), 0)",
@@ -276,6 +277,25 @@ MUTANTS = [
      "tests/test_report.py::test_reports_never_share_a_container"),
     (REPORT, "from fractions import Fraction\n", "from dataclasses import dataclass\nfrom fractions import Fraction\n",
      "tests/test_imports.py::TestImportFootprint::test_the_cli_core_loads_neither_dataclasses_nor_inspect"),
+    # valuations without reduction mod Phi_d, divisor sums on the divisor
+    # lattice, one exact_values pass per DivisorMap, and --timings on stderr
+    (ZETAPROD, "tuple(d // p for p, _ in factorize(d))", "tuple(d // p for p, _ in factorize(d)[1:])",
+     f"{RATIONAL}::test_exponents_equal_the_fold_and_reduce_oracle"),
+    (ZETAPROD, "while (j + 1) * phi <= top:", "while (j + 1) * phi < top:",
+     f"{RATIONAL}::test_a_power_of_one_cyclotomic_factor"),
+    (ZETAPROD, "f = [a - b for a, b in", "f = [a + b for a, b in",
+     f"{RATIONAL}::test_exponents_equal_the_fold_and_reduce_oracle"),
+    (ARITH, "        for g in divs:\n            if g % p == 0:", "        for g in reversed(divs):\n            if g % p == 0:",
+     DIVISOR_SUMS),
+    (ARITH, "    for p, _ in factorize(n):\n", "    for p, _ in factorize(n)[1:]:\n", DIVISOR_SUMS),
+    (ARITH, "s[g] = s[g] + s[g // p]", "s[g] = s[g] + w[g // p]", DIVISOR_SUMS),
+    (ARITH, "        require_int_keys(values)\n        divs = divisors(n)",
+     "        require_int_keys([k for k in values if k != 2])\n        divs = divisors(n)", REFUSALS),
+    (ARITH, "            exact_values(values.values())\n", "", REFUSALS),
+    (ARITH, "exact_values([values[d] for d in divs])", "[values[d] for d in divs]",
+     "tests/test_arith.py::test_divisor_map_values_are_exact_and_in_divisor_order"),
+    (CLI, 'print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)', 'print(f"timing: {name} {seconds:.3f} s")', TIMINGS),
+    (CLI, ' for a in argv if a != "--timings")', " for a in argv)", TIMINGS),
 ]
 
 

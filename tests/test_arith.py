@@ -20,6 +20,7 @@ from cyclozeta.arith import (
     named_function,
     ramanujan_sum,
 )
+from cyclozeta.exactpoly import PolynomialQ
 
 
 def test_divisors_examples():
@@ -113,6 +114,32 @@ def test_divisor_map_requires_full_key_set():
         DivisorMap.from_partial(6, {2: 7, 4: 1})
 
 
+DIVISOR_MAP_REFUSALS = [
+    ({1: 1, 2: 0}, ValueError, "DivisorMap keys must be exactly the divisors of 6; missing [3, 6]"),
+    ({1: 1, 2: 0, 3: 0, 6: 0, 4: 5}, ValueError, "DivisorMap keys must be exactly the divisors of 6; non-divisors [4]"),
+    ({1: 1, 2: 0, 4: 5, 12: 1}, ValueError,
+     "DivisorMap keys must be exactly the divisors of 6; missing [3, 6]; non-divisors [4, 12]"),
+    ({True: 1, 2: 0, 3: 0, 6: 0}, TypeError, "divisor keys must be ints, got [True]"),
+    ({1: 1, 2.0: 0, 3: 0, 6: 0}, TypeError, "divisor keys must be ints, got [2.0]"),
+    ({1: 1, 2: 0, 3: 0, 6: 0.5}, TypeError, "expected an exact rational, got float"),
+    # a value that is not exact is refused before a wrong key set
+    ({1: 1, 2: "0"}, TypeError, "expected an exact rational, got str"),
+]
+
+
+@pytest.mark.parametrize("values, error, message", DIVISOR_MAP_REFUSALS, ids=repr)
+def test_divisor_map_refusals_name_the_offending_keys_and_values(values, error, message):
+    with pytest.raises(error) as exc:
+        DivisorMap(6, values)
+    assert str(exc.value) == message
+
+
+def test_divisor_map_values_are_exact_and_in_divisor_order():
+    a = DivisorMap(6, {6: Fraction(4, 2), 1: Fraction(1, 2), 3: True, 2: -1})
+    assert list(a.items()) == [(1, Fraction(1, 2)), (2, -1), (3, 1), (6, 2)]
+    assert [type(v) for v in a.values.values()] == [Fraction, int, int, int]
+
+
 # each would name the divisors 1 and 2 of 2 if its keys were rounded or parsed
 NON_INT_KEYS = [{1: 0, 2.7: 1}, {1: 0, 2.0: 1}, {1: 0, "2": 1}, {True: 0, 2: 1}]
 
@@ -156,6 +183,31 @@ def test_divisor_sums_examples():
     assert divisor_sums(1, {1: 5}) == {1: 5}
     assert divisor_sums(6, {1: 1, 2: 2, 3: 3, 6: 6}) == {1: 1, 2: 3, 3: 4, 6: 12}
     assert divisor_sums(4, {1: Fraction(1, 2), 2: Fraction(1, 2), 4: 0}) == {1: Fraction(1, 2), 2: 1, 4: 1}
+
+
+def _divisor_sums_by_definition(n, w):
+    # the O(tau(n)**2) sum over the divisors of each divisor
+    return {g: sum(w[d] for d in divisors(g)) for g in divisors(n)}
+
+
+def _typed_values(sums):
+    return [(g, type(v), v) for g, v in sums.items()]
+
+
+def test_divisor_sums_equal_the_sum_over_each_divisor():
+    """The transform on the divisor lattice, one prime at a time, against
+    the plain sum over each divisor's divisors, for every n up to 5040: int
+    values, mixed int and Fraction values, and polynomial values."""
+    for n in range(1, 5041):
+        rng = random.Random(f"lattice:{n}")
+        kinds = [
+            lambda: rng.randint(-9, 9),
+            lambda: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4)))),
+            lambda: PolynomialQ([rng.randint(-3, 3) for _ in range(rng.randint(0, 3))]),
+        ]
+        for draw in kinds:
+            w = {d: draw() for d in divisors(n)}
+            assert _typed_values(divisor_sums(n, w)) == _typed_values(_divisor_sums_by_definition(n, w)), n
 
 
 def test_mobius_transform_examples():

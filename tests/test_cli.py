@@ -320,6 +320,20 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_timings_go_to_stderr_and_leave_stdout_byte_identical(self, capsys, fmt):
+        args = ("--format", fmt, "verify", "prop", "--n", "6", "--trials", "2", "--order", "40", "--seed", "5")
+        code1, out1, err1 = run_cli(capsys, *args)
+        code2, out2, err2 = run_cli(capsys, *args, "--timings")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert err1 == ""
+        lines = err2.splitlines()
+        assert len(lines) == len(cyclozeta.verify.SCOPE_SUITES["prop"])
+        for line, name in zip(lines, cyclozeta.verify.SCOPE_SUITES["prop"]):
+            label, suite, seconds, unit = line.split()
+            assert (label, suite, unit) == ("timing:", name, "s") and float(seconds) >= 0
+
     def test_json_report_schema(self, capsys):
         code, out, _ = run_cli(
             capsys, "--format", "json", "verify", "example", "--index", "2", "--n", "6",
@@ -416,7 +430,7 @@ class TestVerifyCommand:
         report = Report("stub-suite")
         for k in range(7):
             report.expect(False, k=k)
-        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg: [report])
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: [report])
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 1
         assert out.count("mismatch:") == 5
@@ -425,7 +439,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_suite_that_checked_nothing_fails_the_run(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg: [Report("stub")])
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: [Report("stub")])
         code, out, _ = run_cli(capsys, "--format", fmt, "verify", "all")
         assert code == 1
         if fmt == "json":

@@ -23,7 +23,7 @@ from cyclozeta.dirichlet import (
     unit_series,
     zeta_series,
 )
-from cyclozeta.exactpoly import PowerSeriesQ, RationalFunctionQ, expand, q_integer
+from cyclozeta.exactpoly import PolynomialQ, PowerSeriesQ, RationalFunctionQ, expand
 from cyclozeta.report import Report
 from cyclozeta.zetaprod import (
     ZetaProduct,
@@ -36,6 +36,11 @@ from cyclozeta.zetaprod import (
 
 N = 200
 A2 = ZetaProduct(3, {1: -1, 3: 1})
+
+
+def q_integer(m: int) -> PolynomialQ:
+    """1 + q + ... + q**(m-1)."""
+    return PolynomialQ([1] * m)
 
 
 class TestSeriesAlgebra:

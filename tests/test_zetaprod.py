@@ -31,16 +31,64 @@ from cyclozeta.zetaprod import (
     ramanujan_reconstruct,
     random_even_function,
     random_zeta_product,
-    root_multiplicity_at_one,
     root_weights,
     saito_dual,
     saito_transform,
     star_functions,
     to_rational_function,
-    zeta_product_from_json,
 )
 
 A2 = ZetaProduct(3, {1: -1, 3: 1})
+
+
+def zeta_product_from_json(obj) -> ZetaProduct:
+    """The JSON mirror {"n": <int>, "e": {"<d>": <int>, ...}} read as
+    parse_zeta_product reads JSON text."""
+    return ZetaProduct(*zetaprod._json_fields(obj))
+
+
+# Oracles for cyclotomic_exponents: repeated division, and the fold of each
+# Hasse derivative mod q**d - 1 reduced by Phi_d's coefficients.
+
+
+def _division_count(p: PolynomialQ, f: PolynomialQ) -> int:
+    count = 0
+    while not p.is_zero:
+        quo, rem = divmod(p, f)
+        if not rem.is_zero:
+            break
+        p = quo
+        count += 1
+    return count
+
+
+def root_multiplicity_at_one(f: RationalFunctionQ) -> int:
+    """Sign-counted multiplicity of the root q = 1."""
+    linear = Q - 1
+    return _division_count(f.num, linear) - _division_count(f.den, linear)
+
+
+def _reduced_fold_valuation(p: PolynomialQ, d: int) -> int:
+    # the least j whose Hasse derivative sum_k C(k, j) a_k q**(k - j) is
+    # non-zero mod Phi_d: folded mod q**d - 1 first, then reduced mod the
+    # monic Phi_d of degree deg, whose non-zero lower coefficients are the
+    # (k, c) pairs of low
+    phi = cyclotomic(d).coeffs
+    low = [(k, c) for k, c in enumerate(phi[:-1]) if c]
+    deg = len(phi) - 1
+    cs = p.coeffs
+    for j in range(len(cs)):
+        folded = [0] * d
+        for k in range(j, len(cs)):
+            if cs[k]:
+                folded[(k - j) % d] += math.comb(k, j) * cs[k]
+        for i in range(d - 1, deg - 1, -1):
+            if t := folded[i]:
+                for k, c in low:
+                    folded[i - deg + k] -= t * c
+        if any(folded[:deg]):
+            return j
+    return 0
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +239,42 @@ class TestRationalForm:
             expo = cyclotomic_exponents(f, n)
             for d in divisors(n):
                 phi = cyclotomic(d)
-                by_division = zetaprod._division_count(f.num, phi) - zetaprod._division_count(f.den, phi)
+                by_division = _division_count(f.num, phi) - _division_count(f.den, phi)
                 assert expo[d] == by_division == (m(n // d) if m else 0), (f, d)
+
+    @pytest.mark.parametrize("n", [30, 60, 210, 420, 2520])
+    def test_exponents_equal_the_fold_and_reduce_oracle(self, n):
+        """Conductors whose divisors have three or four distinct primes:
+        random products alone and times a cofactor without roots on the unit
+        circle, in the numerator or the denominator; and the zero function."""
+        rng = random.Random(f"fold:{n}")
+        divs = divisors(n)
+        cases = []
+        for _ in range(3 if n < 2520 else 1):
+            # a few non-zero exponents keep the degree of the products small
+            e = {d: 0 for d in divs}
+            for d in rng.sample(divs, min(len(divs), 6)):
+                e[d] = rng.choice((-2, -1, 1, 2))
+            rf = to_rational_function(ZetaProduct(n, e))
+            factor = PolynomialQ.monomial(rng.randint(1, 9), Fraction(2, 3)) + rng.choice((-3, -1, 1, 3))
+            cases += [rf, RationalFunctionQ(rf.num * factor, rf.den, _normalized=True),
+                      RationalFunctionQ(rf.num, rf.den * factor, _normalized=True)]
+        cases.append(RationalFunctionQ(ZERO))
+        for f in cases:
+            want = {d: _reduced_fold_valuation(f.num, d) - _reduced_fold_valuation(f.den, d) for d in divs}
+            assert cyclotomic_exponents(f, n).values == want, f
+
+    def test_a_power_of_one_cyclotomic_factor(self):
+        """P = c Phi_d**k has degree exactly k phi(d): the last multiplicity
+        the degree allows is reached, in the numerator and the denominator."""
+        for n in (1, 12, 30, 210):
+            for d in divisors(n):
+                for k in (1, 2, 4):
+                    power = cyclotomic(d) ** k
+                    for f, sign in ((RationalFunctionQ(power * Fraction(7, 2), ONE, _normalized=True), 1),
+                                    (RationalFunctionQ(ONE, power, _normalized=True), -1)):
+                        expo = cyclotomic_exponents(f, n)
+                        assert expo.values == {c: sign * k * (c == d) for c in divisors(n)}, (n, d, k)
 
     def test_high_multiplicities(self):
         f = RationalFunctionQ((Q - 1) ** 7 * cyclotomic(6) ** 4 * 5, cyclotomic(4) ** 3 * cyclotomic(12) ** 2)
