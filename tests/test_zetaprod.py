@@ -41,12 +41,6 @@ from cyclozeta.zetaprod import (
 A2 = ZetaProduct(3, {1: -1, 3: 1})
 
 
-def zeta_product_from_json(obj) -> ZetaProduct:
-    """The JSON mirror {"n": <int>, "e": {"<d>": <int>, ...}} read as
-    parse_zeta_product reads JSON text."""
-    return ZetaProduct(*zetaprod._json_fields(obj))
-
-
 # Oracles for cyclotomic_exponents: repeated division, and the fold of each
 # Hasse derivative mod q**d - 1 reduced by Phi_d's coefficients.
 
@@ -578,7 +572,7 @@ class TestParsing:
         assert z.to_text() == "n=3; e={1:-1,3:1}"
 
     def test_json_round_trip(self):
-        z = zeta_product_from_json(A2.to_json_dict())
+        z = ZetaProduct(*zetaprod._json_fields(A2.to_json_dict()))
         assert z == A2
         z2 = parse_zeta_product('{"n": 3, "e": {"1": -1, "3": 1}}')
         assert z2 == A2
