@@ -17,7 +17,7 @@ for name in ("A_2", "A_7", "D_4", "D_3"):
     print(f"  {name}: n={entry.n}, m-line {entry.m_line}, p-line {entry.p_line}")
 
 print("\nconsistency sweep (rank families up to 12):")
-flagged = [r for r in catalog.verify_all(12) if r.status == "flagged"]
+flagged = [r for r in catalog.verify_all() if r.status == "flagged"]
 for rep in flagged:
     print(f"  [{rep.context['name']}] {rep.flags[0]}")
 print(f"  -> {len(flagged)} anomalies, exactly the recorded ones:",

@@ -151,39 +151,17 @@ def ramanujan_sum(m: int, l: int) -> int:
     return sum(d * mobius(m // d) for d in divisors(g))
 
 
-def integer_nth_root(x: int, r: int) -> int:
-    """Floor of the r-th root of x >= 0, integer arithmetic only."""
-    if x < 0 or r < 1:
-        raise ValueError("integer_nth_root: need x >= 0 and r >= 1")
-    if r == 1 or x in (0, 1):
-        return x
-    if r == 2:
-        return math.isqrt(x)
-    g = 1 << ((x.bit_length() + r - 1) // r)
-    while True:
-        ng = ((r - 1) * g + x // g ** (r - 1)) // r
-        if ng >= g:
-            break
-        g = ng
-    while g**r > x:
-        g -= 1
-    return g
-
-
+# both cached, as _klee and _beta ask about gcd(j, k) for every j <= k
+@lru_cache(maxsize=None)
 def is_rth_power(x: int, r: int) -> bool:
-    if x < 1:
-        return False
-    return integer_nth_root(x, r) ** r == x
+    """Whether x >= 1 is an r-th power: every prime exponent is a multiple of r."""
+    return x >= 1 and all(e % r == 0 for _, e in factorize(x))
 
 
+@lru_cache(maxsize=None)
 def _is_r_free(g: int, r: int) -> bool:
-    # no t**r > 1 divides g
-    t = 2
-    while t**r <= g:
-        if g % t**r == 0:
-            return False
-        t += 1
-    return True
+    # no t**r > 1 divides g: every prime exponent is below r
+    return all(e < r for _, e in factorize(g))
 
 
 class DivisorMap:

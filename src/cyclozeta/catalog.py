@@ -21,14 +21,17 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .arith import DivisorMap, divisors, mobius_transform
 from .exactpoly import PolynomialQ
 from .report import Report
-from .zetaprod import ZetaProduct, root_weights, saito_transform
+from .zetaprod import ZetaProduct, root_weights, saito_dual, saito_transform
 
 _EXPECTED_ANOMALIES = ("X_9", "J_10")
+# the A and D families are walked up to this rank by every catalog-wide check
+FAMILY_RANK = 12
 
 
 @dataclass(frozen=True)
@@ -63,35 +66,24 @@ class CatalogEntry:
         return out
 
 
-def _load_fixed() -> tuple[CatalogEntry, ...]:
-    raw = json.loads(resources.files("cyclozeta").joinpath("data/catalog.json").read_text())
-    entries = []
-    for item in raw["entries"]:
-        entries.append(
-            CatalogEntry(
-                name=item["name"],
-                n=item["n"],
-                m_line={int(k): v for k, v in item["m_line"].items()},
-                p_line={int(k): v for k, v in item["p_line"].items()},
-                source=item["source"],
-                note=item.get("note", ""),
-            )
-        )
-    return tuple(entries)
-
-
-_FIXED: tuple[CatalogEntry, ...] | None = None
-
-
+@cache
 def entries() -> tuple[CatalogEntry, ...]:
     """The fixed catalog entries (families come from :func:`get`)."""
-    global _FIXED
-    if _FIXED is None:
-        _FIXED = _load_fixed()
-    return _FIXED
+    raw = json.loads(resources.files("cyclozeta").joinpath("data/catalog.json").read_text())
+    return tuple(
+        CatalogEntry(
+            name=item["name"],
+            n=item["n"],
+            m_line={int(k): v for k, v in item["m_line"].items()},
+            p_line={int(k): v for k, v in item["p_line"].items()},
+            source=item["source"],
+            note=item.get("note", ""),
+        )
+        for item in raw["entries"]
+    )
 
 
-def _merge(n: int, terms: list[tuple[int, int]]) -> dict[int, int]:
+def _merge(terms: list[tuple[int, int]]) -> dict[int, int]:
     out: dict[int, int] = {}
     for d, v in terms:
         out[d] = out.get(d, 0) + v
@@ -106,8 +98,8 @@ def a_family(l: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"A_{l}",
         n=n,
-        m_line=_merge(n, [(1, 1), (n, -1)]),
-        p_line=_merge(n, [(1, -1), (n, n)]),
+        m_line=_merge([(1, 1), (n, -1)]),
+        p_line=_merge([(1, -1), (n, n)]),
         source="simple-parabolic",
     )
 
@@ -120,10 +112,20 @@ def d_family(l: int) -> CatalogEntry:
     return CatalogEntry(
         name=f"D_{l}",
         n=n,
-        m_line=_merge(n, [(1, 1), (2, -1), (n // 2, 1), (n, -1)]),
-        p_line=_merge(n, [(1, -1), (2, 2), (n // 2, -(n // 2)), (n, n)]),
+        m_line=_merge([(1, 1), (2, -1), (n // 2, 1), (n, -1)]),
+        p_line=_merge([(1, -1), (2, 2), (n // 2, -(n // 2)), (n, n)]),
         source="simple-parabolic",
     )
+
+
+def walked_entries() -> list[CatalogEntry]:
+    """The entries every catalog-wide check walks: the fixed ones, then
+    A_1..A_FAMILY_RANK and D_3..D_FAMILY_RANK."""
+    return [
+        *entries(),
+        *map(a_family, range(1, FAMILY_RANK + 1)),
+        *map(d_family, range(3, FAMILY_RANK + 1)),
+    ]
 
 
 def get(name: str, l: int | None = None) -> CatalogEntry:
@@ -207,14 +209,9 @@ def verify_entry(entry: CatalogEntry) -> Report:
     return report
 
 
-def verify_all(max_family_rank: int = 12) -> list[Report]:
-    """Verify every fixed entry plus the A and D families up to a rank."""
-    reports = [verify_entry(entry) for entry in entries()]
-    for l in range(1, max_family_rank + 1):
-        reports.append(verify_entry(a_family(l)))
-    for l in range(3, max_family_rank + 1):
-        reports.append(verify_entry(d_family(l)))
-    return reports
+def verify_all() -> list[Report]:
+    """Verify each of :func:`walked_entries`."""
+    return [verify_entry(entry) for entry in walked_entries()]
 
 
 def expected_anomalies() -> tuple[str, ...]:
@@ -236,22 +233,18 @@ def saito_dual_pairs() -> Report:
     """Apply the exponent reindexing d -> e(n/d) to every fixed entry and
     search the catalog for matches of the transform and of its negation."""
     report = Report("saito-dual-pairs")
-    by_key = {}
-    for entry in entries():
-        z = entry.zeta_product()
-        by_key[(entry.n, tuple(sorted(z.e.items())))] = entry.name
+    by_product = {entry.zeta_product(): entry.name for entry in entries()}
     table = []
     for entry in entries():
         z = entry.zeta_product()
         star = saito_transform(z)
         report.expect(saito_transform(star) == z, identity="involution", entry=entry.name)
-        negated = ZetaProduct(z.n, {d: -v for d, v in star.e.items()})
         table.append(
             {
                 "name": entry.name,
                 "transform": {d: v for d, v in star.e.items()},
-                "transform_match": by_key.get((z.n, tuple(sorted(star.e.items())))),
-                "dual_match": by_key.get((z.n, tuple(sorted(negated.e.items())))),
+                "transform_match": by_product.get(star),
+                "dual_match": by_product.get(saito_dual(z)),
             }
         )
     report.context["pairs"] = table

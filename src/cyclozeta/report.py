@@ -65,10 +65,18 @@ class Report:
         return ok
 
     def absorb(self, sub: "Report") -> None:
-        """Add sub's checks and its mismatches, each named by sub's check and
-        context; a mismatch's own keys win over the context's."""
+        """Roll sub into this report, the one way a sub-check joins its suite.
+
+        Adds sub's checks; its mismatches, each named by sub's check and
+        context (a mismatch's own keys win over the context's); and each of
+        its flags that this report does not hold yet, so a discrepancy seen
+        by many sub-checks is flagged once.  Notes stay with sub.
+        """
         self.checks += sub.checks
         self.mismatches.extend({"check": sub.check, **sub.context, **mismatch} for mismatch in sub.mismatches)
+        for f in sub.flags:
+            if f not in self.flags:
+                self.flags.append(f)
 
     def flag(self, message: str) -> "Report":
         self.flags.append(message)
@@ -88,14 +96,3 @@ class Report:
             "flags": list(self.flags),
             "notes": list(self.notes),
         }
-
-
-def merge_reports(check: str, reports: list[Report], context: dict | None = None) -> Report:
-    """Roll a list of reports into one; any failure fails the merge, the
-    checks add up, and each merged mismatch names the sub-check it came from."""
-    merged = Report(check, context=dict(context or {}))
-    for r in reports:
-        merged.absorb(r)
-        merged.flags.extend(r.flags)
-        merged.notes.extend(r.notes)
-    return merged

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .dirichlet import (
 )
 from .etaprod import check_eta_forms
 from .exactpoly import ONE, PolynomialQ, cyclotomic, necklace, tensor_product
-from .report import Report, merge_reports
+from .report import Report
 from .weights import (
     SeifertData,
     WeightSystem,
@@ -75,7 +76,7 @@ class SuiteConfig:
     def rng(self, *key) -> random.Random:
         return random.Random(f"{self.seed}:" + ":".join(str(k) for k in key))
 
-    def pick_ns(self, default: tuple[int, ...]) -> tuple[int, ...]:
+    def pick_ns(self, default: Sequence[int]) -> Sequence[int]:
         return default if self.ns is None else self.ns
 
     def pick_trials(self, default: int) -> int:
@@ -85,7 +86,7 @@ class SuiteConfig:
 def suite_cyclotomic(cfg: SuiteConfig) -> Report:
     """Product of cyclotomics over the divisor lattice, for every n <= nmax."""
     report = Report("cyclotomic-products", context={"nmax": cfg.nmax})
-    for n in range(1, cfg.nmax + 1):
+    for n in cfg.pick_ns(range(1, cfg.nmax + 1)):
         prod = ONE
         for d in divisors(n):
             prod = prod * cyclotomic(d)
@@ -108,7 +109,8 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
     seeded random products for every conductor."""
     trials = cfg.pick_trials(100)
     report = Report("root-data-coherence", context={"nmax": cfg.nmax, "trials": trials})
-    for n in range(1, cfg.nmax + 1):
+    ns = cfg.pick_ns(range(1, cfg.nmax + 1))
+    for n in ns:
         for t in range(trials):
             z = random_zeta_product(cfg.rng("root", n, t), n)
             m = multiplicities(z)
@@ -138,7 +140,7 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
         )
     # literal divisor products against the reduced form, on a bounded subset
     for n in list(range(1, 25)) + [30, 36, 42, 48, 60]:
-        if n > cfg.nmax:
+        if n not in ns:
             continue
         for t in range(3):
             z = random_zeta_product(cfg.rng("root-direct", n, t), n)
@@ -152,7 +154,7 @@ def suite_fourier(cfg: SuiteConfig) -> Report:
     """Ramanujan-sum expansion round trips on random even functions."""
     trials = cfg.pick_trials(50)
     report = Report("fourier-roundtrip", context={"nmax": cfg.nmax, "trials": trials})
-    for n in range(1, cfg.nmax + 1):
+    for n in cfg.pick_ns(range(1, cfg.nmax + 1)):
         for t in range(trials):
             a = random_even_function(cfg.rng("fourier", n, t), n)
             r = ramanujan_coefficients(a)
@@ -192,20 +194,18 @@ def suite_weighted_sums(cfg: SuiteConfig) -> Report:
     ns = cfg.pick_ns((6, 12))
     trials = cfg.pick_trials(10)
     report = Report("weighted-sums", context={"ns": list(ns), "rmax": 4, "trials": trials})
-    subreports = []
     for n in range(0, 7):
         for r in range(0, 5):
             for b, c in ((1, 0), (2, 3)):
                 for alt in (False, True):
-                    subreports.append(weighted_geometric_sum(n, b, c, r, alt))
+                    report.absorb(weighted_geometric_sum(n, b, c, r, alt))
     for n in ns:
         for r in range(0, 5):
             for b, c in ((1, 0), (2, 3)):
                 for t in range(trials):
                     z = random_zeta_product(cfg.rng("wsum", n, r, b, c, t), n)
-                    subreports.append(check_weighted_sum_identities(z, b, c, r))
-    merged = merge_reports(report.check, subreports, report.context)
-    return merged
+                    report.absorb(check_weighted_sum_identities(z, b, c, r))
+    return report
 
 
 def suite_pairings(cfg: SuiteConfig) -> Report:
@@ -214,23 +214,22 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
     ns = cfg.pick_ns((6, 12, 30))
     trials = cfg.pick_trials(20)
     report = Report("mobius-pairings", context={"ns": list(ns), "trials": trials})
-    subreports = []
     for n in ns:
         for t in range(trials):
             z = random_zeta_product(cfg.rng("pairing", n, t), n)
             if cfg.index in (None, 3):
-                subreports.append(check_totient_pairing(z, range(-2, 4)))
+                report.absorb(check_totient_pairing(z, range(-2, 4)))
             if cfg.index in (None, 4):
-                subreports.append(check_pairing_preset(z, "ones"))
+                report.absorb(check_pairing_preset(z, "ones"))
                 xrng = cfg.rng("pairing-x", n, t)
                 x = {d: Fraction(xrng.randint(-9, 9), xrng.randint(1, 4)) for d in divisors(n)}
-                subreports.append(check_mobius_pairing(z, x))
+                report.absorb(check_mobius_pairing(z, x))
             if cfg.index in (None, 5):
-                subreports.append(check_pairing_preset(z, "necklace"))
+                report.absorb(check_pairing_preset(z, "necklace"))
             if cfg.index in (None, 6):
-                subreports.append(check_pairing_preset(z, "log-derivative"))
+                report.absorb(check_pairing_preset(z, "log-derivative"))
             if cfg.index in (None, 7):
-                subreports.append(check_pairing_preset(z, "ramanujan"))
+                report.absorb(check_pairing_preset(z, "ramanujan"))
     if cfg.index is None:
         # necklace polynomials invert the monomial sequence on every divisor lattice
         inversion = Report("necklace-inversion")
@@ -239,13 +238,13 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
             for dp in divisors(dd):
                 acc = acc + dp * necklace(dp)
             inversion.expect(acc == PolynomialQ.monomial(dd), d=dd)
-        subreports.append(inversion)
+        report.absorb(inversion)
         # the two-parameter Fourier family, random tables at n = 12
         for t in range(5):
             rng = cfg.rng("pair-family", t)
             F = DivisorMap(12, {d: Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for d in divisors(12)})
             for s in (0, 1):
-                subreports.append(check_fourier_pair_family(12, F, s))
+                report.absorb(check_fourier_pair_family(12, F, s))
         # the starred Fourier pair as a family member
         for n in ns:
             z = random_zeta_product(cfg.rng("pair-family-star", n), n)
@@ -256,9 +255,9 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
                 want = sum(mstar(n // d) * ramanujan_sum(d, k) for d in divisors(n))
                 if not sub.expect(pstar(k) == want, identity="pstar-expansion", k=k):
                     break
-            subreports.append(sub)
-            subreports.append(check_fourier_pair_family(n, F, 0))
-    return merge_reports(report.check, subreports, report.context)
+            report.absorb(sub)
+            report.absorb(check_fourier_pair_family(n, F, 0))
+    return report
 
 
 def suite_dirichlet(cfg: SuiteConfig) -> Report:
@@ -267,20 +266,17 @@ def suite_dirichlet(cfg: SuiteConfig) -> Report:
     ns = cfg.pick_ns((6, 12, 30))
     trials = cfg.pick_trials(20)
     report = Report("dirichlet-transfer", context={"ns": list(ns), "trials": trials, "order": cfg.order})
-    subreports = []
     star_order = min(cfg.order, 120)
     for n in ns:
         for t in range(trials):
             z = random_zeta_product(cfg.rng("dirichlet", n, t), n)
             if cfg.index in (None, 8):
                 for G in (unit_series(star_order), zeta_series(star_order), mobius_series(star_order)):
-                    subreports.append(check_star_series(z, G))
+                    report.absorb(check_star_series(z, G))
             if cfg.index in (None, 9):
-                subreports.append(check_transfer(z, zeta_series(cfg.order), zeta_series(cfg.order)))
-                subreports.append(
-                    check_transfer(z, zeta_series(cfg.order), mobius_series(cfg.order))
-                )
-    return merge_reports(report.check, subreports, report.context)
+                report.absorb(check_transfer(z, zeta_series(cfg.order), zeta_series(cfg.order)))
+                report.absorb(check_transfer(z, zeta_series(cfg.order), mobius_series(cfg.order)))
+    return report
 
 
 def suite_examples(cfg: SuiteConfig) -> Report:
@@ -294,8 +290,6 @@ def suite_examples(cfg: SuiteConfig) -> Report:
         "convolution-examples",
         context={"indices": indices, "ns": list(ns), "trials": trials, "order": cfg.order},
     )
-    subreports = []
-    example_docs = []
     for index in indices:
         ex = TRANSFER_EXAMPLES[index]
         r_values = (1, 2, 3) if ex.needs_r else (None,)
@@ -304,45 +298,36 @@ def suite_examples(cfg: SuiteConfig) -> Report:
                 for t in range(trials):
                     z = random_zeta_product(cfg.rng("example", index, n, r, t), n)
                     sub = convolution_example(index, z, r=r, order=cfg.order)
-                    subreports.append(sub)
-                    example_docs.append(example_report_json(sub))
+                    report.absorb(sub)
+                    report.example_docs.append(example_report_json(sub))
     # the two hand-checkable instances
     a2 = ZetaProduct(3, {1: -1, 3: 1})
     _, pstar = star_functions(a2)
     hand = Report("example-hand-instances")
     hand.expect(euler_phi(3) * pstar(1) + euler_phi(1) * pstar(3) == 0, instance="rank-two")
-    subreports.append(hand)
-    subreports.append(convolution_example(1, a2, order=60))
-    subreports.append(convolution_example(11, ZetaProduct(2, {1: 1, 2: 0}), order=50))
-    merged = merge_reports(report.check, subreports, report.context)
-    merged.example_docs = example_docs
-    return merged
+    report.absorb(hand)
+    report.absorb(convolution_example(1, a2, order=60))
+    report.absorb(convolution_example(11, ZetaProduct(2, {1: 1, 2: 0}), order=50))
+    return report
 
 
 def suite_eta(cfg: SuiteConfig) -> Report:
     """Eta-style expansions over the whole catalog; one flag for the sign."""
     order = min(cfg.order, 100)
-    entries = list(catalog_mod.entries())
-    entries += [catalog_mod.a_family(l) for l in range(1, 13)]
-    entries += [catalog_mod.d_family(l) for l in range(3, 13)]
+    entries = catalog_mod.walked_entries()
     report = Report("eta-expansion", context={"order": order, "entries": len(entries)})
-    sign_seen = False
     for entry in entries:
         sub = check_eta_forms(entry.zeta_product(), order)
         sub.context["name"] = entry.name
         report.absorb(sub)
-        sign_seen |= sub.status == "flagged"
-    if report.status == "pass" and sign_seen:
-        report.flag("eta sign: direct log derivative is the negative of the Lambert-form display")
     return report
 
 
 def suite_weights(cfg: SuiteConfig) -> Report:
     """Weight systems against the catalog, plus the Seifert cross-check."""
     report = Report("weight-systems")
-    subreports = []
     for text in ("1,1,1;3", "1,1,2;4", "1,2,3;6", "15,10,6;30", "6,4,3;12", "1,2,2;4", "1,1,1;2", "1,1,1;1"):
-        subreports.append(check_weight_consistency(WeightSystem.parse(text)))
+        report.absorb(check_weight_consistency(WeightSystem.parse(text)))
 
     cross = Report("weights-vs-catalog")
     p8 = spectral_gf(WeightSystem(1, 1, 1, 3))
@@ -357,24 +342,26 @@ def suite_weights(cfg: SuiteConfig) -> Report:
         implied_p = {d: v for d, v in root_weights(entry.zeta_product(), "p").items() if v}
         p_line = {d: v for d, v in p_line_from_weights(w).items() if v}
         cross.expect(p_line == implied_p, identity="p-line", name=name)
-    subreports.append(cross)
+    report.absorb(cross)
 
     seifert = Report("seifert-exceptional-root-system")
     w = WeightSystem(15, 10, 6, 30)
     sd = SeifertData(0, ((2, 1), (3, 1), (5, 1)))
     _, z = char_poly_from_seifert(w, sd)
     seifert.expect(z == catalog_mod.get("E_8").zeta_product(), identity="exponent-vector")
-    subreports.append(seifert)
-    subreports.append(check_seifert_lines(w, sd))
-    subreports.append(check_seifert_lines(WeightSystem(7, 11, 13, 5), SeifertData(0, ())))
-    return merge_reports("weight-systems", subreports)
+    report.absorb(seifert)
+    report.absorb(check_seifert_lines(w, sd))
+    report.absorb(check_seifert_lines(WeightSystem(7, 11, 13, 5), SeifertData(0, ())))
+    return report
 
 
 def suite_catalog(cfg: SuiteConfig) -> Report:
     """Every entry's internal consistency; exactly two expected anomalies."""
     reports = catalog_mod.verify_catalog()
-    entries = sum(1 for r in reports if r.check == "catalog-entry")
-    return merge_reports("catalog", reports, {"entries": entries})
+    report = Report("catalog", context={"entries": sum(1 for r in reports if r.check == "catalog-entry")})
+    for sub in reports:
+        report.absorb(sub)
+    return report
 
 
 SUITES = (

@@ -207,13 +207,14 @@ def p_dirichlet_from_weights(w: WeightSystem, s: int):
     return as_exact(total)
 
 
-def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Report:
+def check_weight_consistency(w: WeightSystem) -> Report:
     """Internal coherence of all the weight-derived data.
 
     Checks: spectral polynomial coefficient sum and degree, palindromic
     coefficients, reduction mod q**n - 1 against the m-line, the Fourier
     pairing p = DFT(m), the exponent relation p-coefficient(d) = d e(d), and
-    both finite Dirichlet forms against the divisor expansions.
+    both finite Dirichlet forms against the divisor expansions at
+    s = -1, ..., 3.
     """
     report = Report("weight-system", context={"weights": str(w)})
     n = w.n
@@ -241,7 +242,7 @@ def check_weight_consistency(w: WeightSystem, s_values=(-1, 0, 1, 2, 3)) -> Repo
     report.expect(dft_power_sums(m_even) == p_even, identity="fourier-pairing")
     for d in divisors(n):
         report.expect(p_line[d] == d * m_line[n // d], identity="exponent-relation", d=d)
-    for s in s_values:
+    for s in range(-1, 4):
         lhs = m_dirichlet_from_weights(w, s)
         rhs = sum(v * rational_power(d, -s) for d, v in m_line.items())
         report.expect(lhs == rhs, identity="m-dirichlet", s=s, lhs=lhs, rhs=rhs)
@@ -279,13 +280,13 @@ def char_poly_from_seifert(w: WeightSystem, sd: SeifertData) -> tuple[RationalFu
     return (-rf if z.mu_e % 2 else rf), z
 
 
-def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) -> Report:
+def check_seifert_lines(w: WeightSystem, sd: SeifertData) -> Report:
     """The four displayed generating forms for Seifert data.
 
     The multiplicity and power-sum lines are rebuilt from g, r, {a, b, c}
     and the alpha_i, cleared against the exponent vector of
     :func:`char_poly_from_seifert`, and the two finite Dirichlet forms are
-    evaluated at the given integer points.
+    evaluated at s = 0, 1, 2.
     """
     n = w.n
     _, z = char_poly_from_seifert(w, sd)
@@ -311,7 +312,7 @@ def check_seifert_lines(w: WeightSystem, sd: SeifertData, s_values=(0, 1, 2)) ->
     report.expect(m_poly == rhs_m, identity="m-line", lhs=m_poly, rhs=rhs_m)
     report.expect(p_poly == rhs_p, identity="p-line", lhs=p_poly, rhs=rhs_p)
 
-    for s in s_values:
+    for s in range(3):
         lhs = sum(z.e[n // d] * rational_power(d, -s) for d in divisors(n))
         rhs = gr + sum(sign * rational_power(d, -s) for d, sign in signed)
         report.expect(lhs == rhs, identity="m-dirichlet", s=s, lhs=lhs, rhs=rhs)

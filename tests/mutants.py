@@ -51,6 +51,9 @@ BINOMIAL = "tests/test_exactpoly.py::TestBinomialProduct"
 FAMILIES = "tests/test_apostol.py::TestFamilies"
 DIVISOR_SUMS = "tests/test_arith.py::test_divisor_sums_equal_the_sum_over_each_divisor"
 REFUSALS = "tests/test_arith.py::test_divisor_map_refusals_name_the_offending_keys_and_values"
+ABSORB = "tests/test_report.py::test_absorb_rolls_sub_reports_up"
+GIVEN_NS = "tests/test_report.py::TestCounts::test_given_conductors_replace_one_to_nmax"
+RTH_POWERS = "tests/test_arith.py::test_rth_powers_and_r_free_numbers_equal_a_search_over_t_to_the_r"
 TIMINGS = "tests/test_cli.py::TestVerifyCommand::test_timings_go_to_stderr_and_leave_stdout_byte_identical"
 
 MUTANTS = [
@@ -153,8 +156,8 @@ MUTANTS = [
     (WEIGHTS, "[(alpha, -1) for alpha", "[(alpha, 1) for alpha",
      "tests/test_weights.py::TestSeifert::test_exceptional_root_system"),
     (REPORT, '{"check": sub.check, **sub.context, **mismatch}', '{**sub.context, **mismatch}',
-     "tests/test_report.py::test_merge_combines_the_same_way"),
-    (VERIFY, "        report.absorb(sub)\n", "",
+     "tests/test_report.py::test_absorb_rolls_sub_reports_up"),
+    (VERIFY, '        sub.context["name"] = entry.name\n        report.absorb(sub)\n', '        sub.context["name"] = entry.name\n',
      "tests/test_cli.py::TestVerifyCommand::test_a_merged_mismatch_names_its_sub_check"),
     (DIRICHLET, "labels.update(k=k,", "labels = dict(k=k,",
      f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity"),
@@ -240,7 +243,7 @@ MUTANTS = [
     (REPORT, "        if not ok:", "        if ok:", "tests/test_report.py::test_status_rules"),
     (REPORT, "                    details[side] = str(details[side])\n", "                    pass\n",
      "tests/test_report.py::test_expect_counts_every_instance_and_renders_only_a_failure"),
-    (REPORT, "        self.checks += sub.checks\n", "", "tests/test_report.py::test_merge_combines_the_same_way"),
+    (REPORT, "        self.checks += sub.checks\n", "", "tests/test_report.py::test_absorb_rolls_sub_reports_up"),
     (REPORT, '        if not self.checks:\n            return "empty"\n', "", "tests/test_report.py::test_status_rules"),
     (REPORT, 'return self.status not in ("pass", "flagged")', 'return self.status == "fail"',
      "tests/test_cli.py::TestVerifyCommand::test_a_suite_that_checked_nothing_fails_the_run"),
@@ -296,6 +299,26 @@ MUTANTS = [
      "tests/test_arith.py::test_divisor_map_values_are_exact_and_in_divisor_order"),
     (CLI, 'print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)', 'print(f"timing: {name} {seconds:.3f} s")', TIMINGS),
     (CLI, ' for a in argv if a != "--timings")', " for a in argv)", TIMINGS),
+    # one roll-up: absorb carries each new flag once; every suite that loops
+    # over conductors takes --n; one catalog walk; r-th powers from factorize
+    (REPORT, "        for f in sub.flags:\n            if f not in self.flags:\n                self.flags.append(f)\n", "",
+     ABSORB),
+    (REPORT, "            if f not in self.flags:\n", "            if True:\n", ABSORB),
+    (REPORT, "            if f not in self.flags:\n", "            if True:\n",
+     "tests/test_cli.py::TestVerifyCommand::test_eta_scope_flags_once"),
+    (VERIFY, '"nmax": cfg.nmax})\n    for n in cfg.pick_ns(range(1, cfg.nmax + 1)):',
+     '"nmax": cfg.nmax})\n    for n in range(1, cfg.nmax + 1):', GIVEN_NS),
+    (VERIFY, "    ns = cfg.pick_ns(range(1, cfg.nmax + 1))\n", "    ns = range(1, cfg.nmax + 1)\n", GIVEN_NS),
+    (VERIFY, '"trials": trials})\n    for n in cfg.pick_ns(range(1, cfg.nmax + 1)):',
+     '"trials": trials})\n    for n in range(1, cfg.nmax + 1):', GIVEN_NS),
+    (VERIFY, "        if n not in ns:\n", "        if n > cfg.nmax:\n", GIVEN_NS),
+    (CATALOG, "*map(d_family, range(3, FAMILY_RANK + 1))", "*map(d_family, range(4, FAMILY_RANK + 1))",
+     "tests/test_catalog.py::TestConsistency::test_every_entry_walked_once_fixed_then_families"),
+    (CATALOG, "by_product.get(saito_dual(z))", "by_product.get(star)",
+     "tests/test_catalog.py::TestDuality::test_strange_pairs_through_the_dual"),
+    (ARITH, "all(e % r == 0 for _, e in factorize(x))", "all(e < r for _, e in factorize(x))", RTH_POWERS),
+    (ARITH, "all(e < r for _, e in factorize(g))", "all(e % r == 0 for _, e in factorize(g))", RTH_POWERS),
+    (ARITH, "all(e < r for _, e in factorize(g))", "all(e <= r for _, e in factorize(g))", RTH_POWERS),
 ]
 
 

@@ -160,7 +160,7 @@ def test_catalog_verification():
     """Every entry is internally consistent except the two recorded
     anomalies; simple entries reproduce their root-exponent multisets."""
     t0 = time.monotonic()
-    reports = verify_all(max_family_rank=12)
+    reports = verify_all()
     elapsed = time.monotonic() - t0
     flagged = sorted(r.context["name"] for r in reports if r.status == "flagged")
     assert not [r for r in reports if r.status == "fail"]

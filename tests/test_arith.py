@@ -9,10 +9,12 @@ import pytest
 
 from cyclozeta.arith import (
     DivisorMap,
+    _is_r_free,
     divisor_sums,
     divisors,
     euler_phi,
     inverse_mobius_transform,
+    is_rth_power,
     jordan_totient,
     largest_odd_divisor,
     mobius,
@@ -228,6 +230,25 @@ def test_mobius_transform_round_trip():
             )
             assert inverse_mobius_transform(mobius_transform(dm)) == dm
             assert mobius_transform(inverse_mobius_transform(dm)) == dm
+
+
+def test_rth_powers_and_r_free_numbers_equal_a_search_over_t_to_the_r():
+    """Both are read from the prime exponents; the oracle lists every t**r."""
+    top = 20000
+    for r in range(1, 8):
+        powers = set()
+        t = 1
+        while t**r <= top:
+            powers.add(t**r)
+            t += 1
+        divisible = [False] * (top + 1)
+        for power in powers - {1}:
+            divisible[power::power] = [True] * (top // power)
+        assert not is_rth_power(0, r)
+        # uncached, so the 280,000 queries leave no cache behind
+        for x in range(1, top + 1):
+            assert is_rth_power.__wrapped__(x, r) == (x in powers), (x, r)
+            assert _is_r_free.__wrapped__(x, r) == (not divisible[x]), (x, r)
 
 
 class TestNamedFunctions:

@@ -13,6 +13,7 @@ from cyclozeta.catalog import (
     saito_dual_pairs,
     verify_all,
     verify_entry,
+    walked_entries,
 )
 from cyclozeta.exactpoly import PolynomialQ
 from cyclozeta.zetaprod import saito_transform
@@ -53,12 +54,18 @@ class TestLookup:
 
 class TestConsistency:
     def test_exactly_two_anomalies(self):
-        reports = verify_all(max_family_rank=12)
+        reports = verify_all()
         failed = [r for r in reports if r.status == "fail"]
         assert not failed, [r.to_dict() for r in failed]
         flagged = sorted(r.context["name"] for r in reports if r.status == "flagged")
         assert flagged == sorted(expected_anomalies()) == ["J_10", "X_9"]
         assert sum(len(r.flags) for r in reports) == 2
+
+    def test_every_entry_walked_once_fixed_then_families(self):
+        names = [entry.name for entry in walked_entries()]
+        families = [f"A_{l}" for l in range(1, 13)] + [f"D_{l}" for l in range(3, 13)]
+        assert names == [entry.name for entry in entries()] + families
+        assert [r.context["name"] for r in verify_all()] == names
 
     def test_x9_flag_names_the_sign(self):
         rep = verify_entry(get("X_9"))

@@ -2,8 +2,8 @@
 
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.etaprod import check_eta_forms
-from cyclozeta.report import Report, merge_reports
-from cyclozeta.verify import SuiteConfig, suite_cyclotomic, suite_fourier
+from cyclozeta.report import Report
+from cyclozeta.verify import SuiteConfig, suite_cyclotomic, suite_fourier, suite_root_data
 from cyclozeta.zetaprod import ZetaProduct, check_totient_pairing
 
 
@@ -48,21 +48,30 @@ def test_expect_counts_every_instance_and_renders_only_a_failure():
     assert report.to_dict()["checks"] == 2
 
 
-def test_merge_combines_the_same_way():
+def test_absorb_rolls_sub_reports_up():
     passing, flagged = checked("p", True), checked("f", True, True).flag("known")
-    # a merged mismatch names its sub-check and context; its own keys win
+    # an absorbed mismatch names its sub-check and context; its own keys win
     failing = Report("x", context={"n": 12, "k": 0})
     failing.expect(False, k=3)
-    failing.flag("also")
-    assert merge_reports("m", []).status == "empty"
-    assert merge_reports("m", [Report("a"), Report("b")]).status == "empty"
-    assert merge_reports("m", [passing]).status == "pass"
-    assert merge_reports("m", [passing, flagged]).status == "flagged"
-    merged = merge_reports("m", [flagged, failing, passing], {"n": 6})
+    failing.flag("also").flag("known").note("seen")
+
+    def rolled(*subs, context=None):
+        report = Report("m", context=context)
+        for sub in subs:
+            report.absorb(sub)
+        return report
+
+    assert rolled().status == "empty"
+    assert rolled(Report("a"), Report("b")).status == "empty"
+    assert rolled(passing).status == "pass"
+    assert rolled(passing, flagged).status == "flagged"
+    merged = rolled(flagged, failing, passing, flagged, context={"n": 6})
     assert merged.status == "fail"
-    assert merged.checks == 4
+    assert merged.checks == 6
     assert merged.mismatches == [{"check": "x", "n": 12, "k": 3}]
+    # a flag the report already holds is kept once; notes stay with the sub-check
     assert merged.flags == ["known", "also"]
+    assert merged.notes == []
     assert merged.to_dict()["status"] == "fail" and merged.context == {"n": 6}
 
 
@@ -94,6 +103,15 @@ class TestCounts:
 
     def test_fourier_suite_checks_both_directions_per_trial(self):
         assert suite_fourier(SuiteConfig(nmax=6, trials=2)).checks == 2 * 6 * 2
+
+    def test_given_conductors_replace_one_to_nmax(self):
+        cfg = SuiteConfig(nmax=60, trials=2, ns=(12,))
+        assert suite_cyclotomic(cfg).checks == 3
+        assert suite_fourier(cfg).checks == 2 * 2
+        # five identities per trial, two additivity checks, three direct products
+        assert suite_root_data(cfg).checks == 5 * 2 + 2 + 3
+        # the direct products run for a listed n above nmax, and for no other n
+        assert suite_root_data(SuiteConfig(nmax=20, trials=1, ns=(30,))).checks == 5 + 2 + 3
 
     def test_a_fourier_suite_without_trials_is_not_a_pass(self):
         report = suite_fourier(SuiteConfig(nmax=6, trials=0))

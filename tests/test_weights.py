@@ -81,7 +81,7 @@ class TestDivisorLines:
             replace(e, m_line={**e.m_line, 1: e.m_line[1] + 1}) if e.name == "P_8" else e
             for e in catalog.entries()
         )
-        monkeypatch.setattr(catalog, "_FIXED", corrupted)
+        monkeypatch.setattr(catalog, "entries", lambda: corrupted)
         rep = suite_weights(SuiteConfig(seed=42, nmax=60, order=200))
         assert rep.status == "fail"
         assert {"check": "weights-vs-catalog", "identity": "m-line", "name": "P_8"} in rep.mismatches
