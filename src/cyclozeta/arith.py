@@ -12,8 +12,8 @@ used throughout the package live here:
 * An even function mod n (one that depends only on gcd(k, n)) is a
   :class:`DivisorMap`: its values on the divisors of n.
 * Evaluators produced by :func:`named_function` follow the defining
-  descriptions of the functions (brute-force counts and divisor sums); none
-  of them rely on multiplicativity shortcuts.
+  descriptions of the functions (counts grouped by gcd(j, k) and divisor
+  sums); none of them rely on multiplicativity shortcuts.
 
 Inputs are desk-scale, so factoring is plain trial division.
 """
@@ -151,14 +151,11 @@ def ramanujan_sum(m: int, l: int) -> int:
     return sum(d * mobius(m // d) for d in divisors(g))
 
 
-# both cached, as _klee and _beta ask about gcd(j, k) for every j <= k
-@lru_cache(maxsize=None)
 def is_rth_power(x: int, r: int) -> bool:
     """Whether x >= 1 is an r-th power: every prime exponent is a multiple of r."""
     return x >= 1 and all(e % r == 0 for _, e in factorize(x))
 
 
-@lru_cache(maxsize=None)
 def _is_r_free(g: int, r: int) -> bool:
     # no t**r > 1 divides g: every prime exponent is below r
     return all(e < r for _, e in factorize(g))
@@ -316,8 +313,8 @@ def _dedekind_psi(k: int) -> int:
 
 
 def _klee(k: int, r: int) -> int:
-    # count of 1 <= j <= k whose gcd with k has trivial r-th-power part
-    return sum(1 for j in range(1, k + 1) if _is_r_free(math.gcd(j, k), r))
+    # count of 1 <= j <= k whose gcd g with k is r-free; phi(k/g) of them have that g
+    return sum(euler_phi(k // g) for g in divisors(k) if _is_r_free(g, r))
 
 
 def _rho(k: int, r: int) -> int:
@@ -331,8 +328,8 @@ def _rho_prime(k: int, r: int) -> int:
 
 
 def _beta(k: int) -> int:
-    # count of 1 <= j <= k with gcd(j, k) a perfect square
-    return sum(1 for j in range(1, k + 1) if is_rth_power(math.gcd(j, k), 2))
+    # count of 1 <= j <= k with gcd(j, k) a perfect square, grouped as in _klee
+    return sum(euler_phi(k // g) for g in divisors(k) if is_rth_power(g, 2))
 
 
 def largest_odd_divisor(k: int) -> int:
@@ -349,7 +346,7 @@ def sigma(k: int) -> int:
     return sum(divisors(k))
 
 
-_PARAMETRIC = {"klee", "rho", "rho_prime"}
+_PARAMETRIC: dict[str, Callable[[int, int], object]] = {"klee": _klee, "rho": _rho, "rho_prime": _rho_prime}
 
 _PLAIN: dict[str, Callable[[int], object]] = {
     "mobius": mobius,
@@ -378,7 +375,6 @@ def named_function(name: str, *params: int) -> ArithmeticFunction:
     if name in _PARAMETRIC:
         if len(params) != 1 or params[0] < 1:
             raise ValueError(f"{name} needs a single parameter r >= 1")
-        r = params[0]
-        fn = {"klee": _klee, "rho": _rho, "rho_prime": _rho_prime}[name]
-        return ArithmeticFunction(name, (r,), lambda k, _r=r, _f=fn: _f(k, _r))
+        r, fn = params[0], _PARAMETRIC[name]
+        return ArithmeticFunction(name, (r,), lambda k: fn(k, r))
     raise ValueError(f"unknown arithmetic function {name!r}")

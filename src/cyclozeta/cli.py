@@ -164,21 +164,20 @@ def _cmd_series(args) -> int:
     which = args.which
     payload = {"n": z.n, "order": args.order, "kind": args.kind}
     if args.kind == "dirichlet":
-        G = dirichlet.SERIES_MAKERS[args.G](args.order)
-        t = dirichlet.g_transforms(z, G)
+        G = args.G or "zeta"
+        t = dirichlet.g_transforms(z, dirichlet.SERIES_MAKERS[G](args.order))
         table = {"m": t.m, "p": t.p, "mstar": t.mstar, "pstar": t.pstar}
-        payload["G"] = args.G
-        for key in (["m", "p", "mstar", "pstar"] if which == "all" else [which]):
-            payload[key] = [str(c) if not isinstance(c, int) else c for c in table[key].coeffs]
+        payload["G"] = G
     else:
         # q-power-series transforms against the geometric coefficient series
+        if args.G is not None:
+            raise ValueError("--G applies to --kind dirichlet only")
         if which in ("mstar", "pstar"):
             raise ValueError(f"--kind power has only the m and p transforms, not {which!r}")
         g = PowerSeriesQ([0] + [1] * (args.order - 1), args.order)
-        m_ps, p_ps = dirichlet.ps_g_transforms(z, g)
-        table = {"m": m_ps, "p": p_ps}
-        for key in (["m", "p"] if which == "all" else [which]):
-            payload[key] = [str(c) if not isinstance(c, int) else c for c in table[key].coeffs]
+        table = dict(zip(("m", "p"), dirichlet.ps_g_transforms(z, g)))
+    for key in table if which == "all" else [which]:
+        payload[key] = json_safe(table[key].coeffs)
     _emit(args, "series", "pass", payload)
     return 0
 
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("series", help="truncated Dirichlet or q-power-series transforms")
     p.add_argument("input")
-    p.add_argument("--G", choices=SERIES_G, default="zeta")
+    p.add_argument("--G", choices=SERIES_G, help="the series G of --kind dirichlet (default zeta)")
     p.add_argument("--kind", choices=("dirichlet", "power"), default="dirichlet")
     p.add_argument("--order", type=_positive_int, default=200)
     p.add_argument("--which", choices=("m", "p", "mstar", "pstar", "all"), default="all")

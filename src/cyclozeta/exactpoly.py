@@ -507,10 +507,6 @@ class PowerSeriesQ:
         self.order = order
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeriesQ":
-        return cls((), order)
-
     def coefficient(self, k: int):
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")

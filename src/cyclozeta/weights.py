@@ -21,6 +21,7 @@ alpha_i dividing n.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .arith import DivisorMap, as_exact, divisors, mobius_transform, rational_po
 from .exactpoly import PolynomialQ, RationalFunctionQ, binomial_product
 from .report import Report
 from .zetaprod import (
+    _CANONICAL_POSITIVE,
     ZetaProduct,
     dft_power_sums,
     lambert_form,
@@ -36,6 +38,13 @@ from .zetaprod import (
     power_sums,
     to_rational_function,
 )
+
+
+def _number(token: str, pattern: str = _CANONICAL_POSITIVE) -> int:
+    # canonical ASCII decimal, as the zeta-product grammar reads it; whitespace around, not inside
+    if not re.fullmatch(pattern, token.strip()):
+        raise ValueError(f"expected a number in canonical decimal form, got {token.strip()!r}")
+    return int(token)
 
 
 class NonRegularWeightSystem(ValueError):
@@ -56,13 +65,12 @@ class WeightSystem:
     @classmethod
     def parse(cls, text: str) -> "WeightSystem":
         """Parse the ``a,b,c;n`` form."""
-        s = text.replace(" ", "")
-        head, _, deg = s.partition(";")
+        head, _, deg = text.partition(";")
         parts = head.split(",")
         if len(parts) != 3 or not deg:
             raise ValueError(f"expected 'a,b,c;n', got {text!r}")
-        a, b, c = (int(p) for p in parts)
-        return cls(a, b, c, int(deg))
+        a, b, c = (_number(p) for p in parts)
+        return cls(a, b, c, _number(deg))
 
     def __str__(self):
         return f"{self.a},{self.b},{self.c};{self.n}"
@@ -91,14 +99,14 @@ class SeifertData:
     @classmethod
     def parse(cls, text: str) -> "SeifertData":
         """Parse the ``g; a1/b1,a2/b2,...`` form."""
-        s = text.replace(" ", "")
-        head, _, tail = s.partition(";")
+        head, _, tail = text.partition(";")
+        genus = _number(head, f"0|{_CANONICAL_POSITIVE}")
         pairs = []
-        if tail:
+        if tail.strip():
             for chunk in tail.split(","):
                 alpha, _, beta = chunk.partition("/")
-                pairs.append((int(alpha), int(beta)))
-        return cls(int(head), tuple(pairs))
+                pairs.append((_number(alpha), _number(beta)))
+        return cls(genus, tuple(pairs))
 
     def __str__(self):
         return f"{self.genus}; " + ",".join(f"{a}/{b}" for a, b in self.pairs)

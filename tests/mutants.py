@@ -55,6 +55,8 @@ ABSORB = "tests/test_report.py::test_absorb_rolls_sub_reports_up"
 GIVEN_NS = "tests/test_report.py::TestCounts::test_given_conductors_replace_one_to_nmax"
 RTH_POWERS = "tests/test_arith.py::test_rth_powers_and_r_free_numbers_equal_a_search_over_t_to_the_r"
 TIMINGS = "tests/test_cli.py::TestVerifyCommand::test_timings_go_to_stderr_and_leave_stdout_byte_identical"
+GCD_WALK = "tests/test_arith.py::test_klee_and_beta_equal_the_walk_over_every_j"
+WEIGHT_PARSING = "tests/test_weights.py::TestParsing"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -319,6 +321,27 @@ MUTANTS = [
     (ARITH, "all(e % r == 0 for _, e in factorize(x))", "all(e < r for _, e in factorize(x))", RTH_POWERS),
     (ARITH, "all(e < r for _, e in factorize(g))", "all(e % r == 0 for _, e in factorize(g))", RTH_POWERS),
     (ARITH, "all(e < r for _, e in factorize(g))", "all(e <= r for _, e in factorize(g))", RTH_POWERS),
+    # Klee's totient and beta counted by gcd class, against the walk over every j
+    (ARITH, "sum(euler_phi(k // g) for g in divisors(k) if _is_r_free(g, r))",
+     "sum(euler_phi(g) for g in divisors(k) if _is_r_free(g, r))", GCD_WALK),
+    (ARITH, "sum(euler_phi(k // g) for g in divisors(k) if is_rth_power(g, 2))",
+     "sum(euler_phi(g) for g in divisors(k) if is_rth_power(g, 2))", GCD_WALK),
+    (ARITH, "for g in divisors(k) if _is_r_free(g, r))", "for g in divisors(k))", GCD_WALK),
+    (ARITH, "if is_rth_power(g, 2))", "if is_rth_power(g, 3))", GCD_WALK),
+    (ARITH, "r, fn = params[0], _PARAMETRIC[name]", "r, fn = params[0], _PARAMETRIC[\"klee\"]",
+     "tests/test_arith.py::TestNamedFunctions::test_rho"),
+    (CLI, '        if args.G is not None:\n            raise ValueError("--G applies to --kind dirichlet only")\n', "",
+     "tests/test_cli.py::TestDualAndSeries::test_power_series_refuses_G_before_any_series"),
+    (CLI, 'G = args.G or "zeta"', 'G = args.G or "mobius"',
+     "tests/test_cli.py::TestDualAndSeries::test_dirichlet_series_takes_zeta_without_G"),
+    (WEIGHTS, "a, b, c = (_number(p) for p in parts)", "a, b, c = (int(p) for p in parts)",
+     f"{WEIGHT_PARSING}::test_weights_refuse_a_number_in_another_spelling"),
+    (WEIGHTS, "pairs.append((_number(alpha), _number(beta)))", "pairs.append((_number(alpha), int(beta)))",
+     f"{WEIGHT_PARSING}::test_seifert_data_refuse_a_number_in_another_spelling"),
+    (WEIGHTS, 'genus = _number(head, f"0|{_CANONICAL_POSITIVE}")', "genus = _number(head)",
+     f"{WEIGHT_PARSING}::test_seifert_round_trip"),
+    (WEIGHTS, "if not re.fullmatch(pattern, token.strip()):", "if not re.fullmatch(pattern, token):",
+     f"{WEIGHT_PARSING}::test_weight_round_trip"),
 ]
 
 

@@ -9,7 +9,9 @@ import pytest
 
 from cyclozeta.arith import (
     DivisorMap,
+    _beta,
     _is_r_free,
+    _klee,
     divisor_sums,
     divisors,
     euler_phi,
@@ -245,10 +247,22 @@ def test_rth_powers_and_r_free_numbers_equal_a_search_over_t_to_the_r():
         for power in powers - {1}:
             divisible[power::power] = [True] * (top // power)
         assert not is_rth_power(0, r)
-        # uncached, so the 280,000 queries leave no cache behind
         for x in range(1, top + 1):
-            assert is_rth_power.__wrapped__(x, r) == (x in powers), (x, r)
-            assert _is_r_free.__wrapped__(x, r) == (not divisible[x]), (x, r)
+            assert is_rth_power(x, r) == (x in powers), (x, r)
+            assert _is_r_free(x, r) == (not divisible[x]), (x, r)
+
+
+def _gcd_walk(k: int, keep) -> int:
+    # the defining count: every 1 <= j <= k whose gcd with k passes keep
+    return sum(1 for j in range(1, k + 1) if keep(math.gcd(j, k)))
+
+
+def test_klee_and_beta_equal_the_walk_over_every_j():
+    """Klee's totient and beta count j <= k by gcd(j, k); the walk over every j is the oracle."""
+    for k in range(1, 401):
+        for r in range(1, 6):
+            assert _klee(k, r) == _gcd_walk(k, lambda g: _is_r_free(g, r)), (k, r)
+        assert _beta(k) == _gcd_walk(k, lambda g: is_rth_power(g, 2)), k
 
 
 class TestNamedFunctions:

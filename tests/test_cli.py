@@ -11,6 +11,7 @@ import pytest
 
 import cyclozeta.catalog
 import cyclozeta.cli
+import cyclozeta.dirichlet
 import cyclozeta.etaprod
 import cyclozeta.verify
 import cyclozeta.zetaprod
@@ -149,6 +150,21 @@ class TestDualAndSeries:
         )
         assert code == 2 and not out
         assert which in err and "--kind power" in err
+
+    @pytest.mark.parametrize("G", ["mobius", "unit", "zeta"])
+    def test_power_series_refuses_G_before_any_series(self, capsys, monkeypatch, G):
+        # the power kind always multiplies the geometric series, so --G would be ignored
+        monkeypatch.setattr(cyclozeta.dirichlet, "ps_g_transforms", lambda z, g: pytest.fail("not refused"))
+        code, out, err = run_cli(capsys, "series", "n=3; e={1:-1,3:1}", "--kind", "power", "--G", G,
+                                 "--order", "6")
+        assert code == 2 and not out
+        assert "--G" in err and "--kind dirichlet" in err
+
+    def test_dirichlet_series_takes_zeta_without_G(self, capsys):
+        argv = ["series", "n=6; e={1:-1,2:1,3:1,6:-1}", "--order", "30"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "\nG: zeta\n" in out
+        assert run_cli(capsys, *argv, "--G", "zeta") == (0, out, "")
 
     @pytest.mark.parametrize("text", [
         "n=03; e={1:1,3:-1}",

@@ -1,8 +1,8 @@
 """The benchmark's independent output checks in perfbench/checks.py, run on
 the CLI's own output, the seed-42 reference digests, and the benchmark's own
-unit tests, so that output drift in ``analyze`` or ``series``, a tracer path
-that no longer resolves or an incomplete trace fails here and not only in a
-benchmark run."""
+unit tests, so that output drift in ``analyze``, ``series`` or ``verify all``,
+a tracer path that no longer resolves or an incomplete trace fails here and
+not only in a benchmark run."""
 
 import contextlib
 import hashlib
@@ -77,6 +77,14 @@ def test_seed42_stdout_matches_the_benchmark_reference(perfbench_run):
     for workload, cmd in runs:
         digest = hashlib.sha256(stdout_of(*cmd.argv).encode()).hexdigest()
         assert digest == reference[workload][" ".join(cmd.argv)], cmd.argv
+
+
+def test_verify_all_stdout_matches_the_benchmark_reference(perfbench_run):
+    # the verify-all workload's one command, in-process (about 3 s)
+    reference = json.loads(perfbench_run.REFERENCE.read_text())
+    (cmd,) = perfbench_run.commands("verify-all", 42)
+    digest = hashlib.sha256(stdout_of(*cmd.argv).encode()).hexdigest()
+    assert digest == reference["verify-all"][" ".join(cmd.argv)]
 
 
 def test_perfbench_unit_tests_pass():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -134,6 +135,31 @@ class TestParsing:
         sd = SeifertData.parse("0; 2/1,3/1,5/1")
         assert sd.genus == 0 and sd.alphas == (2, 3, 5) and sd.r == 3
         assert SeifertData.parse("2;").pairs == ()
+
+    @pytest.mark.parametrize("text, token", [
+        ("+1,1,\u0663;0_3", "+1"),
+        ("1,1,\u0663;3", "\u0663"),
+        ("1,1,3;0_3", "0_3"),
+        ("1 5,10,6;30", "1 5"),
+        ("01,1,1;3", "01"),
+        ("1,1,1;-3", "-3"),
+    ])
+    def test_weights_refuse_a_number_in_another_spelling(self, text, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            WeightSystem.parse(text)
+
+    @pytest.mark.parametrize("text, token", [
+        ("00; 02/+1", "00"),
+        ("0; 02/1", "02"),
+        ("0; 2/+1", "+1"),
+        ("-0; 2/1", "-0"),
+        ("1; 2 3/1", "2 3"),
+        ("0; \uff12/1", "\uff12"),
+        ("0; 2/1,", ""),
+    ])
+    def test_seifert_data_refuse_a_number_in_another_spelling(self, text, token):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            SeifertData.parse(text)
 
 
 class TestSeifert:
