@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import as_exact, mobius_transform
+from .arith import as_exact, divisors, mobius_transform
 from .exactpoly import ZERO, PolynomialQ, RationalFunctionQ, binomial_product
 from .report import Report
 from .zetaprod import ZetaProduct, lambert_polynomial
@@ -158,6 +158,36 @@ def weighted_geometric_sum(n: int, b: int, c: int, r: int, alternating: bool = F
     return report
 
 
+@lru_cache(maxsize=128)
+def _weighted_sum_blocks(n: int, b: int, c: int, r: int):
+    """The parts of identities 2 and 3 below that do not depend on e.
+
+    Returns (blocks2, blocks3, clear2, clear3): for each d | n the cleared
+    block that e(d) scales in the right-hand side of identity 2 and of
+    identity 3, and the multipliers (q**n - 1)**(r+1) and
+    (q**(2n) - 1)**(r+1) that clear the left-hand sides.  Every random
+    product checked at (n, b, c, r) shares them.
+    """
+    B, E = apostol_bernoulli(r + 1), apostol_euler(r)
+    qn = PolynomialQ.monomial(n)
+    blocks2, blocks3 = {}, {}
+    for d in divisors(n):
+        x1 = Fraction(c + b * n, b * d)
+        x0 = Fraction(c, b * d)
+        # one Bernoulli block per divisor: all of identity 2, the even divisors of identity 3
+        bernoulli = Fraction((b * d) ** r, r + 1) * (qn * B.numerator(x1, power=d) - B.numerator(x0, power=d))
+        blocks2[d] = bernoulli * binomial_product([(n, r + 1), (d, -r - 1)])
+        if d % 2:
+            # odd divisors alternate within their block; the telescoped Euler
+            # closed form has a plus on the constant term
+            sign = (-1) ** (n // d - 1)
+            euler = Fraction((b * d) ** r, 2) * (sign * qn * E.numerator(x1, power=d) + E.numerator(x0, power=d))
+            blocks3[d] = euler * binomial_product([(d, r + 1), (2 * n, r + 1), (2 * d, -r - 1)])
+        else:
+            blocks3[d] = bernoulli * binomial_product([(2 * n, r + 1), (d, -r - 1)])
+    return blocks2, blocks3, binomial_product([(n, r + 1)]), binomial_product([(2 * n, r + 1)])
+
+
 def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Report:
     """The three power-weighted generating identities for a(k) = sum e(d), d | (k, n).
 
@@ -168,7 +198,10 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
     3. the (-q)**k variant, odd divisors carrying Apostol-Euler blocks and
        even divisors Apostol-Bernoulli blocks, cleared by (q**(2n) - 1)**(r+1).
 
-    All three are exact polynomial comparisons after clearing.
+    All three are exact polynomial comparisons after clearing.  The right
+    sides of 2 and 3 are e-weighted sums of blocks built once per
+    (n, b, c, r); the left sides come from a, so the two sides stay
+    independent.
     """
     if b < 1 or r < 0:
         raise ValueError("need b >= 1 and r >= 0")
@@ -180,32 +213,11 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
     rhs1 = lambert_polynomial(n, z.e)
     report.expect(lhs1 == rhs1, identity="partial-fractions", lhs=lhs1, rhs=rhs1)
 
-    B, E = apostol_bernoulli(r + 1), apostol_euler(r)
-    qn = PolynomialQ.monomial(n)
+    blocks2, blocks3, clear2, clear3 = _weighted_sum_blocks(n, b, c, r)
     lhs2 = PolynomialQ([a(k) * (b * k + c) ** r for k in range(n)])
     lhs3 = PolynomialQ([a(k) * (b * k + c) ** r * (-1) ** k for k in range(n)])
-    rhs2 = rhs3 = ZERO
-    for d, ed in z.e.items():
-        if not ed:
-            continue
-        x1 = Fraction(c + b * n, b * d)
-        x0 = Fraction(c, b * d)
-        # one Bernoulli block per divisor: all of identity 2, the even divisors of identity 3
-        bernoulli = Fraction(ed * (b * d) ** r, r + 1) * (
-            qn * B.numerator(x1, power=d) - B.numerator(x0, power=d)
-        )
-        rhs2 = rhs2 + bernoulli * binomial_product([(n, r + 1), (d, -r - 1)])
-        if d % 2:
-            # odd divisors alternate within their block; the telescoped Euler
-            # closed form has a plus on the constant term
-            sign = (-1) ** (n // d - 1)
-            euler = Fraction(ed * (b * d) ** r, 2) * (
-                sign * qn * E.numerator(x1, power=d) + E.numerator(x0, power=d)
-            )
-            rhs3 = rhs3 + euler * binomial_product([(d, r + 1), (2 * n, r + 1), (2 * d, -r - 1)])
-        else:
-            rhs3 = rhs3 + bernoulli * binomial_product([(2 * n, r + 1), (d, -r - 1)])
-    cleared2, cleared3 = lhs2 * binomial_product([(n, r + 1)]), lhs3 * binomial_product([(2 * n, r + 1)])
-    report.expect(cleared2 == rhs2, identity="power-weighted", divisor_block="all")
-    report.expect(cleared3 == rhs3, identity="alternating", divisor_block="all")
+    rhs2 = sum((ed * blocks2[d] for d, ed in z.e.items() if ed), ZERO)
+    rhs3 = sum((ed * blocks3[d] for d, ed in z.e.items() if ed), ZERO)
+    report.expect(lhs2 * clear2 == rhs2, identity="power-weighted", divisor_block="all")
+    report.expect(lhs3 * clear3 == rhs3, identity="alternating", divisor_block="all")
     return report

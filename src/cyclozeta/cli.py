@@ -237,6 +237,27 @@ def _cmd_catalog(args) -> int:
     raise ValueError(f"unknown catalog action {args.action!r}")
 
 
+def _rerun(args, defaults, report) -> str | None:
+    """The command that repeats a failing report's first mismatch at its
+    conductor alone, or None when that mismatch names no conductor.
+
+    It keeps the scope, --index and --seed, and --nmax, --order and --trials
+    when they differ from the defaults; every instance is seeded from the
+    seed, the suite, n and the trial, so it runs the same instance again.
+    """
+    n = report.mismatches[0].get("n") if report.mismatches else None
+    if type(n) is not int or n < 1:
+        return None
+    words = ["cyclozeta", "verify", args.scope]
+    if args.index is not None:
+        words += ["--index", str(args.index)]
+    words += ["--seed", str(args.seed), "--n", str(n)]
+    for name in ("nmax", "order", "trials"):
+        if getattr(args, name) != getattr(defaults, name):
+            words += [f"--{name}", str(getattr(args, name))]
+    return " ".join(words)
+
+
 def _cmd_verify(args) -> int:
     from . import verify
 
@@ -253,23 +274,31 @@ def _cmd_verify(args) -> int:
     for name, seconds in (timings or {}).items():
         print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)
     summary = verify.summarize(reports)
+    defaults = verify.SuiteConfig()
+    reruns = [_rerun(args, defaults, r) for r in reports]
     if args.format == "json":
+        suites = [r.to_dict() for r in reports]
+        for suite, rerun in zip(suites, reruns):
+            if rerun:
+                suite["mismatches"][0]["rerun"] = rerun
         doc = {
             "command": getattr(args, "_echo", f"verify {args.scope}"),
             "seed": args.seed,
-            "suites": [r.to_dict() for r in reports],
+            "suites": suites,
             "summary": summary,
         }
         if args.scope == "example":
             doc["examples"] = [d for r in reports for d in r.example_docs]
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for r in reports:
+        for r, rerun in zip(reports, reruns):
             print(f"[{r.status.upper():7s}] {r.check}")
             for f in r.flags:
                 print(f"          flag: {f}")
-            for mm in r.mismatches[:_SHOWN_MISMATCHES]:
+            for i, mm in enumerate(r.mismatches[:_SHOWN_MISMATCHES]):
                 print(f"          mismatch: {json_safe(mm)}")
+                if i == 0 and rerun:
+                    print(f"          rerun: {rerun}")
             if len(r.mismatches) > _SHOWN_MISMATCHES:
                 print(f"          (+{len(r.mismatches) - _SHOWN_MISMATCHES} more)")
         print(

@@ -491,18 +491,24 @@ def check_mobius_pairing(z: ZetaProduct, x: Mapping[int, object]) -> Report:
     functions; every value is written over one common denominator, so both
     sides are polynomials and no gcd is needed.
     """
-    return _mobius_pairing(z, x)[0]
+    X, Z, _ = _pairing_tables(z.n, x)
+    return _mobius_pairing(z, X, Z)
 
 
-def _mobius_pairing(z: ZetaProduct, x: Mapping[int, object]):
-    """(report, Z, D): the check above, with z_d = Z[d] / D for the product D
-    of the distinct denominators of the x_d."""
-    n = z.n
-    divs = divisors(n)
-    xf = {d: RationalFunctionQ.from_value(x[d]) for d in divs}
+def _pairing_tables(n: int, x: Mapping[int, object]):
+    """(X, Z, D): x_d = X[d] / D and z_d = Z[d] / D for every d | n, with D the
+    product of the distinct denominators of the x_d."""
+    xf = {d: RationalFunctionQ.from_value(x[d]) for d in divisors(n)}
     D = math.prod(dict.fromkeys(f.den for f in xf.values()), start=ONE)
     X = {d: f.num * D.exact_div(f.den) for d, f in xf.items()}
-    Z = mobius_inversion(n, X)
+    return X, mobius_inversion(n, X), D
+
+
+def _mobius_pairing(z: ZetaProduct, X: Mapping[int, object], Z: Mapping[int, object]) -> Report:
+    """The two pairing identities of :func:`check_mobius_pairing` on the
+    numerators X and Z over their common denominator."""
+    n = z.n
+    divs = divisors(n)
     m = multiplicities(z)
     p = power_sums(z)
     report = Report("mobius-pairing", context={"n": n})
@@ -513,7 +519,7 @@ def _mobius_pairing(z: ZetaProduct, x: Mapping[int, object]):
         sum(p(n // d) * Z[d] for d in divs) == sum((n // d) * z.e[n // d] * X[d] for d in divs),
         identity="power-sum-side",
     )
-    return report, Z, D
+    return report
 
 
 def pairing_preset(name: str, n: int) -> dict[int, object]:
@@ -537,25 +543,49 @@ def ramanujan_kernel(d: int) -> tuple[PolynomialQ, PolynomialQ]:
     return num, PolynomialQ.monomial(d) - 1
 
 
+@lru_cache(maxsize=128)
+def _preset_tables(name: str, n: int):
+    """(X, Z, D, kernels) of a named preset at conductor n, shared by every
+    product checked against it: the tables of :func:`_pairing_tables` and,
+    for each d | n, the kernel (num, den) that z_d should equal (none for
+    'ones')."""
+    X, Z, D = _pairing_tables(n, pairing_preset(name, n))
+    divs = divisors(n)
+    if name == "log-derivative":
+        kernels = {d: (Q * cyclotomic(d).derivative(), cyclotomic(d)) for d in divs}
+    elif name == "ramanujan":
+        kernels = {d: ramanujan_kernel(d) for d in divs}
+    elif name == "necklace":
+        kernels = {d: (d * necklace(d), ONE) for d in divs}
+    else:
+        kernels = {}
+    return X, Z, D, kernels
+
+
 def check_pairing_preset(z: ZetaProduct, name: str) -> Report:
     """Run :func:`check_mobius_pairing` on a preset substitution.
 
     For the log-derivative preset the inverse-Möbius sequence is verified to
     equal q Phi_d'(q) / Phi_d(q) for every d | n; for the Ramanujan preset it
     is verified to equal the Ramanujan-sum kernel over q**d - 1, and for the
-    necklace preset to equal d times the necklace polynomial.
+    necklace preset to equal d times the necklace polynomial.  The tables
+    and kernels depend on (name, n) only and are built once per such key;
+    each product's kernel comparisons still run, so every check counts.
     """
-    n = z.n
-    report, Z, D = _mobius_pairing(z, pairing_preset(name, n))
+    X, Z, D, kernels = _preset_tables(name, z.n)
+    report = _mobius_pairing(z, X, Z)
     report.check = f"mobius-pairing[{name}]"
-    for d in divisors(n):
-        if name in ("log-derivative", "ramanujan"):
-            phi = cyclotomic(d)
-            knum, kden = (Q * phi.derivative(), phi) if name == "log-derivative" else ramanujan_kernel(d)
-            report.expect(Z[d] * kden == knum * D, identity=f"kernel at d={d}")
-        elif name == "necklace":
-            report.expect(Z[d] == d * necklace(d) * D, identity=f"necklace kernel at d={d}")
+    label = "necklace kernel" if name == "necklace" else "kernel"
+    for d, (knum, kden) in kernels.items():
+        report.expect(Z[d] * kden == knum * D, identity=f"{label} at d={d}")
     return report
+
+
+@lru_cache(maxsize=128)
+def _totient_tables(n: int, s: int) -> tuple[dict[int, object], dict[int, object]]:
+    """(phi_{1-s}(d), phi_{-s}(d)) for every d | n at once: the Möbius
+    inversions of d**(1-s) and d**(-s)."""
+    return tuple(mobius_inversion(n, {d: rational_power(d, t) for d in divisors(n)}) for t in (1 - s, -s))
 
 
 def check_totient_pairing(z: ZetaProduct, s_values) -> Report:
@@ -569,7 +599,8 @@ def check_totient_pairing(z: ZetaProduct, s_values) -> Report:
     * sum p(n/d) phi_{-s}(d) == sum (n/d) e(n/d) / d**s
 
     are evaluated exactly (phi_s is the Möbius-weighted power sum
-    :func:`cyclozeta.arith.jordan_totient`).
+    :func:`cyclozeta.arith.jordan_totient`).  The phi tables depend on
+    (n, s) only and are built once per such key.
     """
     n = z.n
     divs = divisors(n)
@@ -577,10 +608,7 @@ def check_totient_pairing(z: ZetaProduct, s_values) -> Report:
     p = power_sums(z)
     report = Report("totient-pairing", context={"n": n, "s": list(s_values)})
     for s in s_values:
-        # phi_t(d) for every d | n at once: the Möbius inversion of d**t
-        phi_shifted, phi_plain = (
-            mobius_inversion(n, {d: rational_power(d, t) for d in divs}) for t in (1 - s, -s)
-        )
+        phi_shifted, phi_plain = _totient_tables(n, s)
         checks = [
             (
                 "m/shifted",

@@ -12,9 +12,11 @@ from cyclozeta.apostol import (
     check_weighted_sum_identities,
     weighted_geometric_sum,
 )
+from cyclozeta.arith import divisors
 from cyclozeta.catalog import get as catalog_get
-from cyclozeta.exactpoly import ONE, Q, ZERO, PolynomialQ, RationalFunctionQ
-from cyclozeta.zetaprod import random_zeta_product
+from cyclozeta.exactpoly import ONE, Q, ZERO, PolynomialQ, RationalFunctionQ, binomial_product
+from cyclozeta.verify import SuiteConfig, suite_weighted_sums
+from cyclozeta.zetaprod import ZetaProduct, random_zeta_product
 
 
 def evaluate(P, x0, power: int = 1) -> RationalFunctionQ:
@@ -156,3 +158,60 @@ class TestWeightedSumIdentities:
             assert to_rational_function(z) == RationalFunctionQ(cyclotomic(n))
             for r in (0, 1, 2):
                 assert check_weighted_sum_identities(z, 1, 0, r).status == "pass", (n, r)
+
+
+def per_trial_rhs(z, b: int, c: int, r: int):
+    """The right-hand sides of identities 2 and 3 as built once per product
+    before their blocks were cached: the oracle for the cached blocks."""
+    n = z.n
+    B, E = apostol_bernoulli(r + 1), apostol_euler(r)
+    qn = PolynomialQ.monomial(n)
+    rhs2 = rhs3 = ZERO
+    for d, ed in z.e.items():
+        if not ed:
+            continue
+        x1 = Fraction(c + b * n, b * d)
+        x0 = Fraction(c, b * d)
+        bernoulli = Fraction(ed * (b * d) ** r, r + 1) * (
+            qn * B.numerator(x1, power=d) - B.numerator(x0, power=d)
+        )
+        rhs2 = rhs2 + bernoulli * binomial_product([(n, r + 1), (d, -r - 1)])
+        if d % 2:
+            sign = (-1) ** (n // d - 1)
+            euler = Fraction(ed * (b * d) ** r, 2) * (
+                sign * qn * E.numerator(x1, power=d) + E.numerator(x0, power=d)
+            )
+            rhs3 = rhs3 + euler * binomial_product([(d, r + 1), (2 * n, r + 1), (2 * d, -r - 1)])
+        else:
+            rhs3 = rhs3 + bernoulli * binomial_product([(2 * n, r + 1), (d, -r - 1)])
+    return rhs2, rhs3
+
+
+class TestCachedBlocks:
+    def test_blocks_equal_the_per_trial_oracle(self, monkeypatch):
+        """For every (n, b, c, r) that the weighted-sums suite uses, block d is
+        the oracle's right-hand side at e = [d], and the clearing multipliers
+        are (q**n - 1)**(r+1) and (q**(2n) - 1)**(r+1)."""
+        keys = []
+        real = apostol._weighted_sum_blocks
+        monkeypatch.setattr(apostol, "_weighted_sum_blocks", lambda *key: keys.append(key) or real(*key))
+        assert suite_weighted_sums(SuiteConfig(trials=1)).status == "pass"
+        assert len(keys) == 20
+        for n, b, c, r in keys:
+            blocks2, blocks3, clear2, clear3 = real(n, b, c, r)
+            assert clear2 == (Q**n - 1) ** (r + 1) and clear3 == (Q ** (2 * n) - 1) ** (r + 1)
+            for d in divisors(n):
+                unit = ZetaProduct(n, {k: int(k == d) for k in divisors(n)})
+                assert (blocks2[d], blocks3[d]) == per_trial_rhs(unit, b, c, r), (n, b, c, r, d)
+
+    def test_calls_that_differ_only_in_c_each_pass(self):
+        """A cache key that dropped c would hand one of the two calls the
+        other's blocks, whichever of them was cached first."""
+        z = ZetaProduct(6, {1: 2, 2: -1, 3: 1, 6: -2})
+        for c in (0, 3):
+            assert check_weighted_sum_identities(z, 1, c, 2).status == "pass", c
+
+    def test_calls_that_differ_only_in_n_each_pass(self):
+        for n in (6, 12):
+            z = ZetaProduct(n, {d: 1 if d % 4 else -1 for d in divisors(n)})
+            assert check_weighted_sum_identities(z, 2, 3, 1).status == "pass", n

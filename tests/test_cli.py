@@ -452,6 +452,8 @@ class TestVerifyCommand:
         assert out.count("mismatch:") == 5
         assert "(+2 more)" in out
         assert "status: fail  flags: 0  failures: 1" in out
+        # no mismatch names a conductor, so there is no command to re-run
+        assert "rerun:" not in out
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_suite_that_checked_nothing_fails_the_run(self, capsys, monkeypatch, fmt):
@@ -487,6 +489,25 @@ class TestVerifyCommand:
         assert code == 1 and len(shown) == 5
         assert shown[0] == f"mismatch: {first}"
         assert all(line.startswith("mismatch: {'check': ") for line in shown)
+
+    def test_the_rerun_command_repeats_the_first_mismatch_at_its_n_alone(self, capsys, monkeypatch):
+        real = cyclozeta.zetaprod.multiplicities
+        monkeypatch.setattr(
+            cyclozeta.zetaprod, "multiplicities", lambda z: DivisorMap(z.n, {d: v + 1 for d, v in real(z).items()})
+        )
+        code, out, _ = run_cli(capsys, "verify", "prop", "--index", "4", "--n", "12", "--n", "6",
+                               "--trials", "2", "--nmax", "30")
+        lines = [line.strip() for line in out.splitlines()]
+        reruns = [line for line in lines if line.startswith("rerun: ")]
+        # the scope, --index and --seed always; --nmax and --trials because
+        # they differ from the defaults; --order does not
+        want = "cyclozeta verify prop --index 4 --seed 42 --n 12 --nmax 30 --trials 2"
+        assert code == 1 and reruns == [f"rerun: {want}"]
+        assert lines[lines.index(reruns[0]) - 1].startswith("mismatch: {'check': 'mobius-pairing[ones]', 'n': 12,")
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", *want.split()[2:])
+        mismatches = json.loads(out)["suites"][0]["mismatches"]
+        assert code == 1 and {m["n"] for m in mismatches} == {12}
+        assert mismatches[0]["rerun"] == want and not any("rerun" in m for m in mismatches[1:])
 
     def test_eta_mismatches_name_their_catalog_entry(self, monkeypatch):
         """Four catalog entries share n = 12; each carried mismatch says which one failed."""

@@ -7,9 +7,18 @@ from fractions import Fraction
 import pytest
 
 import cyclozeta.zetaprod as zetaprod
-from cyclozeta.arith import DivisorMap, divisors, mobius_transform, ramanujan_sum
+from cyclozeta.arith import (
+    DivisorMap,
+    divisors,
+    jordan_totient,
+    mobius_inversion,
+    mobius_transform,
+    ramanujan_sum,
+    rational_power,
+)
 from cyclozeta.catalog import get as catalog_get
-from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic
+from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic, necklace
+from cyclozeta.verify import SuiteConfig, suite_pairings
 from cyclozeta.zetaprod import (
     ZetaParseError,
     ZetaProduct,
@@ -468,6 +477,14 @@ class TestPairings:
 class TestPairingChecksCanFail:
     """Each pairing check against a corrupted ingredient: it must name what broke."""
 
+    @pytest.fixture(autouse=True)
+    def fresh_preset_tables(self):
+        # the preset kernels are cached per (name, n): build them from the
+        # patched ingredient, and keep the corrupted ones from later tests
+        zetaprod._preset_tables.cache_clear()
+        yield
+        zetaprod._preset_tables.cache_clear()
+
     # denominators q + 2 and q**2 + 1, neither cyclotomic nor dividing the other, and their product
     X6 = {
         1: RationalFunctionQ(1, Q + 2),
@@ -534,6 +551,72 @@ class TestPairingChecksCanFail:
             {"k": 6, "lhs": "113/36", "rhs": "95/36"},
             {"k": 8, "lhs": "4", "rhs": "5"},
         ]
+
+
+def per_trial_pairing_tables(name: str, n: int):
+    """(X, Z, D, kernels) of a preset as built once per product before they
+    were cached: the oracle for ``zetaprod._preset_tables``."""
+    x = zetaprod.pairing_preset(name, n)
+    xf = {d: RationalFunctionQ.from_value(x[d]) for d in divisors(n)}
+    D = math.prod(dict.fromkeys(f.den for f in xf.values()), start=ONE)
+    X = {d: f.num * D.exact_div(f.den) for d, f in xf.items()}
+    kernels = {}
+    for d in divisors(n):
+        if name in ("log-derivative", "ramanujan"):
+            phi = cyclotomic(d)
+            kernels[d] = (Q * phi.derivative(), phi) if name == "log-derivative" else zetaprod.ramanujan_kernel(d)
+        elif name == "necklace":
+            kernels[d] = (d * necklace(d), ONE)
+    return X, mobius_inversion(n, X), D, kernels
+
+
+def per_trial_totient_tables(n: int, s: int):
+    """phi_{1-s} and phi_{-s} on the divisors of n as built once per product."""
+    return tuple(
+        mobius_inversion(n, {d: rational_power(d, t) for d in divisors(n)}) for t in (1 - s, -s)
+    )
+
+
+class TestCachedPairingTables:
+    @staticmethod
+    def keys_used(monkeypatch, builder: str) -> list:
+        """The arguments the pairing suite passes to one cached builder."""
+        keys = []
+        real = getattr(zetaprod, builder)
+        monkeypatch.setattr(zetaprod, builder, lambda *key: keys.append(key) or real(*key))
+        assert suite_pairings(SuiteConfig(trials=1)).status == "pass"
+        return sorted(set(keys))
+
+    def test_preset_tables_equal_the_per_trial_oracle(self, monkeypatch):
+        keys = self.keys_used(monkeypatch, "_preset_tables")
+        assert len(keys) == 12
+        for name, n in keys:
+            assert zetaprod._preset_tables(name, n) == per_trial_pairing_tables(name, n), (name, n)
+
+    def test_totient_tables_equal_the_per_trial_oracle(self, monkeypatch):
+        keys = self.keys_used(monkeypatch, "_totient_tables")
+        assert keys == [(n, s) for n in (6, 12, 30) for s in range(-2, 4)]
+        for n, s in keys:
+            assert zetaprod._totient_tables(n, s) == per_trial_totient_tables(n, s), (n, s)
+            assert zetaprod._totient_tables(n, s)[0][n] == jordan_totient(n, 1 - s)
+
+    def test_calls_that_differ_only_in_the_preset_name_each_pass(self):
+        """A cache keyed on n alone would hand every preset at n = 12 the
+        tables of the one cached first.  Each set of tables passes its own
+        checks, so the count shows it: two pairing sides, and one kernel
+        comparison per divisor for every preset but 'ones'."""
+        z = ZetaProduct(12, {1: -1, 2: 0, 3: 1, 4: 0, 6: 2, 12: 1})
+        for name in ("ones", "necklace", "log-derivative", "ramanujan"):
+            report = check_pairing_preset(z, name)
+            assert report.status == "pass", name
+            assert report.checks == 2 + (0 if name == "ones" else len(divisors(12))), name
+
+    def test_calls_that_differ_only_in_n_each_pass(self):
+        for n in (6, 12):
+            z = ZetaProduct(n, {d: 1 if d % 4 else -1 for d in divisors(n)})
+            for name in ("necklace", "ramanujan"):
+                assert check_pairing_preset(z, name).status == "pass", (n, name)
+            assert check_totient_pairing(z, (0, 1)).status == "pass", n
 
 
 class TestTotientPairing:
