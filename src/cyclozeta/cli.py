@@ -237,13 +237,14 @@ def _cmd_catalog(args) -> int:
     raise ValueError(f"unknown catalog action {args.action!r}")
 
 
-def _rerun(args, defaults, report) -> str | None:
+def _rerun(args, defaults, report, whole) -> str | None:
     """The command that repeats a failing report's first mismatch at its
     conductor alone, or None when that mismatch names no conductor.
 
     It keeps the scope, --index and --seed, and --nmax, --order and --trials
     when they differ from the defaults; every instance is seeded from the
     seed, the suite, n and the trial, so it runs the same instance again.
+    A suite in ``whole`` ignores --n, so its command leaves --n out.
     """
     n = report.mismatches[0].get("n") if report.mismatches else None
     if type(n) is not int or n < 1:
@@ -251,7 +252,9 @@ def _rerun(args, defaults, report) -> str | None:
     words = ["cyclozeta", "verify", args.scope]
     if args.index is not None:
         words += ["--index", str(args.index)]
-    words += ["--seed", str(args.seed), "--n", str(n)]
+    words += ["--seed", str(args.seed)]
+    if report.check not in whole:
+        words += ["--n", str(n)]
     for name in ("nmax", "order", "trials"):
         if getattr(args, name) != getattr(defaults, name):
             words += [f"--{name}", str(getattr(args, name))]
@@ -275,7 +278,7 @@ def _cmd_verify(args) -> int:
         print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)
     summary = verify.summarize(reports)
     defaults = verify.SuiteConfig()
-    reruns = [_rerun(args, defaults, r) for r in reports]
+    reruns = [_rerun(args, defaults, r, verify.WHOLE_SUITES) for r in reports]
     if args.format == "json":
         suites = [r.to_dict() for r in reports]
         for suite, rerun in zip(suites, reruns):

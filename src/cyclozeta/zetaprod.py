@@ -29,6 +29,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Mapping
 
 from .arith import (
@@ -300,29 +301,36 @@ def _primitive_root_tests(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
 
 
 def _vanishes_at_primitive_root(h: list, d: int, shifts: tuple[int, ...]) -> bool:
-    # fold h mod q**d - 1, then multiply by each q**s - 1, s = d/p, mod
-    # q**d - 1: one rotate-and-subtract per prime p | d
-    f = [sum(h[r::d]) for r in range(d)]
+    # fold h mod q**d - 1 (at most 2d coefficients: one sum of its two
+    # blocks), then multiply by each q**s - 1, s = d/p, mod q**d - 1: one
+    # rotate-and-subtract per prime p | d
+    if len(h) <= 2 * d:
+        h = h + [0] * (2 * d - len(h))
+        f = list(map(add, h[:d], h[d:]))
+    else:
+        f = [sum(h[r::d]) for r in range(d)]
     for s in shifts:
-        f = [a - b for a, b in zip(f[-s:] + f[:-s], f)]
+        f = list(map(sub, f[-s:] + f[:-s], f))
     return not any(f)
 
 
 def _cyclotomic_valuations(p: PolynomialQ, n: int) -> dict[int, int]:
-    top = p.degree
+    # left is deg P less v phi(d) for every valuation v proved so far
+    left = p.degree
     # derivatives[j] is the j-th derivative of p, built once from the
     # (j - 1)-th for every d that asks for it
     derivatives = [list(p.coeffs)]
     out = {}
     for d, phi, shifts in _primitive_root_tests(n):
         j = 0
-        while (j + 1) * phi <= top:
+        while (j + 1) * phi <= left:
             if j == len(derivatives):
                 derivatives.append([k * c for k, c in enumerate(derivatives[-1][1:], 1)])
             if not _vanishes_at_primitive_root(derivatives[j], d, shifts):
                 break
             j += 1
         out[d] = j
+        left -= j * phi
     return out
 
 
@@ -334,8 +342,15 @@ def cyclotomic_exponents(f: RationalFunctionQ, n: int) -> DivisorMap:
     so one root stands for all): the least j whose j-th derivative has
     P^(j)(zeta) != 0.  P^(j) is j! times the j-th Hasse derivative
     sum_k C(k, j) a_k q**(k - j), so both vanish at the same points, and it
-    is built from P^(j - 1) with one product per coefficient.  A
-    multiplicity v needs v phi(d) <= deg P, so j stops there.
+    is built from P^(j - 1) with one product per coefficient.
+
+    The search spends a degree budget.  The Phi_d are pairwise coprime, so
+    Phi_d**v_d divides P for every d at once only if their product does,
+    and a non-zero P then has sum of v_d phi(d) <= deg P.  The budget starts
+    at deg P and loses v phi(d) once the valuation v of each d | n is
+    proved; Phi_d**(j + 1) is tested only while (j + 1) phi(d) fits in what
+    is left.  When it no longer fits, v_d = j follows from the bound, not
+    from a further test.  The budget reads only valuations already proved.
 
     P^(j)(zeta) = 0 is tested without Phi_d's coefficients.  Fold P^(j) mod
     q**d - 1 to F, then multiply F mod q**d - 1 by the product of
@@ -344,9 +359,10 @@ def cyclotomic_exponents(f: RationalFunctionQ, n: int) -> DivisorMap:
     the q**(d/p) - 1 is 0 mod every Phi_c with c a proper divisor of d (c
     divides some d/p) and a unit mod Phi_d (zeta**(d/p) != 1).  So the
     result is zero exactly when Phi_d divides F, that is, when
-    P^(j)(zeta) = 0.  Each derivative is built once and shared by every
-    d | n; each test costs O(deg P + d omega(d)).  The zero polynomial
-    counts as exponent 0.
+    P^(j)(zeta) = 0.  A derivative of at most 2d coefficients folds by one
+    pairwise sum of its two blocks.  Each derivative is built once and
+    shared by every d | n; each test costs O(deg P + d omega(d)).  The zero
+    polynomial counts as exponent 0.
     """
     num, den = _cyclotomic_valuations(f.num, n), _cyclotomic_valuations(f.den, n)
     return DivisorMap(n, {d: v - den[d] for d, v in num.items()})

@@ -59,6 +59,7 @@ GCD_WALK = "tests/test_arith.py::test_klee_and_beta_equal_the_walk_over_every_j"
 WEIGHT_PARSING = "tests/test_weights.py::TestParsing"
 BLOCKS = "tests/test_apostol.py::TestCachedBlocks"
 PRESETS = "tests/test_zetaprod.py::TestCachedPairingTables"
+BUDGET = "tests/test_zetaprod.py::TestDegreeBudget"
 RERUN = "tests/test_cli.py::TestVerifyCommand::test_the_rerun_command_repeats_the_first_mismatch_at_its_n_alone"
 
 MUTANTS = [
@@ -289,9 +290,9 @@ MUTANTS = [
     # lattice, one exact_values pass per DivisorMap, and --timings on stderr
     (ZETAPROD, "tuple(d // p for p, _ in factorize(d))", "tuple(d // p for p, _ in factorize(d)[1:])",
      f"{RATIONAL}::test_exponents_equal_the_fold_and_reduce_oracle"),
-    (ZETAPROD, "while (j + 1) * phi <= top:", "while (j + 1) * phi < top:",
+    (ZETAPROD, "while (j + 1) * phi <= left:", "while (j + 1) * phi < left:",
      f"{RATIONAL}::test_a_power_of_one_cyclotomic_factor"),
-    (ZETAPROD, "f = [a - b for a, b in", "f = [a + b for a, b in",
+    (ZETAPROD, "f = list(map(sub, f[-s:]", "f = list(map(add, f[-s:]",
      f"{RATIONAL}::test_exponents_equal_the_fold_and_reduce_oracle"),
     (ARITH, "        for g in divs:\n            if g % p == 0:", "        for g in reversed(divs):\n            if g % p == 0:",
      DIVISOR_SUMS),
@@ -362,6 +363,19 @@ MUTANTS = [
     (CLI, "                if i == 0 and rerun:\n", "                if rerun:\n", RERUN),
     (CLI, "        if getattr(args, name) != getattr(defaults, name):\n", "        if True:\n", RERUN),
     (CLI, '                suite["mismatches"][0]["rerun"] = rerun\n', "                pass\n", RERUN),
+    # cyclotomic valuations within a degree budget, a two-block fold, and
+    # --n for the eta suite
+    (ZETAPROD, "while (j + 1) * phi <= left:", "while (j + 1) * phi < left:",
+     f"{BUDGET}::test_a_cyclotomic_power_that_spends_the_whole_degree"),
+    (ZETAPROD, "left -= j * phi", "left -= (j + 1) * phi",
+     f"{BUDGET}::test_seed_42_root_data_products_alone_and_times_a_cofactor"),
+    (ZETAPROD, "if len(h) <= 2 * d:", "if len(h) <= 3 * d:", f"{BUDGET}::test_the_fold_at_every_length_equals_the_slice_sums"),
+    (ZETAPROD, "h = h + [0] * (2 * d - len(h))", "h = h + [0] * (d - len(h))",
+     f"{BUDGET}::test_the_fold_at_every_length_equals_the_slice_sums"),
+    (VERIFY, "if cfg.ns is None or e.n in cfg.ns]", "]",
+     "tests/test_cli.py::TestVerifyCommand::test_the_eta_rerun_command_reports_its_conductor_alone"),
+    (CLI, "    if report.check not in whole:\n", "    if True:\n",
+     "tests/test_cli.py::TestVerifyCommand::test_a_suite_that_runs_whole_gets_a_rerun_command_without_n"),
 ]
 
 

@@ -473,6 +473,26 @@ class TestVerifyCommand:
         checks = doc["suites"][0]["checks"]
         assert checks > 0 and doc["summary"]["checks"] == checks
 
+    def test_json_pins_the_check_count_of_every_suite_at_seed_42(self, capsys):
+        """Text output shows statuses only; a change that drops an identity
+        instance moves one of these counts."""
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "all", "--seed", "42")
+        doc = json.loads(out)
+        assert code == 0 and [(s["check"], s["checks"]) for s in doc["suites"]] == [
+            ("cyclotomic-products", 180),
+            ("root-data-coherence", 30207),
+            ("fourier-roundtrip", 6000),
+            ("tensor-powers", 20),
+            ("weighted-sums", 740),
+            ("mobius-pairings", 3396),
+            ("dirichlet-transfer", 480),
+            ("convolution-examples", 1384),
+            ("eta-expansion", 126),
+            ("weight-systems", 236),
+            ("catalog", 88),
+        ]
+        assert doc["summary"]["checks"] == 42857
+
     @pytest.mark.parametrize("module, argv, first", [
         (cyclozeta.zetaprod, ["prop", "--index", "4", "--n", "6", "--n", "12", "--trials", "2"],
          "{'check': 'mobius-pairing[ones]', 'n': 6, 'identity': 'multiplicity-side'}"),
@@ -508,6 +528,31 @@ class TestVerifyCommand:
         mismatches = json.loads(out)["suites"][0]["mismatches"]
         assert code == 1 and {m["n"] for m in mismatches} == {12}
         assert mismatches[0]["rerun"] == want and not any("rerun" in m for m in mismatches[1:])
+
+    def test_the_eta_rerun_command_reports_its_conductor_alone(self, capsys, monkeypatch):
+        """``--n`` keeps the catalog entries of that conductor, so the printed
+        command fails again at n = 12 and nowhere else."""
+        real = cyclozeta.etaprod.multiplicities
+        monkeypatch.setattr(
+            cyclozeta.etaprod, "multiplicities", lambda z: DivisorMap(z.n, {d: v + 1 for d, v in real(z).items()})
+        )
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "eta")
+        mismatches = json.loads(out)["suites"][0]["mismatches"]
+        assert code == 1 and {m["n"] for m in mismatches} > {12}
+        want = "cyclozeta verify eta --seed 42 --n 12"
+        assert mismatches[0]["rerun"] == want
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", *want.split()[2:])
+        suite = json.loads(out)["suites"][0]
+        assert code == 1 and {m["n"] for m in suite["mismatches"]} == {12}
+        assert suite["context"]["entries"] == sum(1 for e in cyclozeta.catalog.walked_entries() if e.n == 12)
+
+    @pytest.mark.parametrize("suite", sorted(cyclozeta.verify.WHOLE_SUITES))
+    def test_a_suite_that_runs_whole_gets_a_rerun_command_without_n(self, capsys, monkeypatch, suite):
+        report = Report(suite)
+        report.expect(False, n=12)
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: [report])
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "7")
+        assert code == 1 and "          rerun: cyclozeta verify all --seed 7\n" in out
 
     def test_eta_mismatches_name_their_catalog_entry(self, monkeypatch):
         """Four catalog entries share n = 12; each carried mismatch says which one failed."""

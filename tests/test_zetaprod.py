@@ -10,6 +10,8 @@ import cyclozeta.zetaprod as zetaprod
 from cyclozeta.arith import (
     DivisorMap,
     divisors,
+    euler_phi,
+    factorize,
     jordan_totient,
     mobius_inversion,
     mobius_transform,
@@ -92,6 +94,31 @@ def _reduced_fold_valuation(p: PolynomialQ, d: int) -> int:
         if any(folded[:deg]):
             return j
     return 0
+
+
+def slice_sum_vanishes(h: list, d: int, shifts: tuple[int, ...]) -> bool:
+    f = [sum(h[r::d]) for r in range(d)]
+    for s in shifts:
+        f = [a - b for a, b in zip(f[-s:] + f[:-s], f)]
+    return not any(f)
+
+
+def per_divisor_valuations(p: PolynomialQ, n: int) -> dict[int, int]:
+    # the valuation loop before the degree budget: each d | n searched on its
+    # own up to deg P, every derivative folded by d slice sums
+    derivatives = [list(p.coeffs)]
+    out = {}
+    for d in divisors(n):
+        phi, shifts = euler_phi(d), tuple(d // q for q, _ in factorize(d))
+        j = 0
+        while (j + 1) * phi <= p.degree:
+            if j == len(derivatives):
+                derivatives.append([k * c for k, c in enumerate(derivatives[-1][1:], 1)])
+            if not slice_sum_vanishes(derivatives[j], d, shifts):
+                break
+            j += 1
+        out[d] = j
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +317,56 @@ class TestRationalForm:
             num, den = expand_divisor_product(z)
             rf = to_rational_function(z)
             assert num * rf.den == rf.num * den
+
+
+class TestDegreeBudget:
+    """``_cyclotomic_valuations`` with its degree budget and two-block fold
+    against the per-divisor slice-sum search it replaced."""
+
+    def test_seed_42_root_data_products_alone_and_times_a_cofactor(self):
+        """A sample of the root-data suite's products at every n <= 60, and
+        each times (2/3) q**k + c, c odd, which has no root on the unit
+        circle, in the numerator and the denominator."""
+        cfg, rng = SuiteConfig(), random.Random(97)
+        for n in range(1, 61):
+            for t in rng.sample(range(100), 3):
+                rf = to_rational_function(random_zeta_product(cfg.rng("root", n, t), n))
+                factor = PolynomialQ.monomial(rng.randint(1, 9), Fraction(2, 3)) + rng.choice((-3, -1, 1, 3))
+                for p in (rf.num, rf.den, rf.num * factor, rf.den * factor):
+                    assert zetaprod._cyclotomic_valuations(p, n) == per_divisor_valuations(p, n), (n, t, p)
+
+    def test_a_cyclotomic_power_that_spends_the_whole_degree(self):
+        """deg Phi_d**k = k phi(d): the budget fits exactly."""
+        for n in (12, 30, 60):
+            for d in divisors(n):
+                for k in (1, 2, 3):
+                    p = cyclotomic(d) ** k
+                    want = {c: k * (c == d) for c in divisors(n)}
+                    assert zetaprod._cyclotomic_valuations(p, n) == per_divisor_valuations(p, n) == want, (n, d, k)
+
+    def test_the_fold_at_every_length_equals_the_slice_sums(self):
+        """Multiples of Phi_d, which vanish at its roots, and the same plus
+        one, which do not, with up to d, between d and 2d (the two-block
+        fold) and above 2d coefficients; the input list is left as it was."""
+        rng = random.Random(101)
+        for d in range(1, 31):
+            shifts = tuple(d // q for q, _ in factorize(d))
+            phi = cyclotomic(d)
+            for length in range(phi.degree + 1, 3 * d + 2):
+                g = PolynomialQ([rng.randint(-4, 4) for _ in range(length - phi.degree - 1)] + [rng.choice((-2, 1, 3))])
+                h = list((phi * g).coeffs)
+                assert len(h) == length
+                for coeffs, vanishes in ((h, True), ([h[0] + 1, *h[1:]], False)):
+                    before = list(coeffs)
+                    got = zetaprod._vanishes_at_primitive_root(coeffs, d, shifts)
+                    assert got == slice_sum_vanishes(coeffs, d, shifts) == vanishes, (d, coeffs)
+                    assert coeffs == before
+
+    def test_the_zero_polynomial_and_a_constant(self):
+        for n in (1, 12, 60):
+            for p in (ZERO, ONE):
+                want = dict.fromkeys(divisors(n), 0)
+                assert zetaprod._cyclotomic_valuations(p, n) == per_divisor_valuations(p, n) == want, (n, p)
 
 
 class TestFourier:
