@@ -237,14 +237,15 @@ def _cmd_catalog(args) -> int:
     raise ValueError(f"unknown catalog action {args.action!r}")
 
 
-def _rerun(args, defaults, report, whole) -> str | None:
+def _rerun(args, defaults, report) -> str | None:
     """The command that repeats a failing report's first mismatch at its
     conductor alone, or None when that mismatch names no conductor.
 
     It keeps the scope, --index and --seed, and --nmax, --order and --trials
     when they differ from the defaults; every instance is seeded from the
     seed, the suite, n and the trial, so it runs the same instance again.
-    A suite in ``whole`` ignores --n, so its command leaves --n out.
+    The catalog suite runs whole whatever --n says, so its command leaves
+    --n out; it is the one such suite whose mismatches name a conductor.
     """
     n = report.mismatches[0].get("n") if report.mismatches else None
     if type(n) is not int or n < 1:
@@ -253,7 +254,7 @@ def _rerun(args, defaults, report, whole) -> str | None:
     if args.index is not None:
         words += ["--index", str(args.index)]
     words += ["--seed", str(args.seed)]
-    if report.check not in whole:
+    if report.check != "catalog":
         words += ["--n", str(n)]
     for name in ("nmax", "order", "trials"):
         if getattr(args, name) != getattr(defaults, name):
@@ -278,7 +279,7 @@ def _cmd_verify(args) -> int:
         print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)
     summary = verify.summarize(reports)
     defaults = verify.SuiteConfig()
-    reruns = [_rerun(args, defaults, r, verify.WHOLE_SUITES) for r in reports]
+    reruns = [_rerun(args, defaults, r) for r in reports]
     if args.format == "json":
         suites = [r.to_dict() for r in reports]
         for suite, rerun in zip(suites, reruns):

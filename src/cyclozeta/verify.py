@@ -316,9 +316,11 @@ def suite_examples(cfg: SuiteConfig) -> Report:
 
 def suite_eta(cfg: SuiteConfig) -> Report:
     """Eta-style expansions over the catalog entries whose conductor is in
-    ``cfg.ns`` (all of them by default); one flag for the sign."""
+    ``cfg.ns``, or over every entry when none is (or ``cfg.ns`` is unset);
+    one flag for the sign."""
     order = min(cfg.order, 100)
-    entries = [e for e in catalog_mod.walked_entries() if cfg.ns is None or e.n in cfg.ns]
+    entries = catalog_mod.walked_entries()
+    entries = [e for e in entries if e.n in cfg.pick_ns(())] or entries
     report = Report("eta-expansion", context={"order": order, "entries": len(entries)})
     for entry in entries:
         sub = check_eta_forms(entry.zeta_product(), order)
@@ -381,9 +383,6 @@ SUITES = (
     ("weight-systems", suite_weights),
     ("catalog", suite_catalog),
 )
-
-# the suites that run whole whatever --n says
-WHOLE_SUITES = frozenset({"tensor-powers", "weight-systems", "catalog"})
 
 SCOPE_SUITES = {
     "all": [name for name, _ in SUITES],

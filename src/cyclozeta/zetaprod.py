@@ -29,7 +29,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import sub
 from typing import Mapping
 
 from .arith import (
@@ -301,14 +301,9 @@ def _primitive_root_tests(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
 
 
 def _vanishes_at_primitive_root(h: list, d: int, shifts: tuple[int, ...]) -> bool:
-    # fold h mod q**d - 1 (at most 2d coefficients: one sum of its two
-    # blocks), then multiply by each q**s - 1, s = d/p, mod q**d - 1: one
-    # rotate-and-subtract per prime p | d
-    if len(h) <= 2 * d:
-        h = h + [0] * (2 * d - len(h))
-        f = list(map(add, h[:d], h[d:]))
-    else:
-        f = [sum(h[r::d]) for r in range(d)]
+    # fold h mod q**d - 1, then multiply by each q**s - 1, s = d/p, mod
+    # q**d - 1: one rotate-and-subtract per prime p | d
+    f = [sum(h[r::d]) for r in range(d)]
     for s in shifts:
         f = list(map(sub, f[-s:] + f[:-s], f))
     return not any(f)
@@ -359,10 +354,9 @@ def cyclotomic_exponents(f: RationalFunctionQ, n: int) -> DivisorMap:
     the q**(d/p) - 1 is 0 mod every Phi_c with c a proper divisor of d (c
     divides some d/p) and a unit mod Phi_d (zeta**(d/p) != 1).  So the
     result is zero exactly when Phi_d divides F, that is, when
-    P^(j)(zeta) = 0.  A derivative of at most 2d coefficients folds by one
-    pairwise sum of its two blocks.  Each derivative is built once and
-    shared by every d | n; each test costs O(deg P + d omega(d)).  The zero
-    polynomial counts as exponent 0.
+    P^(j)(zeta) = 0.  Each derivative is built once and shared by every
+    d | n; each test costs O(deg P + d omega(d)).  The zero polynomial
+    counts as exponent 0.
     """
     num, den = _cyclotomic_valuations(f.num, n), _cyclotomic_valuations(f.den, n)
     return DivisorMap(n, {d: v - den[d] for d, v in num.items()})

@@ -60,7 +60,8 @@ WEIGHT_PARSING = "tests/test_weights.py::TestParsing"
 BLOCKS = "tests/test_apostol.py::TestCachedBlocks"
 PRESETS = "tests/test_zetaprod.py::TestCachedPairingTables"
 BUDGET = "tests/test_zetaprod.py::TestDegreeBudget"
-RERUN = "tests/test_cli.py::TestVerifyCommand::test_the_rerun_command_repeats_the_first_mismatch_at_its_n_alone"
+VERIFY_CMD = "tests/test_cli.py::TestVerifyCommand"
+RERUN = f"{VERIFY_CMD}::test_the_rerun_command_repeats_the_first_mismatch_at_its_n_alone"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -363,19 +364,18 @@ MUTANTS = [
     (CLI, "                if i == 0 and rerun:\n", "                if rerun:\n", RERUN),
     (CLI, "        if getattr(args, name) != getattr(defaults, name):\n", "        if True:\n", RERUN),
     (CLI, '                suite["mismatches"][0]["rerun"] = rerun\n', "                pass\n", RERUN),
-    # cyclotomic valuations within a degree budget, a two-block fold, and
-    # --n for the eta suite
-    (ZETAPROD, "while (j + 1) * phi <= left:", "while (j + 1) * phi < left:",
+    # cyclotomic valuations within a degree budget, --n for the eta suite,
+    # and the catalog's rerun command
+    (ZETAPROD, "left = p.degree", "left = p.degree - 1",
      f"{BUDGET}::test_a_cyclotomic_power_that_spends_the_whole_degree"),
     (ZETAPROD, "left -= j * phi", "left -= (j + 1) * phi",
      f"{BUDGET}::test_seed_42_root_data_products_alone_and_times_a_cofactor"),
-    (ZETAPROD, "if len(h) <= 2 * d:", "if len(h) <= 3 * d:", f"{BUDGET}::test_the_fold_at_every_length_equals_the_slice_sums"),
-    (ZETAPROD, "h = h + [0] * (2 * d - len(h))", "h = h + [0] * (d - len(h))",
-     f"{BUDGET}::test_the_fold_at_every_length_equals_the_slice_sums"),
-    (VERIFY, "if cfg.ns is None or e.n in cfg.ns]", "]",
-     "tests/test_cli.py::TestVerifyCommand::test_the_eta_rerun_command_reports_its_conductor_alone"),
-    (CLI, "    if report.check not in whole:\n", "    if True:\n",
-     "tests/test_cli.py::TestVerifyCommand::test_a_suite_that_runs_whole_gets_a_rerun_command_without_n"),
+    (VERIFY, "entries = [e for e in entries if e.n in cfg.pick_ns(())] or entries", "entries = list(entries)",
+     f"{VERIFY_CMD}::test_the_eta_rerun_command_reports_its_conductor_alone"),
+    (VERIFY, "e.n in cfg.pick_ns(())] or entries", "e.n in cfg.pick_ns(())]",
+     f"{VERIFY_CMD}::test_a_conductor_with_no_catalog_entry_runs_every_eta_entry"),
+    (CLI, '    if report.check != "catalog":\n', "    if True:\n",
+     f"{VERIFY_CMD}::test_a_catalog_failure_gets_a_rerun_command_without_n"),
 ]
 
 

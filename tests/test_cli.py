@@ -546,13 +546,27 @@ class TestVerifyCommand:
         assert code == 1 and {m["n"] for m in suite["mismatches"]} == {12}
         assert suite["context"]["entries"] == sum(1 for e in cyclozeta.catalog.walked_entries() if e.n == 12)
 
-    @pytest.mark.parametrize("suite", sorted(cyclozeta.verify.WHOLE_SUITES))
-    def test_a_suite_that_runs_whole_gets_a_rerun_command_without_n(self, capsys, monkeypatch, suite):
-        report = Report(suite)
-        report.expect(False, n=12)
-        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: [report])
-        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "7")
-        assert code == 1 and "          rerun: cyclozeta verify all --seed 7\n" in out
+    def test_a_conductor_with_no_catalog_entry_runs_every_eta_entry(self, capsys):
+        """No walked entry has n = 37, so ``--n 37`` leaves eta-expansion as
+        it is without ``--n``, and ``verify all --n 37`` passes."""
+        assert all(e.n != 37 for e in cyclozeta.catalog.walked_entries())
+        _, whole, _ = run_cli(capsys, "--format", "json", "verify", "eta")
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "eta", "--n", "37")
+        assert code == 0 and json.loads(out)["suites"] == json.loads(whole)["suites"]
+        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "42", "--n", "37", "--trials", "1")
+        assert code == 0 and "failures: 0" in out
+
+    def test_a_catalog_failure_gets_a_rerun_command_without_n(self, capsys, monkeypatch):
+        """The catalog suite runs whole whatever ``--n`` says, so its command
+        leaves ``--n`` out although the mismatch names its entry's conductor."""
+        real = cyclozeta.catalog.coxeter_exponents
+        monkeypatch.setattr(
+            cyclozeta.catalog, "coxeter_exponents", lambda name: None if (e := real(name)) is None else [*e, 0]
+        )
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "catalog", "--seed", "7")
+        first = json.loads(out)["suites"][0]["mismatches"][0]
+        assert code == 1 and first["check"] == "catalog-entry" and first["n"] >= 1
+        assert first["rerun"] == "cyclozeta verify catalog --seed 7"
 
     def test_eta_mismatches_name_their_catalog_entry(self, monkeypatch):
         """Four catalog entries share n = 12; each carried mismatch says which one failed."""
