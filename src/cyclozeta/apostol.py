@@ -33,12 +33,12 @@ from .report import Report
 from .zetaprod import ZetaProduct, lambert_polynomial
 
 
-def _base(family: str, power: int = 1, exponent: int = 1) -> PolynomialQ:
-    """(q**power - 1)**exponent for the Bernoulli family, (q**power + 1)**exponent
-    = ((q**(2 power) - 1) / (q**power - 1))**exponent for the Euler family."""
+def _base(family: str, exponent: int) -> PolynomialQ:
+    """(q - 1)**exponent for the Bernoulli family, (q + 1)**exponent
+    = ((q**2 - 1) / (q - 1))**exponent for the Euler family."""
     if family == "euler":
-        return binomial_product([(2 * power, exponent), (power, -exponent)])
-    return binomial_product([(power, exponent)])
+        return binomial_product([(2, exponent), (1, -exponent)])
+    return binomial_product([(1, exponent)])
 
 
 class ApostolPoly:
@@ -61,7 +61,7 @@ class ApostolPoly:
     @property
     def coefficients(self) -> tuple[RationalFunctionQ, ...]:
         """Reduced rational-function coefficients of x**0 .. x**deg."""
-        den = _base(self.family, 1, self.den_power)
+        den = _base(self.family, self.den_power)
         return tuple(RationalFunctionQ(num, den) for num in self._nums)
 
     def numerator(self, x0, power: int = 1) -> PolynomialQ:
@@ -101,9 +101,9 @@ def _family_member(family: str, r: int) -> ApostolPoly:
     for j in range(r + 1):
         acc = PolynomialQ.constant(numerator if j == 1 - offset else 0)
         for i in range(1, j + 1):
-            acc = acc - cs[j - i] * (q * _base(family, 1, i - 1) * Fraction(1, math.factorial(i)))
+            acc = acc - cs[j - i] * (q * _base(family, i - 1) * Fraction(1, math.factorial(i)))
         cs.append(acc)
-    nums = [cs[r - d] * math.perm(r, r - d) * _base(family, 1, d) for d in range(r + 1)]
+    nums = [cs[r - d] * math.perm(r, r - d) * _base(family, d) for d in range(r + 1)]
     while nums and nums[-1].is_zero:
         nums.pop()
     return ApostolPoly(family, r, (r + offset) if nums else 0, tuple(nums))
@@ -153,7 +153,7 @@ def weighted_geometric_sum(n: int, b: int, c: int, r: int, alternating: bool = F
         sign, P, scale = 1, apostol_bernoulli(r + 1), Fraction(b**r, r + 1)
     lhs = PolynomialQ([sign**i * (b * i + c) ** r for i in range(n + 1)])
     rhs = scale * (sign**n * PolynomialQ.monomial(n + 1) * P.numerator(x1) - sign * P.numerator(x0))
-    cleared = lhs * _base(P.family, 1, P.den_power)
+    cleared = lhs * _base(P.family, P.den_power)
     report.expect(cleared == rhs, lhs=cleared, rhs=rhs)
     return report
 

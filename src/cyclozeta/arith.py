@@ -14,6 +14,8 @@ used throughout the package live here:
 * Evaluators produced by :func:`named_function` follow the defining
   descriptions of the functions (counts grouped by gcd(j, k) and divisor
   sums); none of them rely on multiplicativity shortcuts.
+* Every integer read from text (products, flags, weight and Seifert data,
+  catalog ranks) goes through :func:`canonical_int`.
 
 Inputs are desk-scale, so factoring is plain trial division.
 """
@@ -21,6 +23,7 @@ Inputs are desk-scale, so factoring is plain trial division.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
@@ -45,6 +48,17 @@ def exact_values(values) -> list:
     if {*map(type, cs)} <= {int}:
         return cs
     return [as_exact(c) for c in cs]
+
+
+def canonical_int(token: str, minimum: int | None = None) -> int | None:
+    """The integer ``token`` spells in canonical ASCII decimal, as
+    ``str(int)`` writes it (``0``, or digits without a leading zero after an
+    optional minus sign; no whitespace, plus sign, underscore or other
+    digits), if it is at least ``minimum``; otherwise None."""
+    if not re.fullmatch("0|-?[1-9][0-9]*", token):
+        return None
+    value = int(token)
+    return value if minimum is None or value >= minimum else None
 
 
 def require_int_keys(keys) -> None:

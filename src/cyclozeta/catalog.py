@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .arith import DivisorMap, divisors, mobius_transform
+from .arith import DivisorMap, canonical_int, divisors, mobius_transform
 from .exactpoly import PolynomialQ
 from .report import Report
 from .zetaprod import ZetaProduct, root_weights, saito_dual, saito_transform
@@ -128,14 +128,13 @@ def walked_entries() -> list[CatalogEntry]:
     ]
 
 
-def get(name: str, l: int | None = None) -> CatalogEntry:
+def get(name: str) -> CatalogEntry:
     """Look an entry up by name: fixed names like ``E8``/``Q_12``, or the
-    families ``A_<l>`` / ``D_<l>`` (rank either embedded, in canonical ASCII
-    decimal, or passed as l)."""
-    squeezed = name.replace(" ", "")
-    fam = re.fullmatch(r"([AD])_?(?:l|([1-9][0-9]*))?", squeezed)
-    if fam and (fam.group(2) or l is not None):
-        rank = int(fam.group(2) or l)
+    families ``A_<l>`` / ``D_<l>`` (rank in canonical ASCII decimal)."""
+    # spaces are dropped, but a number split by them names no entry
+    squeezed = "" if re.search("[0-9] +[0-9]", name) else name.replace(" ", "")
+    fam = re.fullmatch(r"([AD])_?(.*)", squeezed)
+    if fam and (rank := canonical_int(fam.group(2), minimum=1)):
         return a_family(rank) if fam.group(1) == "A" else d_family(rank)
     canon = squeezed if "_" in squeezed else re.sub(r"([A-Z]+)(\d+)", r"\1_\2", squeezed)
     for entry in entries():

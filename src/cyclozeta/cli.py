@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
-from .arith import divisors, euler_phi
+from .arith import canonical_int, divisors, euler_phi
 from .exactpoly import PowerSeriesQ
 from .report import json_safe
 from .zetaprod import (
@@ -58,12 +57,13 @@ MAX_ORDER = 4000
 
 
 def _int(text: str, minimum: int | None = None) -> int:
-    """An integer flag, taken only in canonical ASCII decimal form (no sign
-    on 0, no leading zeros, underscores or other digits) and >= ``minimum``."""
-    if not re.fullmatch("0|-?[1-9][0-9]*", text) or (minimum is not None and int(text) < minimum):
+    """An integer flag, read by :func:`arith.canonical_int` (canonical ASCII
+    decimal, >= ``minimum``); anything else is a usage error."""
+    value = canonical_int(text, minimum)
+    if value is None:
         bound = "" if minimum is None else f" >= {minimum}"
         raise argparse.ArgumentTypeError(f"expected an integer{bound} in canonical decimal form, got {text!r}")
-    return int(text)
+    return value
 
 
 def _positive_int(text: str) -> int:

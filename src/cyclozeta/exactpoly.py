@@ -289,46 +289,30 @@ Q = PolynomialQ.monomial(1)
 # gcd over the rationals (primitive remainder sequence on integer clears)
 
 
-def _int_clear(p: PolynomialQ) -> list[int]:
-    """Scale to integer coefficients and divide out the content."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([int(c * den) for c in p.coeffs])
+def _int_clear(cs: Sequence) -> list[int]:
+    """Scale exact coefficients to integers and divide out the content."""
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
 
 
 def poly_gcd(a: PolynomialQ, b: PolynomialQ) -> PolynomialQ:
-    """Monic greatest common divisor, via a primitive PRS over the integers."""
+    """Monic greatest common divisor, via a primitive PRS over the integers:
+    each pseudo-remainder, lc(B)**(deg A - deg B + 1) A mod B, is taken by
+    :func:`_divmod` (every quotient coefficient is then an integer) and
+    cleared to a primitive integer list."""
     if a.is_zero and b.is_zero:
         return ZERO
     if a.is_zero:
         return _make_monic(b)
     if b.is_zero:
         return _make_monic(a)
-    A, B = _int_clear(a), _int_clear(b)
-    if len(A) < len(B):
-        A, B = B, A
+    A, B = _int_clear(a.coeffs), _int_clear(b.coeffs)
     while B:
-        A, B = B, _primitive(_pseudo_rem(A, B))
+        scale = B[-1] ** max(len(A) - len(B) + 1, 0)
+        A, B = B, _int_clear(_divmod([c * scale for c in A], B)[1])
     return _make_monic(PolynomialQ(A))
-
-
-def _pseudo_rem(A: list[int], B: list[int]) -> list[int]:
-    # lb**(deg A - deg B + 1) * A mod B, all integer
-    r = list(A)
-    db = len(B) - 1
-    lb = B[-1]
-    while len(r) - 1 >= db and r:
-        c = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * x for x in r]
-        for j in range(len(B)):
-            r[shift + j] -= c * B[j]
-        r = _trim(r)
-    return r
-
-
-def _primitive(p: list[int]) -> list[int]:
-    g = math.gcd(*p)
-    return [c // g for c in p] if g > 1 else p
 
 
 def _make_monic(p: PolynomialQ) -> PolynomialQ:

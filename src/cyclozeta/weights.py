@@ -21,15 +21,13 @@ alpha_i dividing n.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DivisorMap, as_exact, divisors, mobius_transform, rational_power
+from .arith import DivisorMap, as_exact, canonical_int, divisors, mobius_transform, rational_power
 from .exactpoly import PolynomialQ, RationalFunctionQ, binomial_product
 from .report import Report
 from .zetaprod import (
-    _CANONICAL_POSITIVE,
     ZetaProduct,
     dft_power_sums,
     lambert_form,
@@ -40,11 +38,12 @@ from .zetaprod import (
 )
 
 
-def _number(token: str, pattern: str = _CANONICAL_POSITIVE) -> int:
-    # canonical ASCII decimal, as the zeta-product grammar reads it; whitespace around, not inside
-    if not re.fullmatch(pattern, token.strip()):
+def _number(token: str, minimum: int = 1) -> int:
+    # canonical ASCII decimal, as every input grammar reads it; whitespace around, not inside
+    value = canonical_int(token.strip(), minimum)
+    if value is None:
         raise ValueError(f"expected a number in canonical decimal form, got {token.strip()!r}")
-    return int(token)
+    return value
 
 
 class NonRegularWeightSystem(ValueError):
@@ -100,7 +99,7 @@ class SeifertData:
     def parse(cls, text: str) -> "SeifertData":
         """Parse the ``g; a1/b1,a2/b2,...`` form."""
         head, _, tail = text.partition(";")
-        genus = _number(head, f"0|{_CANONICAL_POSITIVE}")
+        genus = _number(head, minimum=0)
         pairs = []
         if tail.strip():
             for chunk in tail.split(","):

@@ -34,6 +34,7 @@ from typing import Mapping
 
 from .arith import (
     DivisorMap,
+    canonical_int,
     div_exact,
     divisor_sums,
     divisors,
@@ -114,11 +115,6 @@ class ZetaProduct:
         return f"ZetaProduct({self.to_text()})"
 
 
-# numbers as ZetaProduct.to_text writes them: n and divisors, then d:e(d)
-_CANONICAL_POSITIVE = "[1-9][0-9]*"
-_CANONICAL_ENTRY = f"({_CANONICAL_POSITIVE}):(0|-?{_CANONICAL_POSITIVE})"
-
-
 def parse_zeta_product(text: str) -> ZetaProduct:
     """Parse ``n=<int>; e={d:v,...}`` (whitespace-insensitive, all divisors
     required) or its JSON mirror."""
@@ -129,10 +125,10 @@ def parse_zeta_fields(text: str) -> tuple[int, dict[int, int]]:
     """The raw (n, {d: e(d)}) of a text or JSON product, read without
     computing a divisor of n, so that a caller can refuse n first.
 
-    Numbers are taken only as :meth:`ZetaProduct.to_text` writes them: n and
-    the divisors in decimal without sign or leading zeros, the exponents
-    likewise with an optional minus sign (``0``, not ``-0``, in text and in
-    JSON), and none split by whitespace.
+    Numbers are taken only as :meth:`ZetaProduct.to_text` writes them, by
+    :func:`arith.canonical_int`: n and the divisors positive, the exponents
+    of either sign (``0``, not ``-0``, in text and in JSON), and none split
+    by whitespace.
     """
     s = re.sub(r"\s+", "", text)
     if s.startswith("{"):
@@ -148,32 +144,34 @@ def parse_zeta_fields(text: str) -> tuple[int, dict[int, int]]:
             if got != want:
                 raise ZetaParseError(f"expected {want!r}, found {got!r}", pos)
         raise ZetaParseError("expected the form n=<int>; e={d:v,...}", 0)
-    if not re.fullmatch(_CANONICAL_POSITIVE, m.group(1)):
+    n = canonical_int(m.group(1), minimum=1)
+    if n is None:
         raise ZetaParseError(f"n={m.group(1)} is not a positive integer in canonical decimal form", 2)
-    n = int(m.group(1))
     body = m.group(2)
     e: dict[int, int] = {}
     if body:
         offset = s.index("{") + 1
         for chunk in body.split(","):
-            entry = re.fullmatch(_CANONICAL_ENTRY, chunk)
-            if not entry:
+            d_text, _, v_text = chunk.partition(":")
+            d, v = canonical_int(d_text, minimum=1), canonical_int(v_text)
+            if d is None or v is None:
                 raise ZetaParseError(
                     f"bad exponent entry {chunk!r}: expected <divisor>:<exponent> in canonical decimal form",
                     offset,
                 )
-            d = int(entry.group(1))
             if d in e:
                 raise ZetaParseError(f"duplicate divisor {d}", offset)
-            e[d] = int(entry.group(2))
+            e[d] = v
             offset += len(chunk) + 1
     return n, e
 
 
 def _refuse_minus_zero(literal: str) -> int:
-    if literal == "-0":
-        raise ZetaParseError("the number -0 is not in canonical decimal form (write 0)")
-    return int(literal)
+    # JSON's integer grammar is the canonical one, except that it takes -0
+    value = canonical_int(literal)
+    if value is None:
+        raise ZetaParseError(f"the number {literal} is not in canonical decimal form (write 0)")
+    return value
 
 
 def _refuse_repeated_keys(pairs) -> dict:
@@ -193,7 +191,7 @@ def _json_fields(obj: Mapping) -> tuple[int, dict[int, int]]:
     if not isinstance(e, dict):
         raise ZetaParseError(f"e must be an object mapping divisors to exponents, got {json.dumps(e)}")
     for k in e:
-        if not re.fullmatch(_CANONICAL_POSITIVE, k):
+        if canonical_int(k, minimum=1) is None:
             raise ZetaParseError(f"e key {json.dumps(k)} is not a divisor in canonical decimal form")
     for label, v in [("n", n)] + [(f"e({k})", v) for k, v in e.items()]:
         if type(v) is not int:

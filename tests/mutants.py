@@ -3,14 +3,16 @@ must catch the fault.
 
     python tests/mutants.py
 
-Each entry is (path, old, new, test id).  An entry whose ``old`` text does
-not occur exactly once in its file, or whose test function is not defined in
-its test file, is refused before anything runs; tier-1 makes the same check
-in tests/test_mutation_entries.py.  The repository is copied, without
+Each entry is (path, old, new, tests): one fault, and one test id or a
+tuple of them, run together in one pytest call.  An entry whose ``old`` text
+does not occur exactly once in its file, whose (path, old, new) repeats
+another entry's, or whose test function is not defined in its test file, is
+refused before anything runs; tier-1 makes the same check in
+tests/test_mutation_entries.py.  The repository is copied, without
 ``.git``, to a temporary directory; each entry is applied there alone and
-its test is run with ``python -m pytest -q -x``.
-The script exits 1 and names every mutant whose test still passes (or could
-not run), and 0 when every mutant is caught.
+its tests are run with ``python -m pytest -q -x``.
+The script exits 1 and names every mutant that its tests all pass (or that
+could not run), and 0 when every mutant is caught.
 
 Stdlib only.  pytest does not collect this file, so it is not part of the
 test suite; run it after changing a test that an entry names.
@@ -57,6 +59,7 @@ RTH_POWERS = "tests/test_arith.py::test_rth_powers_and_r_free_numbers_equal_a_se
 TIMINGS = "tests/test_cli.py::TestVerifyCommand::test_timings_go_to_stderr_and_leave_stdout_byte_identical"
 GCD_WALK = "tests/test_arith.py::test_klee_and_beta_equal_the_walk_over_every_j"
 WEIGHT_PARSING = "tests/test_weights.py::TestParsing"
+CANONICAL = "tests/test_arith.py::test_canonical_int_takes_only_what_str_writes_and_at_least_minimum"
 BLOCKS = "tests/test_apostol.py::TestCachedBlocks"
 PRESETS = "tests/test_zetaprod.py::TestCachedPairingTables"
 BUDGET = "tests/test_zetaprod.py::TestDegreeBudget"
@@ -112,14 +115,14 @@ MUTANTS = [
     (DIRICHLET, "-(p ** ((a - 1) * t))", "p ** ((a - 1) * t)",
      "tests/test_dirichlet.py::TestStarSeries::test_unit_reduces_to_totient_pairing"),
     # catalog ranks inside the input contracts
-    (CATALOG, "([1-9][0-9]*)", r"(\d+)",
+    (CATALOG, "(rank := canonical_int(fam.group(2), minimum=1))", "fam.group(2).isdigit() and (rank := int(fam.group(2)))",
      "tests/test_catalog.py::TestLookup::test_family_rank_only_in_canonical_ascii_decimal"),
     (CLI, "size_error(entry.n)", "size_error(entry.n - 1)",
      "tests/test_cli.py::TestCatalogCommand::test_ranks_outside_the_input_contract_are_refused"),
     (CLI, '"m": list(m.residues())', '"m": list(m.values)',
      "tests/test_cli.py::TestAnalyze::test_json_lists_every_residue_of_the_even_functions"),
-    (CLI, 're.fullmatch("0|-?[1-9][0-9]*", text)', 're.fullmatch("-?[0-9]+", text)',
-     "tests/test_cli.py::TestVerifyCommand::test_integer_flags_refuse_non_canonical_numbers"),
+    (ARITH, 're.fullmatch("0|-?[1-9][0-9]*", token)', 're.fullmatch("-?[0-9]+", token)',
+     (CANONICAL, "tests/test_cli.py::TestVerifyCommand::test_integer_flags_refuse_non_canonical_numbers")),
     (CLI, "return _int(text, minimum=1)", "return _int(text)",
      "tests/test_cli.py::TestVerifyCommand::test_sizes_below_one_are_refused"),
     # values made exact in one place; divisor keys only ints
@@ -130,9 +133,8 @@ MUTANTS = [
     (DIRICHLET, "cs = tuple(exact_values(coeffs))", "cs = tuple(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
     (EXACTPOLY, "cs = exact_values(coeffs)", "cs = list(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
     (EXACTPOLY, "tuple(_trim(exact_values(coeffs)))", "tuple(_trim(list(coeffs)))",
-     f"{LAWS}::test_polynomial_ring_laws"),
-    (EXACTPOLY, "tuple(_trim(exact_values(coeffs)))", "tuple(_trim(list(coeffs)))",
-     f"{POLY}::TestPolynomialQ::test_an_integral_coefficient_beside_a_fraction_prints_as_an_int"),
+     (f"{LAWS}::test_polynomial_ring_laws",
+      f"{POLY}::TestPolynomialQ::test_an_integral_coefficient_beside_a_fraction_prints_as_an_int")),
     # any printed byte of the seed-42 analyze and series commands
     (EXACTPOLY, 'f"{mag}*{var}" if isinstance(mag, Fraction)', 'f"{mag}*{var}" if mag > 1',
      "tests/test_perfbench_checks.py::test_seed42_stdout_matches_the_benchmark_reference"),
@@ -151,7 +153,7 @@ MUTANTS = [
     # Apostol families as Appell sequences; one body per closed form
     (APOSTOL, "cs[r - d] * math.perm(r, r - d)", "cs[r - d] * math.comb(r, r - d)",
      f"{FAMILIES}::test_generating_series_round_trip"),
-    (APOSTOL, "q * _base(family, 1, i - 1) * Fraction", "q * _base(family, 1, i) * Fraction",
+    (APOSTOL, "q * _base(family, i - 1) * Fraction", "q * _base(family, i) * Fraction",
      f"{FAMILIES}::test_bernoulli_base_cases"),
     (APOSTOL, "(1, 2) if family", "(1, 1) if family", f"{FAMILIES}::test_euler_base_cases"),
     (APOSTOL, "PolynomialQ.monomial(n + 1) * P.numerator(x1) - sign * P.numerator(x0)",
@@ -200,7 +202,7 @@ MUTANTS = [
      "tests/test_apostol.py::TestWeightedSumIdentities::test_small_conductor_random"),
     (APOSTOL, "binomial_product([(2 * n, r + 1), (d, -r - 1)])", "binomial_product([(2 * n, r + 1), (d, -r)])",
      "tests/test_apostol.py::TestWeightedSumIdentities::test_small_conductor_random"),
-    (APOSTOL, "(2 * power, exponent), (power, -exponent)", "(2 * power, exponent), (power, 1 - exponent)",
+    (APOSTOL, "(2, exponent), (1, -exponent)", "(2, exponent), (1, 1 - exponent)",
      f"{FAMILIES}::test_euler_base_cases"),
     # series --order within the size contract
     (CLI, "    if order > MAX_ORDER:", "    if order > MAX_ORDER + 1:",
@@ -258,7 +260,7 @@ MUTANTS = [
      "tests/test_cli.py::TestCatalogCommand::test_verify_fails_when_the_flagged_set_is_not_the_expected_one"),
     (CATALOG, "anomalies.expect(found == expected,", "anomalies.expect(True,",
      "tests/test_cli.py::TestCatalogCommand::test_verify_fails_when_the_flagged_set_is_not_the_expected_one"),
-    (APOSTOL, "cleared = lhs * _base(P.family, 1, P.den_power)\n", "cleared = lhs * _base(P.family, 1, P.den_power + 1)\n",
+    (APOSTOL, "cleared = lhs * _base(P.family, P.den_power)\n", "cleared = lhs * _base(P.family, P.den_power + 1)\n",
      "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
     # each command imports only what it runs: the lazy package namespace,
     # the CLI's per-command imports and literal choices, and a closed stdout
@@ -310,9 +312,8 @@ MUTANTS = [
     # over conductors takes --n; one catalog walk; r-th powers from factorize
     (REPORT, "        for f in sub.flags:\n            if f not in self.flags:\n                self.flags.append(f)\n", "",
      ABSORB),
-    (REPORT, "            if f not in self.flags:\n", "            if True:\n", ABSORB),
     (REPORT, "            if f not in self.flags:\n", "            if True:\n",
-     "tests/test_cli.py::TestVerifyCommand::test_eta_scope_flags_once"),
+     (ABSORB, "tests/test_cli.py::TestVerifyCommand::test_eta_scope_flags_once")),
     (VERIFY, '"nmax": cfg.nmax})\n    for n in cfg.pick_ns(range(1, cfg.nmax + 1)):',
      '"nmax": cfg.nmax})\n    for n in range(1, cfg.nmax + 1):', GIVEN_NS),
     (VERIFY, "    ns = cfg.pick_ns(range(1, cfg.nmax + 1))\n", "    ns = range(1, cfg.nmax + 1)\n", GIVEN_NS),
@@ -343,9 +344,9 @@ MUTANTS = [
      f"{WEIGHT_PARSING}::test_weights_refuse_a_number_in_another_spelling"),
     (WEIGHTS, "pairs.append((_number(alpha), _number(beta)))", "pairs.append((_number(alpha), int(beta)))",
      f"{WEIGHT_PARSING}::test_seifert_data_refuse_a_number_in_another_spelling"),
-    (WEIGHTS, 'genus = _number(head, f"0|{_CANONICAL_POSITIVE}")', "genus = _number(head)",
+    (WEIGHTS, "genus = _number(head, minimum=0)", "genus = _number(head)",
      f"{WEIGHT_PARSING}::test_seifert_round_trip"),
-    (WEIGHTS, "if not re.fullmatch(pattern, token.strip()):", "if not re.fullmatch(pattern, token):",
+    (WEIGHTS, "canonical_int(token.strip(), minimum)", "canonical_int(token, minimum)",
      f"{WEIGHT_PARSING}::test_weight_round_trip"),
     # e-free kernels built once per (n, parameters): a cache key that drops a
     # parameter, swapped tables, and the re-run command of a failing suite
@@ -376,29 +377,46 @@ MUTANTS = [
      f"{VERIFY_CMD}::test_a_conductor_with_no_catalog_entry_runs_every_eta_entry"),
     (CLI, '    if report.check != "catalog":\n', "    if True:\n",
      f"{VERIFY_CMD}::test_a_catalog_failure_gets_a_rerun_command_without_n"),
+    # one canonical-integer reader, a number split by spaces names no catalog
+    # entry, and one long-division loop behind poly_gcd
+    (ARITH, "value >= minimum else None", "value > minimum else None", CANONICAL),
+    (CATALOG, '"" if re.search("[0-9] +[0-9]", name) else name.replace(" ", "")', 'name.replace(" ", "")',
+     ("tests/test_catalog.py::TestLookup::test_family_rank_only_in_canonical_ascii_decimal",
+      "tests/test_cli.py::TestCatalogCommand::test_ranks_outside_the_input_contract_are_refused")),
+    (EXACTPOLY, "_divmod([c * scale for c in A], B)[1]", "_divmod([c * scale for c in A], B)[0]",
+     (f"{POLY}::test_poly_gcd", f"{POLY}::test_poly_gcd_matches_sympy_on_products_that_share_factors")),
+    (EXACTPOLY, "den = math.lcm(*(c.denominator for c in cs))", "den = 1", f"{POLY}::test_poly_gcd"),
 ]
 
 
 def check_entries() -> list[str]:
     """Why each malformed entry is refused; empty when every entry is sound."""
-    problems = []
-    for path, old, _, test in MUTANTS:
+    problems, seen = [], set()
+    for path, old, new, tests in MUTANTS:
         count = (ROOT / path).read_text().count(old)
         if count != 1:
             problems.append(f"{path}: {old!r} occurs {count} times, not exactly once")
-        test_file, *_, name = test.split("[")[0].split("::")
-        if f"def {name}(" not in (ROOT / test_file).read_text():
-            problems.append(f"{test}: no such test")
+        if (path, old, new) in seen:
+            problems.append(f"{path}: {old!r} -> {new!r} is listed twice; name all its tests in one entry")
+        seen.add((path, old, new))
+        for test in _ids(tests):
+            test_file, *_, name = test.split("[")[0].split("::")
+            if f"def {name}(" not in (ROOT / test_file).read_text():
+                problems.append(f"{test}: no such test")
     return problems
 
 
-def run(copy: Path, path: str, old: str, new: str, test: str) -> int | str:
+def _ids(tests: str | tuple[str, ...]) -> tuple[str, ...]:
+    return (tests,) if isinstance(tests, str) else tests
+
+
+def run(copy: Path, path: str, old: str, new: str, tests: str | tuple[str, ...]) -> int | str:
     target = copy / path
     original = target.read_text()
     target.write_text(original.replace(old, new))
     try:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *_ids(tests)]
         return subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -413,12 +431,12 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
-        for path, old, new, test in MUTANTS:
-            code = run(copy, path, old, new, test)
+        for path, old, new, tests in MUTANTS:
+            code = run(copy, path, old, new, tests)
             # pytest exits 1 when a test failed; 0 means the mutant survived,
             # anything else that the test could not run
             verdict = "caught" if code == 1 else "SURVIVED" if code == 0 else f"NOT RUN (pytest exit {code})"
-            print(f"{verdict:10s} {path}: {old!r} -> {new!r}  [{test}]", flush=True)
+            print(f"{verdict:10s} {path}: {old!r} -> {new!r}  [{' '.join(_ids(tests))}]", flush=True)
             if code != 1:
                 survivors.append(f"{path}: {old!r} -> {new!r}")
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants caught")

@@ -21,7 +21,7 @@ from cyclozeta.zetaprod import ZetaProduct, random_zeta_product
 
 def evaluate(P, x0, power: int = 1) -> RationalFunctionQ:
     """P at rational x = x0 with q -> q**power, as a reduced rational function."""
-    return RationalFunctionQ(P.numerator(x0, power), apostol._base(P.family, power, P.den_power))
+    return RationalFunctionQ(P.numerator(x0, power), apostol._base(P.family, P.den_power).substitute_power(power))
 
 
 class TestFamilies:

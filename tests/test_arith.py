@@ -12,6 +12,7 @@ from cyclozeta.arith import (
     _beta,
     _is_r_free,
     _klee,
+    canonical_int,
     divisor_sums,
     divisors,
     euler_phi,
@@ -25,6 +26,16 @@ from cyclozeta.arith import (
     ramanujan_sum,
 )
 from cyclozeta.exactpoly import PolynomialQ
+
+
+def test_canonical_int_takes_only_what_str_writes_and_at_least_minimum():
+    for k in range(-300, 301):
+        assert canonical_int(str(k)) == k
+        assert canonical_int(str(k), minimum=k) == k
+        assert canonical_int(str(k), minimum=k + 1) is None
+    for token in ["", "-", "-0", "+1", "01", "-01", "007", "1_0", "0x10", "1.0", "1e3", " 1", "1 ", "1\n",
+                  "1 2", "\u0663", "\uff11", "1\u0663"]:
+        assert canonical_int(token) is None, repr(token)
 
 
 def test_divisors_examples():

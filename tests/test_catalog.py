@@ -30,7 +30,7 @@ class TestLookup:
     def test_families(self):
         a2 = get("A_2")
         assert a2.n == 3 and a2.m_line == {1: 1, 3: -1} and a2.p_line == {1: -1, 3: 3}
-        assert get("A_l", 5).name == "A_5"
+        assert get("A_5").name == "A_5"
         d5 = d_family(5)
         assert d5.n == 8 and d5.m_line == {1: 1, 2: -1, 4: 1, 8: -1}
         # colliding divisors merge: D_3 = A_3
@@ -43,7 +43,7 @@ class TestLookup:
         with pytest.raises(KeyError):
             get("B_2")
 
-    @pytest.mark.parametrize("name", ["A_03", "A_\u0663", "D_007", "A_0", "D_\uff11\uff12"])
+    @pytest.mark.parametrize("name", ["A_03", "A_\u0663", "D_007", "A_0", "D_\uff11\uff12", "A_1 2"])
     def test_family_rank_only_in_canonical_ascii_decimal(self, name):
         with pytest.raises(KeyError):
             get(name)

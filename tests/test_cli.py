@@ -1,5 +1,6 @@
 """Command-line surface: grammar, JSON schema, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -29,6 +30,10 @@ from cyclozeta.zetaprod import (
     star_functions,
     to_rational_function,
 )
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_cli(capsys, *argv):
@@ -274,6 +279,7 @@ class TestCatalogCommand:
         ("A_03", "unknown catalog entry"),
         ("A_\u0663", "unknown catalog entry"),
         ("D_007", "unknown catalog entry"),
+        ("A_1 2", "unknown catalog entry 'A_1 2'"),
         ("A_1000000", "n = 1000001 is above the size limit n <= 5040"),
         ("A_5040", "n = 5041 is above the size limit n <= 5040"),
     ])
@@ -492,6 +498,21 @@ class TestVerifyCommand:
             ("catalog", 88),
         ]
         assert doc["summary"]["checks"] == 42857
+        assert sha256(out) == "afd2be8b9a5f44b32605c8dfaf5ee9746a26e6125e5aaa004f091550266306b8"
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("--format json verify all --seed 7 --nmax 20", "ec6fb2e5f89b3c14ddd3ca213b5e72df617cd8b92a59ac4f6d87a403fafc8bde"),
+        ("verify example", "745af6e781907960638eae25240944fc45a93bd02179e3dd708942e1c391f090"),
+        ("--format json verify prop --seed 3", "9a935c445e86b3e3f9086d4f9119d5d31e1891d580e2406c7070cef50bd131c2"),
+        ("catalog verify", "ff6b1dd2910c1ba85dc98ea4cabf7a04b1142bdc979c848a5527bd251a61e4eb"),
+        ("verify weights", "c6931ec08cc7ad6ea15c471f963436d4f7aef28052b1983ccf218ac3ae7e7e53"),
+        ("verify eta", "6d6ea8a1fe0d8c2702ec6eb4f01145d74827b374fdc6685bb55ef26d043907b0"),
+    ])
+    def test_seeded_stdout_matches_its_pinned_digest(self, capsys, argv, digest):
+        """Any printed byte that moves changes a digest: a change that is not
+        meant to touch output must leave every one of them as it is."""
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0 and sha256(out) == digest
 
     @pytest.mark.parametrize("module, argv, first", [
         (cyclozeta.zetaprod, ["prop", "--index", "4", "--n", "6", "--n", "12", "--trials", "2"],

@@ -1,5 +1,6 @@
 """The committed mutation run's entries still point at the code and the tests
-they name, so an entry whose text moved fails here and not only in a manual
+they name, and list each (file, old, new) fault once, so an entry whose text
+moved or repeats another fails here and not only in a manual
 ``python tests/mutants.py`` run."""
 
 import importlib.util
