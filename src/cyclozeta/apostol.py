@@ -127,33 +127,34 @@ def apostol_euler(r: int) -> ApostolPoly:
 # closed forms for weighted geometric sums
 
 
-def weighted_geometric_sum(n: int, b: int, c: int, r: int, alternating: bool = False) -> Report:
-    """Check the closed form of sum((b i + c)**r q**i, i = 0..n) exactly.
-
-    Plain version against (b**r/(r+1)) (q**(n+1) B_{r+1}(c/b + n + 1, q)
-    - B_{r+1}(c/b, q)).  The alternating version telescopes through
-    q E_r(x+1, q) + E_r(x, q) = 2 x**r, giving
-
-        (b**r/2) ((-1)**n q**(n+1) E_r(c/b + n + 1, q) + E_r(c/b, q))
-
-    with a plus on the constant Euler term.  Compared after clearing
-    (q -+ 1)**(r+1).
-    """
-    if b < 1 or r < 0 or n < 0:
-        raise ValueError("need b >= 1, r >= 0, n >= 0")
-    x1 = Fraction(c, b) + n + 1
+def _closed_form(b: int, c: int, r: int, count: int, alternating: bool, power: int = 1) -> PolynomialQ:
+    """sum((b i + c)**r (-+q**power)**i, i < count) times the family base
+    (q**power -+ 1)**(r+1), telescoped from x0 = c/b to x0 + count through
+    q B_{r+1}(x+1, q) - B_{r+1}(x, q) = (r+1) x**r (plain) or through
+    q E_r(x+1, q) + E_r(x, q) = 2 x**r (alternating, which puts a plus on
+    the constant Euler term)."""
     x0 = Fraction(c, b)
-    report = Report(
-        "weighted-geometric-sum",
-        context={"n": n, "b": b, "c": c, "r": r, "alternating": alternating},
-    )
     if alternating:
         sign, P, scale = -1, apostol_euler(r), Fraction(b**r, 2)
     else:
         sign, P, scale = 1, apostol_bernoulli(r + 1), Fraction(b**r, r + 1)
+    top = PolynomialQ.monomial(power * count, sign ** (count - 1))
+    return scale * (top * P.numerator(x0 + count, power) - sign * P.numerator(x0, power))
+
+
+def weighted_geometric_sum(n: int, b: int, c: int, r: int, alternating: bool = False) -> Report:
+    """Check :func:`_closed_form` of sum((b i + c)**r (-+q)**i, i = 0..n)
+    against the dense sum cleared by (q -+ 1)**(r+1)."""
+    if b < 1 or r < 0 or n < 0:
+        raise ValueError("need b >= 1, r >= 0, n >= 0")
+    report = Report(
+        "weighted-geometric-sum",
+        context={"n": n, "b": b, "c": c, "r": r, "alternating": alternating},
+    )
+    sign = -1 if alternating else 1
     lhs = PolynomialQ([sign**i * (b * i + c) ** r for i in range(n + 1)])
-    rhs = scale * (sign**n * PolynomialQ.monomial(n + 1) * P.numerator(x1) - sign * P.numerator(x0))
-    cleared = lhs * _base(P.family, P.den_power)
+    rhs = _closed_form(b, c, r, n + 1, alternating)
+    cleared = lhs * _base("euler" if alternating else "bernoulli", r + 1)
     report.expect(cleared == rhs, lhs=cleared, rhs=rhs)
     return report
 
@@ -168,20 +169,14 @@ def _weighted_sum_blocks(n: int, b: int, c: int, r: int):
     (q**(2n) - 1)**(r+1) that clear the left-hand sides.  Every random
     product checked at (n, b, c, r) shares them.
     """
-    B, E = apostol_bernoulli(r + 1), apostol_euler(r)
-    qn = PolynomialQ.monomial(n)
     blocks2, blocks3 = {}, {}
     for d in divisors(n):
-        x1 = Fraction(c + b * n, b * d)
-        x0 = Fraction(c, b * d)
         # one Bernoulli block per divisor: all of identity 2, the even divisors of identity 3
-        bernoulli = Fraction((b * d) ** r, r + 1) * (qn * B.numerator(x1, power=d) - B.numerator(x0, power=d))
+        bernoulli = _closed_form(b * d, c, r, n // d, False, d)
         blocks2[d] = bernoulli * binomial_product([(n, r + 1), (d, -r - 1)])
         if d % 2:
-            # odd divisors alternate within their block; the telescoped Euler
-            # closed form has a plus on the constant term
-            sign = (-1) ** (n // d - 1)
-            euler = Fraction((b * d) ** r, 2) * (sign * qn * E.numerator(x1, power=d) + E.numerator(x0, power=d))
+            # odd divisors alternate within their block: (-q)**(d i) = (-q**d)**i
+            euler = _closed_form(b * d, c, r, n // d, True, d)
             blocks3[d] = euler * binomial_product([(d, r + 1), (2 * n, r + 1), (2 * d, -r - 1)])
         else:
             blocks3[d] = bernoulli * binomial_product([(2 * n, r + 1), (d, -r - 1)])

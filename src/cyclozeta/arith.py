@@ -230,9 +230,6 @@ class DivisorMap:
             return NotImplemented
         return DivisorMap(self.n, {d: v + other.values[d] for d, v in self.values.items()})
 
-    def get(self, d: int, default=0):
-        return self.values.get(d, default)
-
     def items(self):
         return self.values.items()
 

@@ -126,10 +126,10 @@ def _analyze_payload(z: ZetaProduct) -> dict:
     }
 
 
-def _emit(args, command: str, status: str, payload: dict) -> None:
+def _emit(args, status: str, payload: dict) -> None:
     if args.format == "json":
         doc = {
-            "command": getattr(args, "_echo", command),
+            "command": args._echo,
             "status": status,
             "payload": json_safe(payload),
         }
@@ -142,7 +142,7 @@ def _emit(args, command: str, status: str, payload: dict) -> None:
 def _cmd_analyze(args) -> int:
     z = _read_product(args.input, bound_degree=True)
     payload = _analyze_payload(z)
-    _emit(args, "analyze", "pass", payload)
+    _emit(args, "pass", payload)
     return 0
 
 
@@ -153,7 +153,7 @@ def _cmd_dual(args) -> int:
         "transform": saito_transform(z).to_text(),
         "dual": saito_dual(z).to_text(),
     }
-    _emit(args, "dual", "pass", payload)
+    _emit(args, "pass", payload)
     return 0
 
 
@@ -178,7 +178,7 @@ def _cmd_series(args) -> int:
         table = dict(zip(("m", "p"), dirichlet.ps_g_transforms(z, g)))
     for key in table if which == "all" else [which]:
         payload[key] = json_safe(table[key].coeffs)
-    _emit(args, "series", "pass", payload)
+    _emit(args, "pass", payload)
     return 0
 
 
@@ -203,7 +203,7 @@ def _cmd_catalog(args) -> int:
             "families": ["A_<rank>", "D_<rank>"],
         }
         if args.format == "json":
-            _emit(args, "catalog", "pass", payload)
+            _emit(args, "pass", payload)
         else:
             for e in catalog_mod.entries():
                 print(f"{e.name:6s} n={e.n:<3d} [{e.source}]")
@@ -212,7 +212,7 @@ def _cmd_catalog(args) -> int:
     if args.action == "get":
         if not args.name:
             raise ValueError("catalog get needs an entry name")
-        _emit(args, "catalog", "pass", _catalog_entry(args.name).to_json_dict())
+        _emit(args, "pass", _catalog_entry(args.name).to_json_dict())
         return 0
     if args.action == "verify":
         from . import verify
@@ -223,7 +223,7 @@ def _cmd_catalog(args) -> int:
             reports = catalog_mod.verify_catalog()
         summary = verify.summarize(reports)
         if args.format == "json":
-            _emit(args, "catalog", summary["status"], {"reports": [r.to_dict() for r in reports]})
+            _emit(args, summary["status"], {"reports": [r.to_dict() for r in reports]})
         else:
             for r in reports:
                 name = r.context.get("name", r.check)
@@ -286,7 +286,7 @@ def _cmd_verify(args) -> int:
             if rerun:
                 suite["mismatches"][0]["rerun"] = rerun
         doc = {
-            "command": getattr(args, "_echo", f"verify {args.scope}"),
+            "command": args._echo,
             "seed": args.seed,
             "suites": suites,
             "summary": summary,

@@ -5,12 +5,13 @@ cyclotomic product evaluated at q**k has a logarithmic derivative with an
 exact q-expansion.  This module expands q d/dq log of the product directly
 from its (1 - q**(k d)) factors and compares it with three closed forms:
 
-* the Lambert form: a divisor combination of L(q**d), where
-  L(q) = sum of k q**k / (1 - q**k) = sum of sigma(m) q**m;
+* the Lambert form: sum of d e(d) L(q**d), where L(q) = sum of
+  k q**k / (1 - q**k) = sum of sigma(m) q**m; in the exponent of q it is
+  the transform g_transform(z, sigma, "p") of the power-sum root weights;
 * the cyclotomic form: multiplicity-weighted log derivatives of the
   cyclotomic polynomials evaluated along q**k;
 * the Ramanujan form: the same with each log derivative replaced by its
-  Ramanujan-sum kernel over q**(k d) - 1.
+  Ramanujan-sum kernel over q**(k d) - 1; both weight Phi_d by m(n/d).
 
 Two conventions are pinned here.  First, with (1 - q**(k d)) factors the
 direct expansion equals MINUS the divisor Lambert combination - the sign is
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import divisors, sigma
-from .dirichlet import DirichletSeries, divisor_polynomial, zeta_series
+from .dirichlet import DirichletSeries, g_transform, zeta_series
 from .exactpoly import PowerSeriesQ, Q, cyclotomic, expand_fraction
 from .report import Report
 from .zetaprod import ZetaProduct, multiplicities, ramanujan_kernel
@@ -91,29 +92,27 @@ def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:
     def q_series(ds: DirichletSeries) -> PowerSeriesQ:
         return PowerSeriesQ((0,) + ds.coeffs, order)
 
-    sigmas = DirichletSeries([sigma(k) for k in range(1, order + 1)])
-    lambert = divisor_polynomial({d: d * ed for d, ed in z.e.items()}, order) * sigmas
-
-    m = multiplicities(z)
-    cyclo = [0] * (order + 1)
-    rama = [0] * (order + 1)
-    for d in divisors(n):
-        md = m(n // d)
-        if md:
-            for j, c in enumerate(_logderiv_coeffs(d, order + 1)):
-                cyclo[j] += md * c
-            for j, r in enumerate(_ramanujan_kernel_coeffs(d, order + 1)):
-                rama[j] += md * r
     # the chain-rule weight k of the kernel evaluated along q**k
     weights = zeta_series(order).shift()
+    m = multiplicities(z)
 
+    def kernel_form(kernel_coeffs) -> PowerSeriesQ:
+        acc = [0] * (order + 1)
+        for d in divisors(n):
+            md = m(n // d)
+            if md:
+                for j, c in enumerate(kernel_coeffs(d, order + 1)):
+                    acc[j] += md * c
+        return q_series(weights * DirichletSeries(acc[1:]))
+
+    sigmas = DirichletSeries(lambert_series(order + 1).coeffs[1:])
     return EtaExpansion(
         order=order,
         mu_e=z.mu_e,
         series=PowerSeriesQ(direct, order),
-        lambert_form=q_series(lambert),
-        cyclotomic_form=q_series(weights * DirichletSeries(cyclo[1:])),
-        ramanujan_form=q_series(weights * DirichletSeries(rama[1:])),
+        lambert_form=q_series(g_transform(z, sigmas, "p")),
+        cyclotomic_form=kernel_form(_logderiv_coeffs),
+        ramanujan_form=kernel_form(_ramanujan_kernel_coeffs),
     )
 
 

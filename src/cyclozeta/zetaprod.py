@@ -444,7 +444,8 @@ def lambert_form(a: DivisorMap) -> RationalFunctionQ:
 
 def lambert_polynomial(n: int, w: Mapping[int, object]) -> PolynomialQ:
     """sum_d w(d) (1 - q**n) / (1 - q**d) over d | n: the partial-fraction side
-    of :func:`lambert_form` cleared by 1 - q**n, so it equals sum_{k<n} a(k) q**k."""
+    of :func:`lambert_form` cleared by 1 - q**n, so it equals sum_{k<n} a(k) q**k.
+    The weights may be polynomials in q as well as numbers."""
     acc = ZERO
     for d, v in w.items():
         if v:
@@ -468,10 +469,7 @@ def gf_power_series(a: DivisorMap, e: DivisorMap) -> Report:
     n = a.n
     report = Report("lambert-partial-fractions", context={"n": n})
     lhs_tail = PolynomialQ([0] + [a(k) for k in range(1, n + 1)])
-    rhs_tail = ZERO
-    for d, ed in e.items():
-        if ed:
-            rhs_tail = rhs_tail + PolynomialQ.monomial(d, ed) * binomial_product([(n, 1), (d, -1)])
+    rhs_tail = lambert_polynomial(n, {d: PolynomialQ.monomial(d, ed) for d, ed in e.items()})
     report.expect(lhs_tail == rhs_tail, identity="k=1..n", lhs=lhs_tail, rhs=rhs_tail)
     lhs_head = PolynomialQ(a.residues())
     rhs_head = lambert_polynomial(n, e)
@@ -538,8 +536,9 @@ def pairing_preset(name: str, n: int) -> dict[int, object]:
     if name == "necklace":
         return {d: PolynomialQ.monomial(d) for d in divisors(n)}
     if name in ("log-derivative", "ramanujan"):
+        # d q**d and q**d - 1 are coprime and the denominator is monic
         return {
-            d: RationalFunctionQ(PolynomialQ.monomial(d, d), PolynomialQ.monomial(d) - 1)
+            d: RationalFunctionQ(PolynomialQ.monomial(d, d), PolynomialQ.monomial(d) - 1, _normalized=True)
             for d in divisors(n)
         }
     raise ValueError(f"unknown pairing preset {name!r}")

@@ -39,6 +39,7 @@ CATALOG = "src/cyclozeta/catalog.py"
 EXACTPOLY = "src/cyclozeta/exactpoly.py"
 VERIFY = "src/cyclozeta/verify.py"
 APOSTOL = "src/cyclozeta/apostol.py"
+ETAPROD = "src/cyclozeta/etaprod.py"
 WEIGHTS = "src/cyclozeta/weights.py"
 REPORT = "src/cyclozeta/report.py"
 PACKAGE = "src/cyclozeta/__init__.py"
@@ -61,6 +62,7 @@ GCD_WALK = "tests/test_arith.py::test_klee_and_beta_equal_the_walk_over_every_j"
 WEIGHT_PARSING = "tests/test_weights.py::TestParsing"
 CANONICAL = "tests/test_arith.py::test_canonical_int_takes_only_what_str_writes_and_at_least_minimum"
 BLOCKS = "tests/test_apostol.py::TestCachedBlocks"
+ETA = "tests/test_etaprod.py"
 PRESETS = "tests/test_zetaprod.py::TestCachedPairingTables"
 BUDGET = "tests/test_zetaprod.py::TestDegreeBudget"
 VERIFY_CMD = "tests/test_cli.py::TestVerifyCommand"
@@ -156,8 +158,8 @@ MUTANTS = [
     (APOSTOL, "q * _base(family, i - 1) * Fraction", "q * _base(family, i) * Fraction",
      f"{FAMILIES}::test_bernoulli_base_cases"),
     (APOSTOL, "(1, 2) if family", "(1, 1) if family", f"{FAMILIES}::test_euler_base_cases"),
-    (APOSTOL, "PolynomialQ.monomial(n + 1) * P.numerator(x1) - sign * P.numerator(x0)",
-     "PolynomialQ.monomial(n + 1) * P.numerator(x1) + sign * P.numerator(x0)",
+    (APOSTOL, "top * P.numerator(x0 + count, power) - sign * P.numerator(x0, power)",
+     "top * P.numerator(x0 + count, power) + sign * P.numerator(x0, power)",
      "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
     (APOSTOL, "blocks3[d] = bernoulli *", "blocks3[d] = -bernoulli *",
      "tests/test_apostol.py::TestWeightedSumIdentities::test_small_conductor_random"),
@@ -260,7 +262,7 @@ MUTANTS = [
      "tests/test_cli.py::TestCatalogCommand::test_verify_fails_when_the_flagged_set_is_not_the_expected_one"),
     (CATALOG, "anomalies.expect(found == expected,", "anomalies.expect(True,",
      "tests/test_cli.py::TestCatalogCommand::test_verify_fails_when_the_flagged_set_is_not_the_expected_one"),
-    (APOSTOL, "cleared = lhs * _base(P.family, P.den_power)\n", "cleared = lhs * _base(P.family, P.den_power + 1)\n",
+    (APOSTOL, '"bernoulli", r + 1)\n', '"bernoulli", r + 2)\n',
      "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
     # each command imports only what it runs: the lazy package namespace,
     # the CLI's per-command imports and literal choices, and a closed stdout
@@ -354,7 +356,8 @@ MUTANTS = [
      "def _weighted_sum_blocks(n: int, b: int, c: int, r: int, _memo={}):\n"
      "    return _memo.setdefault((n, b, r), _blocks(n, b, c, r))\n\n\ndef _blocks(n: int, b: int, c: int, r: int):",
      f"{BLOCKS}::test_calls_that_differ_only_in_c_each_pass"),
-    (APOSTOL, "Fraction(c + b * n, b * d)", "Fraction(b * n, b * d)", f"{BLOCKS}::test_blocks_equal_the_per_trial_oracle"),
+    (APOSTOL, "P.numerator(x0 + count, power)", "P.numerator(count, power)",
+     f"{BLOCKS}::test_blocks_equal_the_per_trial_oracle"),
     (ZETAPROD, "@lru_cache(maxsize=128)\ndef _preset_tables(name: str, n: int):",
      "def _preset_tables(name: str, n: int, _memo={}):\n"
      "    return _memo.setdefault(n, _tables(name, n))\n\n\ndef _tables(name: str, n: int):",
@@ -386,6 +389,18 @@ MUTANTS = [
     (EXACTPOLY, "_divmod([c * scale for c in A], B)[1]", "_divmod([c * scale for c in A], B)[0]",
      (f"{POLY}::test_poly_gcd", f"{POLY}::test_poly_gcd_matches_sympy_on_products_that_share_factors")),
     (EXACTPOLY, "den = math.lcm(*(c.denominator for c in cs))", "den = 1", f"{POLY}::test_poly_gcd"),
+    # each closed form built once: the telescoped Apostol sum at q**power, and
+    # the eta forms from the root-data transforms with one kernel accumulation
+    (APOSTOL, "sign ** (count - 1))", "sign ** count)", "tests/test_apostol.py::TestWeightedGeometricSum::test_sweep"),
+    (APOSTOL, "PolynomialQ.monomial(power * count,", "PolynomialQ.monomial(count,",
+     "tests/test_apostol.py::TestWeightedGeometricSum::test_closed_form_at_a_power_of_q"),
+    (ETAPROD, 'g_transform(z, sigmas, "p")', 'g_transform(z, sigmas, "m")', f"{ETA}::test_parabolic_four_way_agreement"),
+    (ETAPROD, "weights = zeta_series(order).shift()", "weights = zeta_series(order)",
+     f"{ETA}::test_parabolic_four_way_agreement"),
+    (ETAPROD, "md = m(n // d)", "md = m(d)", f"{ETA}::test_parabolic_four_way_agreement"),
+    # no command runs a polynomial gcd
+    (ZETAPROD, "PolynomialQ.monomial(d) - 1, _normalized=True)", "PolynomialQ.monomial(d) - 1)",
+     f"{VERIFY_CMD}::test_json_pins_the_check_count_of_every_suite_at_seed_42"),
 ]
 
 

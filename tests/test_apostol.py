@@ -122,6 +122,21 @@ class TestWeightedGeometricSum:
         with pytest.raises(ValueError):
             weighted_geometric_sum(3, 0, 1, 1)
 
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_closed_form_at_a_power_of_q(self, power):
+        """The blocks of the weighted-sum identities take the closed form at
+        q**d: it equals the dense sum at q**power times the base there."""
+        for count in range(1, 6):
+            for r in range(0, 4):
+                for b, c in ((1, 0), (2, 3)):
+                    for alternating, family in ((False, "bernoulli"), (True, "euler")):
+                        sign = -1 if alternating else 1
+                        dense = PolynomialQ([sign**i * (b * i + c) ** r for i in range(count)])
+                        base = apostol._base(family, r + 1)
+                        want = (dense * base).substitute_power(power)
+                        got = apostol._closed_form(b, c, r, count, alternating, power)
+                        assert got == want, (count, r, b, c, family)
+
 
 class TestWeightedSumIdentities:
     def test_zero_power_reduces_to_partial_fractions(self):

@@ -14,6 +14,7 @@ import cyclozeta.catalog
 import cyclozeta.cli
 import cyclozeta.dirichlet
 import cyclozeta.etaprod
+import cyclozeta.exactpoly
 import cyclozeta.verify
 import cyclozeta.zetaprod
 from cyclozeta.arith import DivisorMap, divisors
@@ -479,9 +480,13 @@ class TestVerifyCommand:
         checks = doc["suites"][0]["checks"]
         assert checks > 0 and doc["summary"]["checks"] == checks
 
-    def test_json_pins_the_check_count_of_every_suite_at_seed_42(self, capsys):
+    def test_json_pins_the_check_count_of_every_suite_at_seed_42(self, capsys, monkeypatch):
         """Text output shows statuses only; a change that drops an identity
-        instance moves one of these counts."""
+        instance moves one of these counts.  No suite runs a polynomial gcd:
+        every rational function it builds is reduced by construction."""
+        gcds = []
+        real = cyclozeta.exactpoly.poly_gcd
+        monkeypatch.setattr(cyclozeta.exactpoly, "poly_gcd", lambda a, b: gcds.append((a, b)) or real(a, b))
         code, out, _ = run_cli(capsys, "--format", "json", "verify", "all", "--seed", "42")
         doc = json.loads(out)
         assert code == 0 and [(s["check"], s["checks"]) for s in doc["suites"]] == [
@@ -499,6 +504,7 @@ class TestVerifyCommand:
         ]
         assert doc["summary"]["checks"] == 42857
         assert sha256(out) == "afd2be8b9a5f44b32605c8dfaf5ee9746a26e6125e5aaa004f091550266306b8"
+        assert gcds == []
 
     @pytest.mark.parametrize("argv, digest", [
         ("--format json verify all --seed 7 --nmax 20", "ec6fb2e5f89b3c14ddd3ca213b5e72df617cd8b92a59ac4f6d87a403fafc8bde"),
