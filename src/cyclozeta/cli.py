@@ -43,14 +43,15 @@ SERIES_G = ("mobius", "unit", "zeta")
 
 _SHOWN_MISMATCHES = 5
 
-# The size contract of analyze, dual and series.  The cost of analyze grows
-# with n (the Lambert forms multiply every Phi_c, c | n) and with the degree
-# of the reduced product (its cyclotomic powers, whose coefficients grow with
-# the exponents).  At these limits the slowest of 14 inputs measured at
-# n = 5040 ran analyze in 1.40 s (D = 2475), and e(2) = 1250 in 0.17 s, on a
-# 2-core x86 host.
-# The cost of series grows with --order, quadratically for --kind power; the
-# limit is the order of the benchmark's series ladder.
+# The size contract of analyze, dual and series, and of each verify --n.
+# The cost of analyze grows with n (the Lambert forms multiply every Phi_c,
+# c | n) and with the degree of the reduced product (its cyclotomic powers,
+# whose coefficients grow with the exponents).  At these limits the slowest
+# of 14 inputs measured at n = 5040 ran analyze in 1.40 s (D = 2475), and
+# e(2) = 1250 in 0.17 s, on a 2-core x86 host.
+# The cost of series grows with --order, quadratically for --kind power: at
+# n = 5040 it took 0.15 s at order 2000, 0.62 s at 4000 and 2.60 s at 8000 on
+# that host.  The limit is the order of the benchmark's series ladder.
 MAX_N = 5040
 MAX_DEGREE = 2500
 MAX_ORDER = 4000
@@ -263,6 +264,10 @@ def _rerun(args, defaults, report) -> str | None:
 
 
 def _cmd_verify(args) -> int:
+    # every --n is held to the size contract before any suite runs
+    for n in args.n or ():
+        if refusal := size_error(n):
+            raise ValueError(refusal)
     from . import verify
 
     cfg = verify.SuiteConfig(

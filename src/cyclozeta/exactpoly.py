@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .arith import as_exact, div_exact, divisors, exact_values, mobius
@@ -51,21 +52,32 @@ def _neg(a: Sequence) -> list:
     return [-c for c in a]
 
 
+def _row_cost(cs: Sequence) -> int:
+    """The work of ``cs`` as the outer factor of :func:`_mul`: one row per
+    non-zero coefficient, and a scaled copy of the row for each one that is
+    not 1."""
+    return 2 * (len(cs) - cs.count(0)) - cs.count(1)
+
+
 def _mul(a: Sequence, b: Sequence, limit: int | None = None) -> list:
     """Dense product; with ``limit``, only the coefficients below q**limit.
 
     The one schoolbook product loop: polynomials and truncated series both
-    multiply here.
+    multiply here.  Each non-zero coefficient ``ai`` of the outer factor adds
+    the other factor, times ``ai``, into ``out[i:]`` with one slice
+    assignment, so the inner loop runs in C; the outer factor is the one
+    with the cheaper rows (:func:`_row_cost`).
     """
     if not a or not b:
         return []
     size = len(a) + len(b) - 1 if limit is None else limit
+    if _row_cost(b) < _row_cost(a):
+        a, b = b, a
     out = [0] * size
     for i, ai in enumerate(a[:size]):
         if ai:
-            for k, bj in enumerate(b[: size - i], i):
-                if bj:
-                    out[k] += ai * bj
+            end = min(size, i + len(b))
+            out[i:end] = map(add, out[i:end], b if ai == 1 else map(mul, b, repeat(ai)))
     return _trim(out)
 
 

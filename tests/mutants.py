@@ -67,6 +67,7 @@ PRESETS = "tests/test_zetaprod.py::TestCachedPairingTables"
 BUDGET = "tests/test_zetaprod.py::TestDegreeBudget"
 VERIFY_CMD = "tests/test_cli.py::TestVerifyCommand"
 RERUN = f"{VERIFY_CMD}::test_the_rerun_command_repeats_the_first_mismatch_at_its_n_alone"
+MUL = "TestMul::test_equals_the_schoolbook_loop_in_both_orders_at_every_limit"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -136,7 +137,8 @@ MUTANTS = [
     (EXACTPOLY, "cs = exact_values(coeffs)", "cs = list(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
     (EXACTPOLY, "tuple(_trim(exact_values(coeffs)))", "tuple(_trim(list(coeffs)))",
      (f"{LAWS}::test_polynomial_ring_laws",
-      f"{POLY}::TestPolynomialQ::test_an_integral_coefficient_beside_a_fraction_prints_as_an_int")),
+      f"{POLY}::TestPolynomialQ::test_an_integral_coefficient_beside_a_fraction_prints_as_an_int",
+      f"{POLY}::TestPolynomialQ::test_products_sums_quotients_and_derivatives_keep_integral_coefficients_as_ints")),
     # any printed byte of the seed-42 analyze and series commands
     (EXACTPOLY, 'f"{mag}*{var}" if isinstance(mag, Fraction)', 'f"{mag}*{var}" if mag > 1',
      "tests/test_perfbench_checks.py::test_seed42_stdout_matches_the_benchmark_reference"),
@@ -211,6 +213,9 @@ MUTANTS = [
      "tests/test_cli.py::TestSizeContract::test_series_refuses_an_order_above_the_limit_before_any_series"),
     (CLI, "_read_product(args.input, order=args.order)", "_read_product(args.input)",
      "tests/test_cli.py::TestSizeContract::test_series_refuses_an_order_above_the_limit_before_any_series"),
+    # verify --n within the size contract
+    (CLI, "    for n in args.n or ():\n", "    for n in ():\n",
+     "tests/test_cli.py::TestSizeContract::test_verify_refuses_a_conductor_above_the_limit_before_any_suite"),
     # earlier hand-seeded faults, where the code they broke still exists
     (ARITH, "if (mu := mobius(g // d))", "if (mu := abs(mobius(g // d)))",
      "tests/test_transform_laws.py::test_mobius_inversion_and_divisor_sums_are_inverse"),
@@ -233,8 +238,13 @@ MUTANTS = [
      "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_is_the_partial_fraction_sum"),
     (EXACTPOLY, "for i in range(len(r) - 1, db - 1, -1):", "for i in range(len(r) - 1, db, -1):",
      f"{POLY}::TestPolynomialQ::test_divmod_and_exact_division"),
-    (EXACTPOLY, "for k, bj in enumerate(b[: size - i], i):", "for k, bj in enumerate(b[: size - i - 1], i):",
-     f"{POLY}::TestPowerSeriesQ::test_product_is_the_truncated_dense_product"),
+    # the product kernel adds one row per outer coefficient, checked against
+    # the schoolbook double loop it replaced
+    (EXACTPOLY, "end = min(size, i + len(b))", "end = min(size - 1, i + len(b))",
+     (f"{POLY}::TestPowerSeriesQ::test_product_is_the_truncated_dense_product", f"{POLY}::{MUL}")),
+    (EXACTPOLY, "end = min(size, i + len(b))", "end = min(size, i + len(b) - 1)", f"{POLY}::{MUL}"),
+    (EXACTPOLY, "map(mul, b, repeat(ai))", "map(mul, b, repeat(1))", f"{POLY}::{MUL}"),
+    (EXACTPOLY, "b if ai == 1 else map(", "b if ai else map(", f"{POLY}::{MUL}"),
     (EXACTPOLY, "return PolynomialQ(_add(self.coeffs, _neg(o.coeffs)))", "return PolynomialQ(_add(self.coeffs, o.coeffs))",
      f"{POLY}::TestPolynomialQ::test_arithmetic"),
     (EXACTPOLY, "            g = poly_gcd(num, den)", "            g = ONE",

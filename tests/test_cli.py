@@ -255,6 +255,17 @@ class TestSizeContract:
                                "--order", "4000", "--which", "m")
         assert code == 0 and len(json.loads(out)["payload"]["m"]) == 4000
 
+    def test_verify_refuses_a_conductor_above_the_limit_before_any_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda *args: pytest.fail("not refused"))
+        code, out, err = run_cli(capsys, "verify", "all", "--n", "6", "--n", "5041", "--trials", "1")
+        assert code == 2 and not out
+        assert err == "error: n = 5041 is above the size limit n <= 5040\n"
+
+    def test_verify_takes_a_conductor_at_the_limit(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "example", "--index", "1", "--n", "5040", "--trials", "1",
+                               "--order", "10")
+        assert code == 0 and "[PASS   ] convolution-examples" in out
+
     @pytest.mark.parametrize("text, degree", [("n=1; e={1:2501}", 2501), ("n=2; e={1:0,2:-1251}", 2502)])
     def test_analyze_refuses_a_degree_above_the_limit(self, capsys, monkeypatch, text, degree):
         monkeypatch.setattr(cyclozeta.cli, "_analyze_payload", lambda z: pytest.fail("not refused"))

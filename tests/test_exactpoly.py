@@ -29,6 +29,35 @@ from cyclozeta.exactpoly import _mul
 F = Fraction
 
 
+def schoolbook(a, b, limit=None):
+    """The double loop that ``_mul`` replaced, kept as its oracle: every
+    non-zero pair of coefficients, one product at a time."""
+    if not a or not b:
+        return []
+    size = len(a) + len(b) - 1 if limit is None else limit
+    out = [0] * size
+    for i, ai in enumerate(a[:size]):
+        if ai:
+            for k, bj in enumerate(b[: size - i], i):
+                if bj:
+                    out[k] += ai * bj
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+# operands of the product kernel by shape, each made from a drawn length k
+OPERANDS = {
+    "mixed": lambda rng, k: [rng.choice([0, rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 4))])
+                             for _ in range(k)],
+    "ints": lambda rng, k: [rng.randint(-9, 9) for _ in range(k)],
+    "fractions": lambda rng, k: [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k)],
+    "zero runs": lambda rng, k: [0] * rng.randint(0, 3) + [rng.choice([0, 0, 0, rng.randint(-4, 4)]) for _ in range(k)],
+    "monomials": lambda rng, k: [0] * (k - 1) + [rng.choice([1, -1, 2, F(-3, 2)])],
+    "units": lambda rng, k: [rng.choice([1, 1, -1, 0, F(1)]) for _ in range(k)],
+}
+
+
 class TestPolynomialQ:
     def test_canonical_form(self):
         assert PolynomialQ([1, 2, 0, 0]).coeffs == (1, 2)
@@ -79,12 +108,16 @@ class TestPolynomialQ:
         half = Fraction(1, 2)
         product = PolynomialQ([0, 2]) * PolynomialQ([Fraction(3, 2)])
         assert str(product) == "3q"
+        assert str(PolynomialQ([Fraction(3, 2)]) * PolynomialQ([0, 2])) == "3q"
         assert str(RationalFunctionQ(product, Q + 1)) == "(3q) / (q + 1)"
+        # 3/2 + 3/2 is summed inside the product kernel as Fractions
+        rows = PolynomialQ([0, 1, 1]) * PolynomialQ([Fraction(3, 2), Fraction(3, 2)])
+        assert str(rows) == "3/2*q^3 + 3q^2 + 3/2*q"
         total = PolynomialQ([half, half]) + PolynomialQ([half, Fraction(3, 2)])
         quo, rem = divmod(PolynomialQ([0, Fraction(3, 2), 1]), PolynomialQ([-half, 1]))
         derivative = PolynomialQ([0, 0, half, Fraction(1, 3)]).derivative()
-        for p, want in ((product, (0, 3)), (total, (1, 2)), (quo, (2, 1)), (rem, (1,)),
-                        (derivative, (0, 1, 1))):
+        for p, want in ((product, (0, 3)), (rows, (0, Fraction(3, 2), 3, Fraction(3, 2))), (total, (1, 2)),
+                        (quo, (2, 1)), (rem, (1,)), (derivative, (0, 1, 1))):
             assert p.coeffs == want
             assert all(type(c) is int or c.denominator != 1 for c in p.coeffs), p.coeffs
 
@@ -420,15 +453,26 @@ class TestPowerSeriesQ:
 
     def test_product_is_the_truncated_dense_product(self):
         rng = random.Random(17)
-        for _ in range(30):
-            a, b = (
-                PowerSeriesQ([rng.choice([0, rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 4))])
-                              for _ in range(rng.randint(1, 12))])
-                for _ in range(2)
-            )
+        shapes = [("mixed", "mixed")] * 30 + [(left, right) for left in OPERANDS for right in OPERANDS] * 2
+        for shape in shapes:
+            a, b = (PowerSeriesQ(OPERANDS[kind](rng, rng.randint(1, 12))) for kind in shape)
             n = min(a.order, b.order)
             written = [sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)) for k in range(n)]
             dense = _mul(a.coeffs, b.coeffs)
             assert (a * b).order == n
-            assert (a * b).coeffs == tuple(written)
-            assert (a * b).coeffs == PowerSeriesQ(dense, n).coeffs
+            assert (a * b).coeffs == tuple(written), shape
+            assert (a * b).coeffs == PowerSeriesQ(dense, n).coeffs, shape
+
+
+class TestMul:
+    @pytest.mark.parametrize("right", OPERANDS)
+    @pytest.mark.parametrize("left", OPERANDS)
+    def test_equals_the_schoolbook_loop_in_both_orders_at_every_limit(self, left, right):
+        rng = random.Random(f"{left}:{right}")
+        for _ in range(20):
+            a = OPERANDS[left](rng, rng.randint(1, 12))
+            b = OPERANDS[right](rng, rng.randint(1, 12))
+            full = len(a) + len(b) - 1
+            for limit in (None, 1, rng.randint(1, full), full - 1, full, full + 3):
+                want = schoolbook(a, b, limit)
+                assert _mul(a, b, limit) == want and _mul(b, a, limit) == want, (a, b, limit)
