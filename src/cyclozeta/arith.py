@@ -190,8 +190,15 @@ class DivisorMap:
     __slots__ = ("n", "values")
 
     def __init__(self, n: int, values: Mapping[int, object]):
-        require_int_keys(values)
         divs = divisors(n)
+        self.n = n
+        if tuple(values) == divs and {*map(type, values.values())} <= {int} and {*map(type, values)} <= {int}:
+            # int values on int keys, the divisors in increasing order: a
+            # tuple comparison and two type-set tests, all at C speed, prove
+            # what the checks below would
+            self.values = dict(values)
+            return
+        require_int_keys(values)
         if values.keys() != _divisor_set(n):
             # a value that is not exact is refused before a wrong key set
             exact_values(values.values())
@@ -202,8 +209,7 @@ class DivisorMap:
                 + (f"; missing {missing}" if missing else "")
                 + (f"; non-divisors {extra}" if extra else "")
             )
-        self.n = n
-        self.values = dict(zip(divs, exact_values([values[d] for d in divs])))
+        self.values = dict(zip(divs, exact_values(map(values.__getitem__, divs))))
 
     @classmethod
     def from_partial(cls, n: int, values: Mapping[int, object]) -> "DivisorMap":
@@ -255,15 +261,22 @@ def divisor_sums(n: int, w: Mapping[int, object]) -> dict[int, object]:
     has no prime other than those done so far.  The step adds s[g / p] to
     s[g] for every multiple g of p, in increasing order, so s[g / p] already
     holds its own step's sum and the powers of p accumulate.
-    O(tau(n) omega(n)) additions instead of O(tau(n)**2).
+    O(tau(n) omega(n)) additions instead of O(tau(n)**2); the steps depend
+    on n alone and are listed once per n.
     """
-    divs = divisors(n)
-    s = {d: w[d] for d in divs}
-    for p, _ in factorize(n):
-        for g in divs:
-            if g % p == 0:
-                s[g] = s[g] + s[g // p]
+    s = {d: w[d] for d in divisors(n)}
+    for g, h in _zeta_steps(n):
+        s[g] = s[g] + s[h]
     return s
+
+
+@lru_cache(maxsize=None)
+def _zeta_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """The (g, g / p) of :func:`divisor_sums`' additions at conductor n, in
+    their order: for each prime p of n, each multiple g of p dividing n,
+    increasing."""
+    divs = divisors(n)
+    return tuple((g, g // p) for p, _ in factorize(n) for g in divs if g % p == 0)
 
 
 def mobius_inversion(n: int, x: Mapping[int, object]) -> dict[int, object]:

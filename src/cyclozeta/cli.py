@@ -43,7 +43,8 @@ SERIES_G = ("mobius", "unit", "zeta")
 
 _SHOWN_MISMATCHES = 5
 
-# The size contract of analyze, dual and series, and of each verify --n.
+# The size contract of analyze, dual and series, and of each verify --n
+# (verify.size_error holds the rest of verify's).
 # The cost of analyze grows with n (the Lambert forms multiply every Phi_c,
 # c | n) and with the degree of the reduced product (its cyclotomic powers,
 # whose coefficients grow with the exponents).  At these limits the slowest
@@ -264,7 +265,8 @@ def _rerun(args, defaults, report) -> str | None:
 
 
 def _cmd_verify(args) -> int:
-    # every --n is held to the size contract before any suite runs
+    # every --n, and then the sizes of the run, are held to the size
+    # contract before any suite runs
     for n in args.n or ():
         if refusal := size_error(n):
             raise ValueError(refusal)
@@ -278,6 +280,8 @@ def _cmd_verify(args) -> int:
         ns=tuple(args.n) if args.n else None,
         index=args.index,
     )
+    if refusal := verify.size_error(args.scope, cfg):
+        raise ValueError(refusal)
     timings = {} if args.timings else None
     reports = verify.run_scope(args.scope, cfg, timings)
     for name, seconds in (timings or {}).items():

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .arith import as_exact, div_exact, divisors, exact_values, mobius
@@ -609,7 +609,7 @@ def binomial_product(pairs: Iterable[tuple[int, int]], start: PolynomialQ | None
     out = [1] if start is None else list(start.coeffs)
     for c, ac in a.items():
         for _ in range(ac):
-            out = [x - y for x, y in zip([0] * c + out, out + [0] * c)]
+            out = list(map(sub, [0] * c + out, out + [0] * c))
     for c, ac in a.items():
         for _ in range(-ac):
             # out = (q**c - 1) quo: quo[i] = quo[i - c] - out[i]
@@ -618,7 +618,7 @@ def binomial_product(pairs: Iterable[tuple[int, int]], start: PolynomialQ | None
                 sums[r::c] = accumulate(out[r::c])
             if any(sums[-c:]):
                 raise ExactDivisionError(f"{PolynomialQ(out)} is not divisible by q^{c} - 1")
-            out = [-x for x in sums[:-c]]
+            out = list(map(neg, sums[:-c]))
     return PolynomialQ(out)
 
 

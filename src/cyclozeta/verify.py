@@ -406,18 +406,71 @@ _PROP_INDEX_SUITE = {
 }
 
 
+# The size contract of verify, by cost, measured on a 2-core x86 host
+# (Python 3.11.7); cli exits 2 with the message of size_error.
+# --nmax sets the conductors 1..nmax of cyclotomic-products,
+# root-data-coherence (100 trials by default) and fourier-roundtrip (50):
+# `verify all` took 3.3 s at --nmax 60 and 4.7 s at 120.  --trials replaces
+# every random suite's default; 100 is the largest one.  The other random
+# suites run at the conductors (6, 12, 30), or at the --n list, which
+# replaces every suite's conductors.  At each such n, weighted-sums and
+# mobius-pairings build their e-free tables once (1.8 s at n = 360, 14 s at
+# 1260, with one trial) and then check each trial (0.24 s at n = 360);
+# dirichlet-transfer and convolution-examples cost about the same per trial
+# at every n, and grow with --order.  So a run's work is (trials + 8) times
+# the sum over its conductors of n**2 (when it runs the first two suites)
+# plus 30 * order (when it runs the last two): the tables cost about as much
+# as eight trials, and trials counts as 20 when --trials is not given.
+# `verify all` has work 534,240.  The slowest accepted runs
+# measured: --nmax 120 --trials 100 --order 399 in 12.7 s, --nmax 120
+# --trials 100 in 10.0 s, --n 360 in 6.4 s, --n 190 --trials 100 --order 1
+# in 6.4 s and --n 660 --trials 1 --order 1 in 3.8 s.
+MAX_NMAX = 120
+MAX_TRIALS = 100
+MAX_ORDER = 1000
+MAX_WORK = 4_000_000
+
+
+def size_error(scope: str, cfg: SuiteConfig) -> str | None:
+    """Why running ``scope`` at the sizes of ``cfg`` is refused, or None if
+    it is within the size contract."""
+    if cfg.nmax > MAX_NMAX:
+        return f"--nmax {cfg.nmax} is above the size limit {MAX_NMAX}"
+    if cfg.order > MAX_ORDER:
+        return f"--order {cfg.order} is above the size limit {MAX_ORDER}"
+    if cfg.trials is not None and cfg.trials > MAX_TRIALS:
+        return f"--trials {cfg.trials} is above the size limit {MAX_TRIALS}"
+    names = suite_names(scope, cfg.index)
+    square = not {"weighted-sums", "mobius-pairings"}.isdisjoint(names)
+    linear = not {"dirichlet-transfer", "convolution-examples"}.isdisjoint(names)
+    per_trial = sum(square * n * n + linear * 30 * cfg.order for n in cfg.pick_ns((6, 12, 30)))
+    work = (cfg.pick_trials(20) + 8) * per_trial
+    if work > MAX_WORK:
+        return (
+            f"the run's work (trials + 8) x sum of (n^2 + 30 x order) over its conductors is {work}, "
+            f"above the size limit {MAX_WORK}"
+        )
+    return None
+
+
+def suite_names(scope: str, index: int | None = None) -> list[str]:
+    """The suites that one scope runs, in canonical order; a proposition
+    ``index`` of the scope 'prop' keeps its suite alone."""
+    if scope not in SCOPE_SUITES:
+        raise ValueError(f"unknown scope {scope!r}")
+    if index is not None and scope not in ("prop", "example"):
+        raise ValueError(f"--index applies to the scopes 'prop' and 'example' only, not {scope!r}")
+    if scope == "prop" and index is not None:
+        if index not in _PROP_INDEX_SUITE:
+            raise ValueError(f"prop index must be 1..9, got {index}")
+        return [_PROP_INDEX_SUITE[index]]
+    return SCOPE_SUITES[scope]
+
+
 def run_scope(scope: str, cfg: SuiteConfig, timings: dict[str, float] | None = None) -> list[Report]:
     """Run the suites of one scope in canonical order; each suite's wall time
     in seconds goes into ``timings`` when it is given."""
-    if scope not in SCOPE_SUITES:
-        raise ValueError(f"unknown scope {scope!r}")
-    names = SCOPE_SUITES[scope]
-    if cfg.index is not None and scope not in ("prop", "example"):
-        raise ValueError(f"--index applies to the scopes 'prop' and 'example' only, not {scope!r}")
-    if scope == "prop" and cfg.index is not None:
-        if cfg.index not in _PROP_INDEX_SUITE:
-            raise ValueError(f"prop index must be 1..9, got {cfg.index}")
-        names = [_PROP_INDEX_SUITE[cfg.index]]
+    names = suite_names(scope, cfg.index)
     table = dict(SUITES)
     reports = []
     for name in names:

@@ -29,7 +29,8 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from itertools import repeat
+from operator import mul, sub
 from typing import Mapping
 
 from .arith import (
@@ -78,9 +79,11 @@ class ZetaProduct:
             e = DivisorMap(n, e)
         if e.n != n:
             raise ValueError(f"exponent map has conductor {e.n}, expected {n}")
-        for d, v in e.items():
-            if not isinstance(v, int):
-                raise ValueError(f"exponent e({d}) = {v} is not an integer")
+        # a DivisorMap holds ints and non-integral Fractions, so one
+        # type-set test is the integer check
+        if not {*map(type, e.values.values())} <= {int}:
+            d, v = next((d, v) for d, v in e.items() if type(v) is not int)
+            raise ValueError(f"exponent e({d}) = {v} is not an integer")
         self.n = n
         self.e = e
 
@@ -274,11 +277,17 @@ def to_rational_function(z: ZetaProduct) -> RationalFunctionQ:
     n, which equals m(n/d).  Distinct cyclotomics are coprime, so the result
     is already in lowest terms.
     """
-    n = z.n
-    exponents = {d: sum(z.e[dp] for dp in divisors(n) if dp % d == 0) for d in divisors(n)}
+    exponents = {d: sum(map(z.e.values.__getitem__, multiples)) for d, multiples in _multiples(z.n)}
     num = cyclotomic_product({d: k for d, k in exponents.items() if k > 0})
     den = cyclotomic_product({d: -k for d, k in exponents.items() if k < 0})
     return RationalFunctionQ(num, den, _normalized=True)
+
+
+@lru_cache(maxsize=None)
+def _multiples(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(d, the multiples of d that divide n) for each d | n."""
+    divs = divisors(n)
+    return tuple((d, tuple(dp for dp in divs if dp % d == 0)) for d in divs)
 
 
 def expand_divisor_product(z: ZetaProduct) -> tuple[PolynomialQ, PolynomialQ]:
@@ -318,7 +327,8 @@ def _cyclotomic_valuations(p: PolynomialQ, n: int) -> dict[int, int]:
         j = 0
         while (j + 1) * phi <= left:
             if j == len(derivatives):
-                derivatives.append([k * c for k, c in enumerate(derivatives[-1][1:], 1)])
+                h = derivatives[-1]
+                derivatives.append(list(map(mul, range(1, len(h)), h[1:])))
             if not _vanishes_at_primitive_root(derivatives[j], d, shifts):
                 break
             j += 1
@@ -392,12 +402,12 @@ def _ramanujan_synthesis(a: DivisorMap, scale: int = 1) -> dict[int, object]:
     n = a.n
     divs = divisors(n)
     column = [a[n // d] for d in divs]
-    D = math.lcm(*(v.denominator for v in column))
-    column = [v.numerator * (D // v.denominator) for v in column]
-    return {
-        g: div_exact(sum(x * c for x, c in zip(column, row)), D * scale)
-        for g, row in zip(divs, _ramanujan_matrix(n))
-    }
+    D = 1
+    if not {*map(type, column)} <= {int}:
+        D = math.lcm(*(v.denominator for v in column))
+        column = [v.numerator * (D // v.denominator) for v in column]
+    sums = [sum(map(mul, column, row)) for row in _ramanujan_matrix(n)]
+    return dict(zip(divs, sums if D * scale == 1 else map(div_exact, sums, repeat(D * scale))))
 
 
 def ramanujan_coefficients(a: DivisorMap) -> DivisorMap:

@@ -68,6 +68,8 @@ BUDGET = "tests/test_zetaprod.py::TestDegreeBudget"
 VERIFY_CMD = "tests/test_cli.py::TestVerifyCommand"
 RERUN = f"{VERIFY_CMD}::test_the_rerun_command_repeats_the_first_mismatch_at_its_n_alone"
 MUL = "TestMul::test_equals_the_schoolbook_loop_in_both_orders_at_every_limit"
+PRIME_SCAN = "tests/test_arith.py::test_divisor_sums_equal_the_prime_scan_they_replace"
+SIZES = "tests/test_cli.py::TestSizeContract"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -95,16 +97,22 @@ MUTANTS = [
     # is no fault (it multiplies F by the unit q**k)
     (ZETAPROD, "f = [sum(h[r::d]) for r in range(d)]", "f = [sum(h[r + 1::d]) for r in range(d)]",
      f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
-    (ZETAPROD, "enumerate(derivatives[-1][1:], 1)", "enumerate(derivatives[-1][1:], 2)",
-     f"{RATIONAL}::test_high_multiplicities"),
-    (ZETAPROD, "enumerate(derivatives[-1][1:], 1)", "enumerate(derivatives[0][1:], 1)",
-     f"{RATIONAL}::test_high_multiplicities"),
+    (ZETAPROD, "map(mul, range(1, len(h)), h[1:])", "map(mul, range(2, len(h) + 1), h[1:])",
+     (f"{RATIONAL}::test_high_multiplicities", f"{BUDGET}::test_the_carried_derivatives_equal_the_enumerate_loop")),
+    (ZETAPROD, "h = derivatives[-1]", "h = derivatives[0]",
+     (f"{RATIONAL}::test_high_multiplicities", f"{BUDGET}::test_the_carried_derivatives_equal_the_enumerate_loop")),
     (ZETAPROD, "return not any(f)", "return not any(f[1:])", f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
     # one integer Ramanujan matrix over one common denominator
     (ZETAPROD, "tuple(ramanujan_sum(d, g) for d in divs)", "tuple(ramanujan_sum(g, d) for d in divs)",
      f"{FOURIER}::test_synthesis_equals_the_written_out_sum"),
-    (ZETAPROD, "zip(column, row)), D * scale)", "zip(column, row)), scale)",
-     f"{FOURIER}::test_synthesis_equals_the_written_out_sum"),
+    (ZETAPROD, "map(div_exact, sums, repeat(D * scale))", "map(div_exact, sums, repeat(scale))",
+     (f"{FOURIER}::test_synthesis_equals_the_written_out_sum",
+      f"{FOURIER}::test_synthesis_of_fraction_values_equals_the_definition")),
+    (ZETAPROD, "sums if D * scale == 1 else", "sums if D == 1 else",
+     (f"{FOURIER}::test_reconstruction_of_multiplicities",
+      f"{FOURIER}::test_synthesis_equals_the_generator_rows_it_replaces")),
+    (ZETAPROD, "sum(map(mul, column, row))", "sum(map(mul, column, row[::-1]))",
+     f"{FOURIER}::test_synthesis_equals_the_generator_rows_it_replaces"),
     # example series cached by example object; one transform at a time
     (DIRICHLET, "@lru_cache\ndef _example_series(ex: TransferExample, n: int, r: int, order: int):\n",
      "def _example_series(ex, n, r, order):\n    return _example_series_by_index(ex.index, n, r, order)\n\n\n"
@@ -144,7 +152,7 @@ MUTANTS = [
      "tests/test_perfbench_checks.py::test_seed42_stdout_matches_the_benchmark_reference"),
     (ARITH, "if not {*map(type, keys)} <= {int}:", "if not {*map(type, keys)} <= {int, bool}:",
      "tests/test_arith.py::test_divisor_keys_must_be_ints"),
-    (ARITH, "        require_int_keys(values)\n        divs = divisors(n)", "        divs = divisors(n)",
+    (ARITH, "        require_int_keys(values)\n        if values.keys()", "        if values.keys()",
      "tests/test_arith.py::test_divisor_keys_must_be_ints"),
     (ARITH, "        require_int_keys(values)\n        return cls(", "        return cls(",
      "tests/test_arith.py::test_divisor_keys_must_be_ints"),
@@ -177,12 +185,12 @@ MUTANTS = [
     # products of cyclotomic powers from binomials q**c - 1; h * G2 built once
     (EXACTPOLY, "(c, mobius(d // c) * k)", "(c, -mobius(d // c) * k)",
      f"{KERNEL}::test_equals_the_written_out_product_of_cyclotomic_powers"),
-    (EXACTPOLY, "zip([0] * c + out, out + [0] * c)", "zip([0] * (c + 1) + out, out + [0] * c)",
-     f"{BINOMIAL}::test_equals_the_written_out_product"),
+    (EXACTPOLY, "map(sub, [0] * c + out, out + [0] * c)", "map(sub, [0] * (c + 1) + out, out + [0] * c)",
+     (f"{BINOMIAL}::test_equals_the_written_out_product", f"{BINOMIAL}::test_equals_the_comprehensions_it_replaces")),
     (EXACTPOLY, "            if any(sums[-c:]):\n", "            if False:\n",
      f"{BINOMIAL}::test_a_remainder_raises"),
-    (EXACTPOLY, "out = [-x for x in sums[:-c]]", "out = sums[:-c]",
-     f"{BINOMIAL}::test_equals_the_written_out_product"),
+    (EXACTPOLY, "out = list(map(neg, sums[:-c]))", "out = sums[:-c]",
+     (f"{BINOMIAL}::test_equals_the_written_out_product", f"{BINOMIAL}::test_equals_the_comprehensions_it_replaces")),
     (DIRICHLET, "return G1, G2, DirichletSeries(h) * G2", "return G1, G2, G2", f"{EXAMPLES}::test_all_examples_random"),
     (VERIFY, '        sub.context["name"] = entry.name\n', "",
      "tests/test_cli.py::TestVerifyCommand::test_eta_mismatches_name_their_catalog_entry"),
@@ -309,14 +317,14 @@ MUTANTS = [
      f"{RATIONAL}::test_a_power_of_one_cyclotomic_factor"),
     (ZETAPROD, "f = list(map(sub, f[-s:]", "f = list(map(add, f[-s:]",
      f"{RATIONAL}::test_exponents_equal_the_fold_and_reduce_oracle"),
-    (ARITH, "        for g in divs:\n            if g % p == 0:", "        for g in reversed(divs):\n            if g % p == 0:",
-     DIVISOR_SUMS),
-    (ARITH, "    for p, _ in factorize(n):\n", "    for p, _ in factorize(n)[1:]:\n", DIVISOR_SUMS),
-    (ARITH, "s[g] = s[g] + s[g // p]", "s[g] = s[g] + w[g // p]", DIVISOR_SUMS),
-    (ARITH, "        require_int_keys(values)\n        divs = divisors(n)",
-     "        require_int_keys([k for k in values if k != 2])\n        divs = divisors(n)", REFUSALS),
+    (ARITH, "for g in divs if g % p == 0)", "for g in reversed(divs) if g % p == 0)", (DIVISOR_SUMS, PRIME_SCAN)),
+    (ARITH, "for p, _ in factorize(n) for g in divs", "for p, _ in factorize(n)[1:] for g in divs",
+     (DIVISOR_SUMS, PRIME_SCAN)),
+    (ARITH, "s[g] = s[g] + s[h]", "s[g] = s[g] + w[h]", (DIVISOR_SUMS, PRIME_SCAN)),
+    (ARITH, "        require_int_keys(values)\n        if values.keys() != _divisor_set(n):",
+     "        require_int_keys([k for k in values if k != 2])\n        if values.keys() != _divisor_set(n):", REFUSALS),
     (ARITH, "            exact_values(values.values())\n", "", REFUSALS),
-    (ARITH, "exact_values([values[d] for d in divs])", "[values[d] for d in divs]",
+    (ARITH, "exact_values(map(values.__getitem__, divs))", "list(map(values.__getitem__, divs))",
      "tests/test_arith.py::test_divisor_map_values_are_exact_and_in_divisor_order"),
     (CLI, 'print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)', 'print(f"timing: {name} {seconds:.3f} s")', TIMINGS),
     (CLI, ' for a in argv if a != "--timings")', " for a in argv)", TIMINGS),
@@ -411,6 +419,34 @@ MUTANTS = [
     # no command runs a polynomial gcd
     (ZETAPROD, "PolynomialQ.monomial(d) - 1, _normalized=True)", "PolynomialQ.monomial(d) - 1)",
      f"{VERIFY_CMD}::test_json_pins_the_check_count_of_every_suite_at_seed_42"),
+    # root-data loops in C over per-conductor index tables; the one type-set
+    # tests of DivisorMap and ZetaProduct
+    (ARITH, "tuple((g, g // p) for p, _", "tuple((g, g) for p, _", (DIVISOR_SUMS, PRIME_SCAN)),
+    (ZETAPROD, "tuple(dp for dp in divs if dp % d == 0)", "tuple(dp for dp in divs if d % dp == 0)",
+     f"{RATIONAL}::test_exponent_sums_over_multiples_equal_the_divisor_scan"),
+    (ARITH, "if tuple(values) == divs and", "if len(values) == len(divs) and",
+     (REFUSALS, "tests/test_arith.py::test_int_values_in_divisor_order_equal_the_same_values_in_any_order")),
+    (ARITH, " <= {int} and {*map(type, values)} <= {int}:", " <= {int}:",
+     "tests/test_arith.py::test_divisor_keys_must_be_ints"),
+    (ZETAPROD, "{*map(type, e.values.values())} <= {int}:", "{*map(type, e.values.values())} <= {int, Fraction}:",
+     "tests/test_zetaprod.py::TestParsing::test_the_first_exponent_that_is_not_an_integer_is_named"),
+    (ZETAPROD, "for d, v in e.items() if type(v) is not int)", "for d, v in reversed(e.items()) if type(v) is not int)",
+     "tests/test_zetaprod.py::TestParsing::test_the_first_exponent_that_is_not_an_integer_is_named"),
+    # verify's size contract: each flag's limit and the work bound
+    (VERIFY, "if cfg.nmax > MAX_NMAX:", "if cfg.nmax > MAX_NMAX + 1:",
+     f"{SIZES}::test_verify_takes_each_size_flag_at_its_limit_and_refuses_it_above"),
+    (VERIFY, "if cfg.order > MAX_ORDER:", "if cfg.order >= MAX_ORDER:",
+     f"{SIZES}::test_verify_takes_each_size_flag_at_its_limit_and_refuses_it_above"),
+    (VERIFY, "if cfg.trials is not None and cfg.trials > MAX_TRIALS:", "if False:",
+     f"{SIZES}::test_verify_takes_each_size_flag_at_its_limit_and_refuses_it_above"),
+    (VERIFY, "square * n * n + linear * 30 * cfg.order", "square * n + linear * 30 * cfg.order",
+     f"{SIZES}::test_verify_takes_a_run_whose_work_is_at_the_limit_and_refuses_one_above"),
+    (VERIFY, "square * n * n + linear * 30 * cfg.order", "square * n * n + 30 * cfg.order",
+     f"{SIZES}::test_verify_takes_a_run_whose_work_is_at_the_limit_and_refuses_one_above"),
+    (VERIFY, "(cfg.pick_trials(20) + 8)", "(cfg.pick_trials(10) + 8)",
+     f"{SIZES}::test_verify_takes_a_run_whose_work_is_at_the_limit_and_refuses_one_above"),
+    (CLI, "    if refusal := verify.size_error(args.scope, cfg):\n", "    if False:\n",
+     f"{SIZES}::test_verify_refuses_runs_above_the_contract_before_any_suite"),
 ]
 
 

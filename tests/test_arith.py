@@ -16,6 +16,7 @@ from cyclozeta.arith import (
     divisor_sums,
     divisors,
     euler_phi,
+    factorize,
     inverse_mobius_transform,
     is_rth_power,
     jordan_totient,
@@ -155,6 +156,24 @@ def test_divisor_map_values_are_exact_and_in_divisor_order():
     assert [type(v) for v in a.values.values()] == [Fraction, int, int, int]
 
 
+def test_int_values_in_divisor_order_equal_the_same_values_in_any_order():
+    """A dict of int values on the divisors in increasing order is taken as
+    it is; every other order, and Fraction or bool values, go through the
+    checks.  All give the same values, in divisor order, of the same types."""
+    rng = random.Random(137)
+    for n in (1, 6, 12, 60, 360):
+        divs = list(divisors(n))
+        for values in ({d: rng.randint(-9, 9) for d in divs},
+                       {d: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 2), True)) for d in divs}):
+            exact = {d: int(v) if v == int(v) else v for d, v in values.items()}
+            want = [(d, type(exact[d]), exact[d]) for d in divs]
+            for order in (divs, divs[::-1], rng.sample(divs, len(divs))):
+                a = DivisorMap(n, {d: values[d] for d in order})
+                assert [(d, type(v), v) for d, v in a.items()] == want, (n, order)
+            a = DivisorMap(n, values)
+            assert a.values is not values
+
+
 # each would name the divisors 1 and 2 of 2 if its keys were rounded or parsed
 NON_INT_KEYS = [{1: 0, 2.7: 1}, {1: 0, 2.0: 1}, {1: 0, "2": 1}, {True: 0, 2: 1}]
 
@@ -223,6 +242,29 @@ def test_divisor_sums_equal_the_sum_over_each_divisor():
         for draw in kinds:
             w = {d: draw() for d in divisors(n)}
             assert _typed_values(divisor_sums(n, w)) == _typed_values(_divisor_sums_by_definition(n, w)), n
+
+
+def divisor_sums_by_prime_scan(n, w):
+    # divisor_sums as written before it read cached steps: each prime scans
+    # every divisor for its multiples
+    divs = divisors(n)
+    s = {d: w[d] for d in divs}
+    for p, _ in factorize(n):
+        for g in divs:
+            if g % p == 0:
+                s[g] = s[g] + s[g // p]
+    return s
+
+
+def test_divisor_sums_equal_the_prime_scan_they_replace():
+    """The cached (g, g / p) steps against the scan over every divisor for
+    each prime, value and type, on int, Fraction and mixed weights."""
+    for n in list(range(1, 121)) + [360, 720, 2520, 5040]:
+        rng = random.Random(f"scan:{n}")
+        for draw in (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                     lambda: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(2, 4))))):
+            w = {d: draw() for d in divisors(n)}
+            assert _typed_values(divisor_sums(n, w)) == _typed_values(divisor_sums_by_prime_scan(n, w)), n
 
 
 def test_mobius_transform_examples():

@@ -266,6 +266,67 @@ class TestSizeContract:
                                "--order", "10")
         assert code == 0 and "[PASS   ] convolution-examples" in out
 
+    @pytest.mark.parametrize("flag, limit", [("--nmax", 120), ("--order", 1000), ("--trials", 100)])
+    def test_verify_takes_each_size_flag_at_its_limit_and_refuses_it_above(self, capsys, monkeypatch, flag, limit):
+        # prop --index 1 runs tensor-powers alone, so no work bound is reached
+        ran = []
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: ran.append(cfg) or [])
+        run_cli(capsys, "verify", "prop", "--index", "1", flag, str(limit))
+        assert getattr(ran.pop(), flag[2:]) == limit
+        code, out, err = run_cli(capsys, "verify", "prop", "--index", "1", flag, str(limit + 1))
+        assert code == 2 and not out and not ran
+        assert err == f"error: {flag} {limit + 1} is above the size limit {limit}\n"
+
+    @pytest.mark.parametrize("argv, work", [
+        # the default sizes and the benchmark's command
+        (["all"], 28 * (36 + 144 + 900 + 3 * 30 * 200)),
+        (["all", "--seed", "7", "--nmax", "60", "--order", "200"], 28 * (36 + 144 + 900 + 3 * 30 * 200)),
+        # the tables of weighted-sums and mobius-pairings at each --n
+        (["all", "--n", "360"], 28 * (360**2 + 30 * 200)),
+        (["prop", "--index", "2", "--n", "660", "--trials", "1"], 9 * 660**2),
+        # the Dirichlet suites, growing with --order at every conductor
+        (["prop", "--index", "9", "--n", "6", "--n", "6", "--order", "1000", "--trials", "5"], 13 * 2 * 30 * 1000),
+        (["example", "--index", "1", "--n", "5040", "--trials", "1", "--order", "10"], 9 * 30 * 10),
+    ])
+    def test_verify_takes_a_run_whose_work_is_at_the_limit_and_refuses_one_above(self, capsys, monkeypatch, argv,
+                                                                                 work):
+        ran = []
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: ran.append(cfg) or [])
+        monkeypatch.setattr(cyclozeta.verify, "MAX_WORK", work)
+        run_cli(capsys, "verify", *argv)
+        assert len(ran) == 1
+        monkeypatch.setattr(cyclozeta.verify, "MAX_WORK", work - 1)
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and not out and len(ran) == 1
+        assert err == (f"error: the run's work (trials + 8) x sum of (n^2 + 30 x order) over its conductors is {work}, "
+                       f"above the size limit {work - 1}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["all"],
+        ["all", "--seed", "42", "--nmax", "60", "--order", "200"],
+        ["all", "--nmax", "120"],
+        ["all", "--n", "360"],
+        ["example", "--index", "1", "--n", "5040", "--trials", "1", "--order", "10"],
+    ])
+    def test_verify_takes_the_default_and_benchmark_sizes(self, capsys, monkeypatch, argv):
+        ran = []
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: ran.append(cfg) or [])
+        run_cli(capsys, "verify", *argv)
+        assert len(ran) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["all", "--n", "5040", "--trials", "1", "--order", "10"],
+        ["all", "--n", "370"],
+        ["all", "--nmax", "100000", "--trials", "1"],
+        ["all", "--order", "10000000", "--trials", "1"],
+        ["all", "--trials", "100000000"],
+        ["example", "--n", "6", "--order", "1000", "--trials", "100", "--n", "12"],
+    ])
+    def test_verify_refuses_runs_above_the_contract_before_any_suite(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda *args: pytest.fail("not refused"))
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and not out and "above the size limit" in err
+
     @pytest.mark.parametrize("text, degree", [("n=1; e={1:2501}", 2501), ("n=2; e={1:0,2:-1251}", 2502)])
     def test_analyze_refuses_a_degree_above_the_limit(self, capsys, monkeypatch, text, degree):
         monkeypatch.setattr(cyclozeta.cli, "_analyze_payload", lambda z: pytest.fail("not refused"))

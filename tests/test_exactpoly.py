@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -178,7 +179,46 @@ class TestCyclotomic:
             assert cyclotomic(n).coeffs == tuple(int(c) for c in want), n
 
 
+def binomial_product_by_comprehensions(pairs, start=None):
+    # binomial_product as written before its shift-and-subtract and its
+    # negation ran in C
+    a = {}
+    for c, k in pairs:
+        a[c] = a.get(c, 0) + k
+    out = [1] if start is None else list(start.coeffs)
+    for c, ac in a.items():
+        for _ in range(ac):
+            out = [x - y for x, y in zip([0] * c + out, out + [0] * c)]
+    for c, ac in a.items():
+        for _ in range(-ac):
+            sums = [0] * len(out)
+            for r in range(c):
+                sums[r::c] = accumulate(out[r::c])
+            if any(sums[-c:]):
+                raise ExactDivisionError
+            out = [-x for x in sums[:-c]]
+    return out
+
+
 class TestBinomialProduct:
+    def test_equals_the_comprehensions_it_replaces(self):
+        """Products and exact quotients of binomials times int, Fraction and
+        mixed starts, against the comprehension loops, value and type."""
+        rng = random.Random(139)
+        for n in (1, 6, 12, 30, 60):
+            divs = divisors(n)
+            for draw in (lambda: rng.randint(-5, 5), lambda: F(rng.randint(-5, 5), rng.randint(2, 4)),
+                         lambda: rng.choice((rng.randint(-5, 5), F(rng.randint(-5, 5), 3)))):
+                for _ in range(8):
+                    s = PolynomialQ([draw() for _ in range(rng.randint(0, 5))] + [rng.choice((1, F(2, 3), -4))])
+                    num = [(c, rng.randint(0, 3)) for c in rng.choices(divs, k=3)]
+                    den = [(c, -rng.randint(1, 2)) for c in rng.choices(divs, k=2)]
+                    start = s * binomial_product([(c, -a) for c, a in den])
+                    for pairs, st in ((num, None), (num, s), (num + den, start), (den, start)):
+                        want = PolynomialQ(binomial_product_by_comprehensions(pairs, st))
+                        got = binomial_product(pairs, st)
+                        assert [(type(c), c) for c in got.coeffs] == [(type(c), c) for c in want.coeffs], (pairs, st)
+
     def test_equals_the_written_out_product(self):
         """Mixed signs that divide exactly, against dense numerator and
         denominator products; repeated c add up, d = n included."""

@@ -3,12 +3,14 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import cyclozeta.zetaprod as zetaprod
 from cyclozeta.arith import (
     DivisorMap,
+    div_exact,
     divisors,
     euler_phi,
     factorize,
@@ -119,6 +121,46 @@ def per_divisor_valuations(p: PolynomialQ, n: int) -> dict[int, int]:
             j += 1
         out[d] = j
     return out
+
+
+# The root-data loops as they were written before their per-value work ran
+# in C: the oracles of the rewritten kernels.
+
+
+def derivative_by_enumerate(h: list) -> list:
+    return [k * c for k, c in enumerate(h[1:], 1)]
+
+
+def exponents_by_divisor_scan(n: int, e) -> dict:
+    # the exponent of Phi_d: e summed over the multiples of d dividing n
+    return {d: sum(e[dp] for dp in divisors(n) if dp % d == 0) for d in divisors(n)}
+
+
+def synthesis_by_generator(a: DivisorMap, scale: int = 1) -> dict:
+    n = a.n
+    divs = divisors(n)
+    column = [a[n // d] for d in divs]
+    D = math.lcm(*(v.denominator for v in column))
+    column = [v.numerator * (D // v.denominator) for v in column]
+    return {
+        g: div_exact(sum(x * c for x, c in zip(column, row)), D * scale)
+        for g, row in zip(divs, zetaprod._ramanujan_matrix(n))
+    }
+
+
+def _typed_items(values: dict) -> list:
+    return [(k, type(v), v) for k, v in values.items()]
+
+
+def even_functions(rng, n: int) -> list[DivisorMap]:
+    """Int values, non-integral Fractions alone, and the two mixed."""
+    divs = divisors(n)
+    return [
+        DivisorMap(n, {d: rng.randint(-9, 9) for d in divs}),
+        DivisorMap(n, {d: Fraction(rng.choice((-7, -1, 1, 5)), rng.choice((2, 3, 4, 6))) for d in divs}),
+        DivisorMap(n, {d: rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+                       for d in divs}),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -238,6 +280,32 @@ class TestRationalForm:
             if c:
                 prod = prod * cyclotomic(d) ** c
         assert rf.num == prod
+
+    def test_exponent_sums_over_multiples_equal_the_divisor_scan(self, monkeypatch):
+        """The exponents handed to cyclotomic_product, read from the cached
+        multiples of each d, against the scan over every divisor: on
+        products, and on a Fraction-valued stand-in that ZetaProduct would
+        refuse, so that only the sum itself is under test."""
+        handed = []
+        monkeypatch.setattr(zetaprod, "cyclotomic_product", lambda exponents: handed.append(exponents) or ONE)
+        rng = random.Random(113)
+        for n in (1, 2, 12, 30, 60, 360, 2520):
+            for a in even_functions(rng, n):
+                stand_in = SimpleNamespace(n=n, e=a)
+                handed.clear()
+                to_rational_function(stand_in)
+                want = exponents_by_divisor_scan(n, a)
+                assert [_typed_items(x) for x in handed] == [
+                    _typed_items({d: v for d, v in want.items() if v > 0}),
+                    _typed_items({d: -v for d, v in want.items() if v < 0}),
+                ], (n, a)
+            z = random_zeta_product(rng, n)
+            handed.clear()
+            to_rational_function(z)
+            want = exponents_by_divisor_scan(n, z.e)
+            assert handed == [{d: v for d, v in want.items() if v > 0}, {d: -v for d, v in want.items() if v < 0}]
+        assert zetaprod._multiples(12) == tuple(
+            (d, tuple(dp for dp in divisors(12) if dp % d == 0)) for d in divisors(12))
 
     def test_exponent_extraction_matches_multiplicities(self):
         rng = random.Random(7)
@@ -360,6 +428,34 @@ class TestDegreeBudget:
                     got = zetaprod._vanishes_at_primitive_root(coeffs, d, shifts)
                     assert got == slice_sum_vanishes(coeffs, d, shifts) == vanishes, (d, coeffs)
 
+    def test_the_carried_derivatives_equal_the_enumerate_loop(self, monkeypatch):
+        """Each derivative the search tests, in the order it is first built,
+        is the next one of the enumerate loop, value and type, on int and
+        Fraction coefficients."""
+        tested = {}
+        vanishes = zetaprod._vanishes_at_primitive_root
+
+        def record(h, d, shifts):
+            tested.setdefault(id(h), h)
+            return vanishes(h, d, shifts)
+
+        monkeypatch.setattr(zetaprod, "_vanishes_at_primitive_root", record)
+        rng, carried = random.Random(109), 0
+        for n in (1, 6, 12, 30, 60):
+            for _ in range(6):
+                rf = to_rational_function(random_zeta_product(rng, n, span=3))
+                scale = Fraction(rng.choice((-5, 1, 7)), rng.choice((1, 2, 3)))
+                for p in (rf.num, rf.den, scale * rf.num):
+                    tested.clear()
+                    zetaprod._cyclotomic_valuations(p, n)
+                    want = []
+                    while len(want) < len(tested):
+                        want.append(derivative_by_enumerate(want[-1]) if want else list(p.coeffs))
+                    got = list(tested.values())
+                    assert [[(type(c), c) for c in h] for h in got] == [[(type(c), c) for c in h] for h in want], p
+                    carried += max(len(got) - 1, 0)
+        assert carried > 100
+
     def test_the_zero_polynomial_and_a_constant(self):
         for n in (1, 12, 60):
             for p in (ZERO, ONE):
@@ -392,6 +488,33 @@ class TestFourier:
                 want = {g: sum(a[n // d] * ramanujan_sum(d, g) for d in divisors(n)) for g in divisors(n)}
                 assert zetaprod._ramanujan_synthesis(a) == want
                 assert ramanujan_coefficients(a).values == {g: Fraction(v) / n for g, v in want.items()}
+
+    def test_synthesis_equals_the_generator_rows_it_replaces(self):
+        """The row sums in C against the generator rows, value and type,
+        at scale 1 and scale n."""
+        rng = random.Random(127)
+        for n in (1, 2, 7, 12, 30, 60, 360):
+            for a in even_functions(rng, n) + [DivisorMap.zeros(n)]:
+                for scale in (1, n):
+                    got = zetaprod._ramanujan_synthesis(a, scale)
+                    assert _typed_items(got) == _typed_items(synthesis_by_generator(a, scale)), (n, a, scale)
+
+    def test_synthesis_of_fraction_values_equals_the_definition(self):
+        """(1/scale) sum of a(n/d) c_d(g) over d | n, written with
+        arith.ramanujan_sum and plain Fraction arithmetic, for values over
+        denominators whose lcm is less than their product; an integral
+        result comes back as an int."""
+        rng = random.Random(131)
+        for n in (2, 6, 12, 30, 60, 210):
+            divs = divisors(n)
+            for _ in range(4):
+                a = DivisorMap(n, {d: Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4, 6, 9))) for d in divs})
+                for scale in (1, 3, n):
+                    want = {g: Fraction(sum(a[n // d] * ramanujan_sum(d, g) for d in divs), scale) for g in divs}
+                    got = zetaprod._ramanujan_synthesis(a, scale)
+                    assert got == want, (n, a, scale)
+                    assert [type(v) for v in got.values()] == [
+                        int if v.denominator == 1 else Fraction for v in want.values()], (n, a, scale)
 
     def test_dft_power_sums(self):
         assert dft_power_sums(multiplicities(A2)) == power_sums(A2)
@@ -751,3 +874,12 @@ class TestParsing:
     def test_divisor_keys_must_be_ints(self):
         with pytest.raises(TypeError):
             ZetaProduct(2, {1: 1, 2.5: -1})
+
+    def test_the_first_exponent_that_is_not_an_integer_is_named(self):
+        for e in ({1: 1, 2: Fraction(1, 2), 3: Fraction(4, 2), 6: Fraction(3, 4)},
+                  DivisorMap(6, {6: Fraction(3, 4), 3: 2, 2: Fraction(1, 2), 1: True})):
+            with pytest.raises(ValueError) as exc:
+                ZetaProduct(6, e)
+            assert str(exc.value) == "exponent e(2) = 1/2 is not an integer"
+        z = ZetaProduct(6, {1: True, 2: Fraction(4, 2), 3: -1, 6: 0})
+        assert [(type(v), v) for v in z.e.values.values()] == [(int, 1), (int, 2), (int, -1), (int, 0)]
