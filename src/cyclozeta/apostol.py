@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import as_exact, divisors, mobius_transform
-from .exactpoly import ZERO, PolynomialQ, RationalFunctionQ, binomial_product
+from .exactpoly import PolynomialQ, RationalFunctionQ, _combine, binomial_product
 from .report import Report
 from .zetaprod import ZetaProduct, lambert_polynomial
 
@@ -68,12 +68,7 @@ class ApostolPoly:
         """The numerator at rational x = x0 with q -> q**power, unreduced, over
         the denominator (q**power -+ 1)**den_power exactly as stored."""
         x0 = as_exact(x0)
-        num = ZERO
-        xp = 1
-        for coeff_num in self._nums:
-            if not coeff_num.is_zero and xp:
-                num = num + coeff_num * xp
-            xp = xp * x0
+        num = PolynomialQ(_combine((x0**i, coeff_num.coeffs) for i, coeff_num in enumerate(self._nums)))
         if power != 1 and not num.is_zero:
             num = num.substitute_power(power)
         return num
@@ -211,8 +206,8 @@ def check_weighted_sum_identities(z: ZetaProduct, b: int, c: int, r: int) -> Rep
     blocks2, blocks3, clear2, clear3 = _weighted_sum_blocks(n, b, c, r)
     lhs2 = PolynomialQ([a(k) * (b * k + c) ** r for k in range(n)])
     lhs3 = PolynomialQ([a(k) * (b * k + c) ** r * (-1) ** k for k in range(n)])
-    rhs2 = sum((ed * blocks2[d] for d, ed in z.e.items() if ed), ZERO)
-    rhs3 = sum((ed * blocks3[d] for d, ed in z.e.items() if ed), ZERO)
+    rhs2 = PolynomialQ(_combine((ed, blocks2[d].coeffs) for d, ed in z.e.items()))
+    rhs3 = PolynomialQ(_combine((ed, blocks3[d].coeffs) for d, ed in z.e.items()))
     report.expect(lhs2 * clear2 == rhs2, identity="power-weighted", divisor_block="all")
     report.expect(lhs3 * clear3 == rhs3, identity="alternating", divisor_block="all")
     return report

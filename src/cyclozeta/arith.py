@@ -264,7 +264,8 @@ def divisor_sums(n: int, w: Mapping[int, object]) -> dict[int, object]:
     O(tau(n) omega(n)) additions instead of O(tau(n)**2); the steps depend
     on n alone and are listed once per n.
     """
-    s = {d: w[d] for d in divisors(n)}
+    divs = divisors(n)
+    s = dict(zip(divs, map(w.__getitem__, divs)))
     for g, h in _zeta_steps(n):
         s[g] = s[g] + s[h]
     return s

@@ -265,9 +265,10 @@ def _rerun(args, defaults, report) -> str | None:
 
 
 def _cmd_verify(args) -> int:
-    # every --n, and then the sizes of the run, are held to the size
-    # contract before any suite runs
-    for n in args.n or ():
+    # a repeated --n runs once, at its first place; every --n, and then the
+    # sizes of the run, are held to the size contract before any suite runs
+    ns = tuple(dict.fromkeys(args.n)) if args.n else None
+    for n in ns or ():
         if refusal := size_error(n):
             raise ValueError(refusal)
     from . import verify
@@ -277,7 +278,7 @@ def _cmd_verify(args) -> int:
         nmax=args.nmax,
         order=args.order,
         trials=args.trials,
-        ns=tuple(args.n) if args.n else None,
+        ns=ns,
         index=args.index,
     )
     if refusal := verify.size_error(args.scope, cfg):

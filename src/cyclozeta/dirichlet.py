@@ -36,7 +36,7 @@ from .arith import (
     ramanujan_sum,
     require_int_keys,
 )
-from .exactpoly import PowerSeriesQ
+from .exactpoly import PowerSeriesQ, _combine
 from .report import Report
 from .zetaprod import ZetaProduct, multiplicities, power_sums, root_weights
 
@@ -239,9 +239,9 @@ def check_star_series(z: ZetaProduct, G: DirichletSeries) -> Report:
     n, order = z.n, G.order
     m = multiplicities(z)
     p = power_sums(z)
-    zero = DirichletSeries([0] * order)
-    u = sum((m(n // d) * _totient_polynomial(d, 0, order) for d in divisors(n)), zero)
-    v = sum((p(n // d) * _totient_polynomial(d, 2, order) for d in divisors(n)), zero)
+    divs = divisors(n)
+    u = DirichletSeries(_combine(((m(n // d), _totient_polynomial(d, 0, order).coeffs) for d in divs), order))
+    v = DirichletSeries(_combine(((p(n // d), _totient_polynomial(d, 2, order).coeffs) for d in divs), order))
     report = Report("star-series", context={"n": n, "order": order})
     for kind, lhs in (("mstar", G * u), ("pstar", div_exact(1, n) * (G * v))):
         _record_first_difference(report, lhs, g_transform(z, G, kind), identity=kind)
@@ -437,6 +437,12 @@ def _example_series(ex: TransferExample, n: int, r: int, order: int):
     return G1, G2, DirichletSeries(h) * G2
 
 
+@lru_cache
+def _phi_inv_series(order: int) -> DirichletSeries:
+    # phi_inv does not depend on the product, so it is evaluated once per order
+    return DirichletSeries(named_function("phi_inv").values(order))
+
+
 def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order: int = 200) -> Report:
     """Check one worked convolution identity, coefficientwise to ``order``.
 
@@ -447,7 +453,7 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
     order but not on the product, so they are built once per such key and
     shared by every product checked against it.  Example 1 additionally
     checks the inverse direction p*(k) = sum of phi_inv(k/d) d m(d), with
-    phi_inv evaluated afresh.
+    phi_inv evaluated on its own, once per order.
     """
     if index not in TRANSFER_EXAMPLES:
         raise ValueError(f"unknown example index {index}")
@@ -468,8 +474,7 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
         },
     )
     if not _record_first_difference(report, lhs, rhs) and index == 1:
-        phi_inv = DirichletSeries(named_function("phi_inv").values(order))
-        inverse = phi_inv * g_transform(z, zeta_series(order), "m").shift()
+        inverse = _phi_inv_series(order) * g_transform(z, zeta_series(order), "m").shift()
         _record_first_difference(report, g_transform(z, G2, "pstar"), inverse, identity="inverse")
     return report
 

@@ -39,6 +39,34 @@ def _trim(cs: list) -> list:
     return cs
 
 
+def _combine(terms: Iterable[tuple[object, Sequence]], order: int | None = None) -> list:
+    """The sum of c * cs over the (exact number c, coefficient sequence cs)
+    pairs, as one list, with no container per term or partial sum.
+
+    Each row c * cs (cs itself when c == 1) is added into the prefix of the
+    sum with one slice assignment, as in :func:`_mul`, and its part past the
+    end is appended.  Without ``order`` the rows are polynomials and the sum
+    is trimmed; with it they are truncated series, each row is cut to
+    ``order`` and the sum has exactly ``order`` coefficients (zeros when no
+    c is non-zero).  Two-term sums keep the loops below: on small operands
+    they are faster.
+    """
+    out = []
+    for c, cs in terms:
+        if c:
+            if order is not None and len(cs) > order:
+                cs = cs[:order]
+            row = cs if c == 1 else [ci * c for ci in cs]
+            if len(row) <= len(out):
+                out[: len(row)] = map(add, out, row)
+            else:
+                out = [*map(add, out, row), *row[len(out) :]]
+    if order is None:
+        return _trim(out)
+    out += [0] * (order - len(out))
+    return out
+
+
 def _add(a: Sequence, b: Sequence) -> list:
     if len(a) < len(b):
         a, b = b, a

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from operator import mul, sub
+from operator import mul, neg, sub
 from typing import Mapping
 
 from .arith import (
@@ -51,6 +51,7 @@ from .exactpoly import (
     PolynomialQ,
     Q,
     RationalFunctionQ,
+    _combine,
     binomial_product,
     cyclotomic,
     cyclotomic_product,
@@ -202,14 +203,34 @@ def _json_fields(obj: Mapping) -> tuple[int, dict[int, int]]:
     return n, {int(k): v for k, v in e.items()}
 
 
+def _draws(rng, ranges) -> list[int]:
+    """One ``rng.randint(low, high)`` for each (low, high) of ``ranges``, in
+    order: the same values from the same stream, by randint's own rejection
+    rule (getrandbits of the width's bit length, drawn again while it is not
+    below the width), without randint's three Python frames per draw."""
+    getrandbits = rng.getrandbits
+    out = []
+    for low, high in ranges:
+        width = high - low + 1
+        bits = width.bit_length()
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        out.append(low + r)
+    return out
+
+
 def random_zeta_product(rng, n: int, span: int = 2) -> ZetaProduct:
     """Seeded random exponent vector with entries in [-span, span]."""
-    return ZetaProduct(n, {d: rng.randint(-span, span) for d in divisors(n)})
+    divs = divisors(n)
+    return ZetaProduct(n, dict(zip(divs, _draws(rng, repeat((-span, span), len(divs))))))
 
 
 def random_even_function(rng, n: int, span: int = 6) -> DivisorMap:
     """Seeded random even function mod n with values in [-span, span] / [1, 4]."""
-    return DivisorMap(n, {g: Fraction(rng.randint(-span, span), rng.randint(1, 4)) for g in divisors(n)})
+    divs = divisors(n)
+    v = _draws(rng, [(-span, span), (1, 4)] * len(divs))
+    return DivisorMap(n, dict(zip(divs, map(Fraction, v[::2], v[1::2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +242,18 @@ def root_weights(z: ZetaProduct, kind: str) -> dict[int, int]:
 
     kind "m": e(n/d), "p": d e(d), "mstar": e(d), "pstar": d e(n/d); the
     starred weights swap e(d) and e(n/d), which is the Saito transform.
+    The exponents are in divisor order, so e(n/d) of the i-th divisor d is
+    the i-th exponent from the end.
     """
-    n, e = z.n, z.e.values
+    e = z.e.values
     if kind == "m":
-        return {d: e[n // d] for d in e}
+        return dict(zip(e, reversed(e.values())))
     if kind == "p":
-        return {d: d * e[d] for d in e}
+        return dict(zip(e, map(mul, e, e.values())))
     if kind == "mstar":
         return dict(e)
     if kind == "pstar":
-        return {d: d * e[n // d] for d in e}
+        return dict(zip(e, map(mul, e, reversed(e.values()))))
     raise ValueError(f"unknown root-weight kind {kind!r}")
 
 
@@ -251,12 +274,12 @@ def power_sums(z: ZetaProduct) -> DivisorMap:
 
 def saito_transform(z: ZetaProduct) -> ZetaProduct:
     """Reindex exponents d -> e(n/d); an involution."""
-    return ZetaProduct(z.n, {d: z.e[z.n // d] for d in divisors(z.n)})
+    return ZetaProduct(z.n, dict(zip(divisors(z.n), reversed(z.e.values.values()))))
 
 
 def saito_dual(z: ZetaProduct) -> ZetaProduct:
     """The inverse of the transform: exponents d -> -e(n/d)."""
-    return ZetaProduct(z.n, {d: -z.e[z.n // d] for d in divisors(z.n)})
+    return ZetaProduct(z.n, dict(zip(divisors(z.n), map(neg, reversed(z.e.values.values())))))
 
 
 def star_functions(z: ZetaProduct) -> tuple[DivisorMap, DivisorMap]:
@@ -309,7 +332,10 @@ def _primitive_root_tests(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...
 
 def _vanishes_at_primitive_root(h: list, d: int, shifts: tuple[int, ...]) -> bool:
     # fold h mod q**d - 1, then multiply by each q**s - 1, s = d/p, mod
-    # q**d - 1: one rotate-and-subtract per prime p | d
+    # q**d - 1: one rotate-and-subtract per prime p | d.  At d = 1 the fold
+    # is h(1) and there is no prime.
+    if d == 1:
+        return not sum(h)
     f = [sum(h[r::d]) for r in range(d)]
     for s in shifts:
         f = list(map(sub, f[-s:] + f[:-s], f))
@@ -527,12 +553,15 @@ def _mobius_pairing(z: ZetaProduct, X: Mapping[int, object], Z: Mapping[int, obj
     divs = divisors(n)
     m = multiplicities(z)
     p = power_sums(z)
+    e = z.e.values
     report = Report("mobius-pairing", context={"n": n})
     report.expect(
-        sum(m(n // d) * Z[d] for d in divs) == sum(z.e[d] * X[d] for d in divs), identity="multiplicity-side"
+        _combine((m(n // d), Z[d].coeffs) for d in divs) == _combine((e[d], X[d].coeffs) for d in divs),
+        identity="multiplicity-side",
     )
     report.expect(
-        sum(p(n // d) * Z[d] for d in divs) == sum((n // d) * z.e[n // d] * X[d] for d in divs),
+        _combine((p(n // d), Z[d].coeffs) for d in divs)
+        == _combine(((n // d) * e[n // d], X[d].coeffs) for d in divs),
         identity="power-sum-side",
     )
     return report

@@ -70,6 +70,11 @@ RERUN = f"{VERIFY_CMD}::test_the_rerun_command_repeats_the_first_mismatch_at_its
 MUL = "TestMul::test_equals_the_schoolbook_loop_in_both_orders_at_every_limit"
 PRIME_SCAN = "tests/test_arith.py::test_divisor_sums_equal_the_prime_scan_they_replace"
 SIZES = "tests/test_cli.py::TestSizeContract"
+COMBINE = "tests/test_exactpoly.py::TestCombine"
+COMBINE_POLY = f"{COMBINE}::test_a_polynomial_sum_equals_the_sum_of_scaled_polynomials"
+COMBINE_SERIES = f"{COMBINE}::test_a_series_sum_keeps_its_order_and_equals_the_sum_of_scaled_series"
+DRAWS = "tests/test_zetaprod.py::TestDraws"
+REPEATED_N = "test_a_repeated_conductor_runs_once_in_first_seen_order"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -90,18 +95,19 @@ MUTANTS = [
      "tests/test_cli.py::TestDualAndSeries::test_json_input_refuses_minus_zero"),
     (DIRICHLET, "for d in divisors(k):", "for d in divisors(k)[:-1]:",
      "tests/test_dirichlet.py::TestSeriesAlgebra::test_invert_round_trip"),
-    (DIRICHLET, "u = sum((m(n // d)", "u = sum((p(n // d)",
+    (DIRICHLET, "u = DirichletSeries(_combine(((m(n // d)", "u = DirichletSeries(_combine(((p(n // d)",
      "tests/test_dirichlet.py::TestStarSeries::test_zeta_and_mobius"),
     # cyclotomic valuation: derivatives folded mod q**d - 1, tested against
     # the product of q**(d/p) - 1 by rotate-and-subtract; rotating the fold
-    # is no fault (it multiplies F by the unit q**k)
+    # is no fault (it multiplies F by the unit q**k), and neither is dropping
+    # one coefficient of the product when d > 1 (its coefficients sum to 0)
     (ZETAPROD, "f = [sum(h[r::d]) for r in range(d)]", "f = [sum(h[r + 1::d]) for r in range(d)]",
      f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
     (ZETAPROD, "map(mul, range(1, len(h)), h[1:])", "map(mul, range(2, len(h) + 1), h[1:])",
      (f"{RATIONAL}::test_high_multiplicities", f"{BUDGET}::test_the_carried_derivatives_equal_the_enumerate_loop")),
     (ZETAPROD, "h = derivatives[-1]", "h = derivatives[0]",
      (f"{RATIONAL}::test_high_multiplicities", f"{BUDGET}::test_the_carried_derivatives_equal_the_enumerate_loop")),
-    (ZETAPROD, "return not any(f)", "return not any(f[1:])", f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
+    (ZETAPROD, "return not any(f)", "return not f[0]", f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
     # one integer Ramanujan matrix over one common denominator
     (ZETAPROD, "tuple(ramanujan_sum(d, g) for d in divs)", "tuple(ramanujan_sum(g, d) for d in divs)",
      f"{FOURIER}::test_synthesis_equals_the_written_out_sum"),
@@ -222,7 +228,7 @@ MUTANTS = [
     (CLI, "_read_product(args.input, order=args.order)", "_read_product(args.input)",
      "tests/test_cli.py::TestSizeContract::test_series_refuses_an_order_above_the_limit_before_any_series"),
     # verify --n within the size contract
-    (CLI, "    for n in args.n or ():\n", "    for n in ():\n",
+    (CLI, "    for n in ns or ():\n", "    for n in ():\n",
      "tests/test_cli.py::TestSizeContract::test_verify_refuses_a_conductor_above_the_limit_before_any_suite"),
     # earlier hand-seeded faults, where the code they broke still exists
     (ARITH, "if (mu := mobius(g // d))", "if (mu := abs(mobius(g // d)))",
@@ -231,16 +237,18 @@ MUTANTS = [
      "tests/test_transform_laws.py::test_mobius_inversion_and_divisor_sums_are_inverse"),
     (DIRICHLET, "b[k] = div_exact(-acc, a[0])", "b[k] = div_exact(acc, a[0])",
      "tests/test_dirichlet.py::TestSeriesAlgebra::test_zeta_times_mobius_is_unit"),
-    (DIRICHLET, "m(n // d) * _totient_polynomial(d, 0, order)", "m(d) * _totient_polynomial(d, 0, order)",
+    (DIRICHLET, "(m(n // d), _totient_polynomial(d, 0, order)", "(m(d), _totient_polynomial(d, 0, order)",
      "tests/test_dirichlet.py::TestStarSeries::test_zeta_and_mobius"),
     (DIRICHLET, "return transform(multiplicities(z)), transform(power_sums(z))",
      "return transform(power_sums(z)), transform(multiplicities(z))",
      "tests/test_dirichlet.py::TestPowerSeriesTransforms::test_geometric_recovers_even_function_shifted"),
     (DIRICHLET, "PowerSeriesQ([a(0)] + [a(k) - a(k - 1)", "PowerSeriesQ([0] + [a(k) - a(k - 1)",
      "tests/test_dirichlet.py::TestPowerSeriesTransforms::test_matches_the_expanded_q_integer_sums"),
-    (ZETAPROD, "sum(m(n // d) * Z[d] for d in divs) == sum(z.e[d] * X[d] for d in divs)", "True",
+    (ZETAPROD, "_combine((m(n // d), Z[d].coeffs) for d in divs) == _combine((e[d], X[d].coeffs) for d in divs)", "True",
      "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
-    (ZETAPROD, "sum(p(n // d) * Z[d] for d in divs) == sum((n // d) * z.e[n // d] * X[d] for d in divs)", "True",
+    (ZETAPROD,
+     "_combine((p(n // d), Z[d].coeffs) for d in divs)\n        == _combine(((n // d) * e[n // d], X[d].coeffs) for d in divs)",
+     "True",
      "tests/test_zetaprod.py::TestPairingChecksCanFail::test_mobius_pairing_names_the_side_with_corrupted_root_data"),
     (ZETAPROD, "start=-PolynomialQ(a.residues())", "start=PolynomialQ(a.residues())",
      "tests/test_zetaprod.py::TestGeneratingForms::test_lambert_form_is_the_partial_fraction_sum"),
@@ -447,6 +455,33 @@ MUTANTS = [
      f"{SIZES}::test_verify_takes_a_run_whose_work_is_at_the_limit_and_refuses_one_above"),
     (CLI, "    if refusal := verify.size_error(args.scope, cfg):\n", "    if False:\n",
      f"{SIZES}::test_verify_refuses_runs_above_the_contract_before_any_suite"),
+    # one linear-combination kernel for many-term sums, checked against the
+    # sums of scaled containers it replaced
+    (EXACTPOLY, "row = cs if c == 1 else", "row = cs if c else", (COMBINE_POLY, COMBINE_SERIES)),
+    (EXACTPOLY, "*row[len(out) :]]", "*row[len(out) + 1 :]]", (COMBINE_POLY, COMBINE_SERIES)),
+    (EXACTPOLY, "    out += [0] * (order - len(out))\n", "", COMBINE_SERIES),
+    (EXACTPOLY, "len(cs) > order:", "len(cs) > order + 1:", COMBINE_SERIES),
+    (EXACTPOLY, "    if order is None:\n        return _trim(out)\n", "    if order is None:\n        return out\n",
+     COMBINE_POLY),
+    # draws by randint's rejection rule, read from getrandbits
+    (ZETAPROD, "while r >= width:", "while r > width:", f"{DRAWS}::test_each_draw_equals_randint_and_leaves_the_same_state"),
+    (ZETAPROD, "map(Fraction, v[::2], v[1::2])", "map(Fraction, v[1::2], v[::2])",
+     f"{DRAWS}::test_products_and_even_functions_equal_the_randint_comprehensions"),
+    # root data read in divisor order
+    (ZETAPROD, "        return not sum(h)\n", "        return not any(h)\n",
+     f"{RATIONAL}::test_folded_exponents_equal_repeated_division"),
+    (ZETAPROD, "dict(zip(e, map(mul, e, reversed(e.values()))))", "dict(zip(e, map(mul, e, e.values())))",
+     "tests/test_zetaprod.py::TestRootData::test_root_weights_read_in_divisor_order_equal_the_per_key_reads"),
+    (ZETAPROD, "map(neg, reversed(z.e.values.values()))", "map(neg, z.e.values.values())",
+     "tests/test_zetaprod.py::TestSaito::test_transform_and_dual_equal_the_per_key_reads"),
+    (VERIFY, "[*expo.values.values()] == [*reversed(m.values.values())]", "[*expo.values.values()] == [*m.values.values()]",
+     f"{VERIFY_CMD}::test_json_pins_the_check_count_of_every_suite_at_seed_42"),
+    # a repeated --n runs once, in first-seen order
+    (CLI, "tuple(dict.fromkeys(args.n))", "tuple(args.n)", f"{VERIFY_CMD}::{REPEATED_N}"),
+    (CLI, "tuple(dict.fromkeys(args.n))", "tuple(sorted(set(args.n)))", f"{VERIFY_CMD}::{REPEATED_N}"),
+    # the e-free phi_inv series, built once per order
+    (DIRICHLET, 'named_function("phi_inv").values(order))', 'named_function("phi_inv").values(order - 1))',
+     (f"{EXAMPLES}::test_hand_instance_rank_two", f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity")),
 ]
 
 

@@ -285,7 +285,7 @@ class TestSizeContract:
         (["all", "--n", "360"], 28 * (360**2 + 30 * 200)),
         (["prop", "--index", "2", "--n", "660", "--trials", "1"], 9 * 660**2),
         # the Dirichlet suites, growing with --order at every conductor
-        (["prop", "--index", "9", "--n", "6", "--n", "6", "--order", "1000", "--trials", "5"], 13 * 2 * 30 * 1000),
+        (["prop", "--index", "9", "--n", "6", "--n", "12", "--order", "1000", "--trials", "5"], 13 * 2 * 30 * 1000),
         (["example", "--index", "1", "--n", "5040", "--trials", "1", "--order", "10"], 9 * 30 * 10),
     ])
     def test_verify_takes_a_run_whose_work_is_at_the_limit_and_refuses_one_above(self, capsys, monkeypatch, argv,
@@ -551,6 +551,22 @@ class TestVerifyCommand:
         assert code == 0
         checks = doc["suites"][0]["checks"]
         assert checks > 0 and doc["summary"]["checks"] == checks
+
+    @pytest.mark.parametrize("repeated, once", [
+        (["--n", "6", "--n", "6"], ["--n", "6"]),
+        (["--n", "12", "--n", "6", "--n", "12"], ["--n", "12", "--n", "6"]),
+    ])
+    def test_a_repeated_conductor_runs_once_in_first_seen_order(self, capsys, repeated, once):
+        """A repeated --n checks nothing new, so it is dropped before the size
+        contract and the suites run: the run checks and counts what it checks
+        without the repeat."""
+        docs = []
+        for ns in (repeated, once):
+            code, out, _ = run_cli(capsys, "--format", "json", "verify", "prop", "--index", "9", "--trials", "1", *ns)
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[0]["summary"] == docs[1]["summary"] and docs[0]["suites"] == docs[1]["suites"]
+        assert docs[0]["suites"][0]["context"]["ns"] == [int(n) for n in once[1::2]]
 
     def test_json_pins_the_check_count_of_every_suite_at_seed_42(self, capsys, monkeypatch):
         """Text output shows statuses only; a change that drops an identity

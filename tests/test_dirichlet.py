@@ -409,7 +409,13 @@ class TestConvolutionExamples:
             dirichlet_mod, "named_function",
             lambda name, *params: Corrupted(real(name, *params)) if name == "phi_inv" else real(name, *params),
         )
-        rep = convolution_example(1, A2, order=60)
+        # the phi_inv series is cached per order: build it from the patched
+        # table, and keep the corrupted one from later tests
+        dirichlet_mod._phi_inv_series.cache_clear()
+        try:
+            rep = convolution_example(1, A2, order=60)
+        finally:
+            dirichlet_mod._phi_inv_series.cache_clear()
         assert rep.mismatches == [{"identity": "inverse", "k": 5, "lhs": "1", "rhs": "3"}]
 
     def test_requires_parameter(self):

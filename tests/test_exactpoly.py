@@ -25,7 +25,7 @@ from cyclozeta.exactpoly import (
     poly_gcd,
     tensor_product,
 )
-from cyclozeta.exactpoly import _mul
+from cyclozeta.exactpoly import _combine, _mul
 
 F = Fraction
 
@@ -516,3 +516,45 @@ class TestMul:
             for limit in (None, 1, rng.randint(1, full), full - 1, full, full + 3):
                 want = schoolbook(a, b, limit)
                 assert _mul(a, b, limit) == want and _mul(b, a, limit) == want, (a, b, limit)
+
+
+# scalars of the linear-combination kernel by kind
+SCALARS = {
+    "ints": lambda rng: rng.randint(-4, 4),
+    "fractions": lambda rng: F(rng.randint(-4, 4), rng.randint(1, 5)),
+    "mixed": lambda rng: rng.choice([1, -1, 0, F(1), rng.randint(-4, 4), F(rng.randint(-4, 4), rng.randint(1, 5))]),
+    "zeros": lambda rng: rng.choice([0, F(0)]),
+}
+
+
+class TestCombine:
+    """``_combine`` against the sums it replaced, kept as its oracle: one
+    scaled container per term, added up from zero."""
+
+    @staticmethod
+    def terms(rng, scalar, rows):
+        # rows of unequal lengths, the empty row among them
+        return [(SCALARS[scalar](rng), rng.choice([(), OPERANDS[rows](rng, rng.randint(1, 12))]))
+                for _ in range(rng.randint(0, 6))]
+
+    @pytest.mark.parametrize("rows", OPERANDS)
+    @pytest.mark.parametrize("scalar", SCALARS)
+    def test_a_polynomial_sum_equals_the_sum_of_scaled_polynomials(self, scalar, rows):
+        rng = random.Random(f"combine:{scalar}:{rows}")
+        for _ in range(30):
+            terms = self.terms(rng, scalar, rows)
+            out = _combine(terms)
+            assert not out or out[-1], terms
+            assert PolynomialQ(out) == sum((c * PolynomialQ(cs) for c, cs in terms), ZERO), terms
+
+    @pytest.mark.parametrize("rows", OPERANDS)
+    @pytest.mark.parametrize("scalar", SCALARS)
+    def test_a_series_sum_keeps_its_order_and_equals_the_sum_of_scaled_series(self, scalar, rows):
+        rng = random.Random(f"combine-series:{scalar}:{rows}")
+        for _ in range(30):
+            terms = self.terms(rng, scalar, rows)
+            order = rng.randint(1, 14)
+            out = _combine(terms, order)
+            assert len(out) == order, (terms, order)
+            want = sum((c * PowerSeriesQ(cs, order) for c, cs in terms), PowerSeriesQ([0], order))
+            assert PowerSeriesQ(out, order) == want, (terms, order)

@@ -1,5 +1,6 @@
 """Root data of cyclotomic products and the even-function machinery."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cyclozeta.verify as verify
 import cyclozeta.zetaprod as zetaprod
 from cyclozeta.arith import (
     DivisorMap,
@@ -228,6 +230,24 @@ class TestRootData:
         assert multiplicities(z1 * z2) == multiplicities(z1) + multiplicities(z2)
         assert power_sums(z1 * z2) == power_sums(z1) + power_sums(z2)
 
+    def test_root_weights_read_in_divisor_order_equal_the_per_key_reads(self):
+        """The weights read e forwards or backwards; the per-key reads they
+        replaced are the oracle, key order included."""
+        rng = random.Random(29)
+        for n in range(1, 121):
+            divs = list(divisors(n))
+            rng.shuffle(divs)
+            z = ZetaProduct(n, {d: rng.randint(-3, 3) for d in divs})
+            e = z.e
+            want = {
+                "m": {d: e[n // d] for d in divisors(n)},
+                "p": {d: d * e[d] for d in divisors(n)},
+                "mstar": {d: e[d] for d in divisors(n)},
+                "pstar": {d: d * e[n // d] for d in divisors(n)},
+            }
+            for kind, weights in want.items():
+                assert list(root_weights(z, kind).items()) == list(weights.items()), (n, kind)
+
     def test_root_weights(self):
         assert root_weights(A2, "m") == {1: 1, 3: -1}
         assert root_weights(A2, "p") == {1: -1, 3: 3}
@@ -243,6 +263,13 @@ class TestSaito:
     def test_transform_reverses_indices(self):
         assert saito_transform(A2).e.values == {1: 1, 3: -1}
         assert saito_dual(A2).e.values == {1: -1, 3: 1}
+
+    def test_transform_and_dual_equal_the_per_key_reads(self):
+        rng = random.Random(19)
+        for n in range(1, 121):
+            z = random_zeta_product(rng, n)
+            assert saito_transform(z).e.values == {d: z.e[n // d] for d in divisors(n)}
+            assert saito_dual(z).e.values == {d: -z.e[n // d] for d in divisors(n)}
 
     def test_involution(self):
         rng = random.Random(17)
@@ -883,3 +910,61 @@ class TestParsing:
             assert str(exc.value) == "exponent e(2) = 1/2 is not an integer"
         z = ZetaProduct(6, {1: True, 2: Fraction(4, 2), 3: -1, 6: 0})
         assert [(type(v), v) for v in z.e.values.values()] == [(int, 1), (int, 2), (int, -1), (int, 0)]
+
+
+class TestDraws:
+    """Random products and even functions draw exactly what ``rng.randint``
+    draws.  No verdict digest sees the values drawn (the check counts do not
+    depend on them), so the stream is pinned here."""
+
+    # every range that a random product or even function draws from, in the
+    # package and in the tests
+    RANGES = [(-1, 1), (-2, 2), (-3, 3), (-6, 6), (1, 4)]
+
+    def test_each_draw_equals_randint_and_leaves_the_same_state(self):
+        for seed in range(1000):
+            for low, high in self.RANGES:
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert zetaprod._draws(ours, [(low, high)] * 6) == [theirs.randint(low, high) for _ in range(6)]
+                assert ours.getstate() == theirs.getstate(), (seed, low, high)
+
+    def test_products_and_even_functions_equal_the_randint_comprehensions(self):
+        for seed in range(1000):
+            n = (1, 2, 6, 12, 30, 60)[seed % 6]
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for span in (1, 2, 3):
+                assert random_zeta_product(ours, n, span).e.values == {
+                    d: theirs.randint(-span, span) for d in divisors(n)
+                }
+            assert random_even_function(ours, n).values == {
+                g: Fraction(theirs.randint(-6, 6), theirs.randint(1, 4)) for g in divisors(n)
+            }
+            assert ours.getstate() == theirs.getstate(), seed
+
+    @pytest.mark.parametrize("suite, digest", [
+        ("root-data-coherence", "3c679633233d5999b272ba831b2a3ee0a47f81d5caebc87ba56ae4f3abc5b749"),
+        ("fourier-roundtrip", "b62b3a4b4e1ed7e631e6faabe0af3ac1ac1647d49d3656f7d6e2e37e5bc12a7f"),
+        ("weighted-sums", "5dbef73fb787f2b9db49e08b9e9f044bf1da59fa4d10015d05e76e8619d0db31"),
+        ("mobius-pairings", "3f9294ea69000bd761cd264d15e73e4a85e084d3f0292f9188adfd8d0f9db030"),
+        ("dirichlet-transfer", "09f85968e409d2d8a4ba8abe94b6b89a798a2c3e5086959777794f7c7bc440fb"),
+        ("convolution-examples", "7555fa18a29cc7be635ac47c61ebcfb8cbea0c1bf51c86be613174c426efb535"),
+    ])
+    def test_what_each_random_suite_draws_at_seed_42_is_pinned(self, monkeypatch, suite, digest):
+        """The SHA-256 of every product and even function the suite draws, in
+        order; these digests were computed with ``rng.randint`` draws."""
+        drawn = []
+
+        def product(rng, n, span=2):
+            z = random_zeta_product(rng, n, span)
+            drawn.append(z.to_text())
+            return z
+
+        def even_function(rng, n, span=6):
+            a = random_even_function(rng, n, span)
+            drawn.append(repr(a))
+            return a
+
+        monkeypatch.setattr(verify, "random_zeta_product", product)
+        monkeypatch.setattr(verify, "random_even_function", even_function)
+        assert dict(verify.SUITES)[suite](SuiteConfig(seed=42)).status == "pass"
+        assert drawn and hashlib.sha256("\n".join(drawn).encode()).hexdigest() == digest
