@@ -18,7 +18,7 @@ import sys
 
 from .arith import canonical_int, divisors, euler_phi
 from .exactpoly import PowerSeriesQ
-from .report import json_safe
+from .report import json_safe, summarize
 from .zetaprod import (
     ZetaParseError,
     ZetaProduct,
@@ -217,13 +217,11 @@ def _cmd_catalog(args) -> int:
         _emit(args, "pass", _catalog_entry(args.name).to_json_dict())
         return 0
     if args.action == "verify":
-        from . import verify
-
         if args.name:
             reports = [catalog_mod.verify_entry(_catalog_entry(args.name))]
         else:
             reports = catalog_mod.verify_catalog()
-        summary = verify.summarize(reports)
+        summary = summarize(reports)
         if args.format == "json":
             _emit(args, summary["status"], {"reports": [r.to_dict() for r in reports]})
         else:
@@ -287,7 +285,7 @@ def _cmd_verify(args) -> int:
     reports = verify.run_scope(args.scope, cfg, timings)
     for name, seconds in (timings or {}).items():
         print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)
-    summary = verify.summarize(reports)
+    summary = summarize(reports)
     defaults = verify.SuiteConfig()
     reruns = [_rerun(args, defaults, r) for r in reports]
     if args.format == "json":

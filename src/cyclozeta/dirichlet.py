@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .arith import (
     div_exact,
     divisors,
-    exact_values,
     factorize,
     liouville,
     mobius,
@@ -36,57 +34,21 @@ from .arith import (
     ramanujan_sum,
     require_int_keys,
 )
-from .exactpoly import PowerSeriesQ, _combine
+from .exactpoly import PowerSeriesQ, _combine, _TruncatedSeries
 from .report import Report
 from .zetaprod import ZetaProduct, multiplicities, power_sums, root_weights
 
 
-class DirichletSeries:
+class DirichletSeries(_TruncatedSeries):
     """Exact coefficients g(1..order) of a truncated Dirichlet series."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        cs = tuple(exact_values(coeffs))
-        if not cs:
-            raise ValueError("DirichletSeries needs at least one coefficient")
-        self.coeffs = cs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, k: int):
-        if not 1 <= k <= self.order:
-            raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k - 1]
-
-    def truncate(self, order: int) -> "DirichletSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated Dirichlet series")
-        return DirichletSeries(self.coeffs[:order])
-
-    def __add__(self, other):
-        if not isinstance(other, DirichletSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return DirichletSeries([a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __sub__(self, other):
-        if not isinstance(other, DirichletSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return DirichletSeries([a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __neg__(self):
-        return DirichletSeries([-c for c in self.coeffs])
+    __slots__ = ()
+    first = 1
 
     def __mul__(self, other):
         """Divisor convolution, truncated to the smaller order."""
-        if isinstance(other, (int, Fraction)):
-            return DirichletSeries([c * other for c in self.coeffs])
-        if not isinstance(other, DirichletSeries):
-            return NotImplemented
+        if type(other) is not DirichletSeries:
+            return super().__mul__(other)
         n = min(self.order, other.order)
         out = [0] * (n + 1)
         a, b = self.coeffs, other.coeffs
@@ -98,8 +60,6 @@ class DirichletSeries:
                     if bj:
                         out[i * j] += ai * bj
         return DirichletSeries(out[1:])
-
-    __rmul__ = __mul__
 
     def invert(self) -> "DirichletSeries":
         """Dirichlet inverse; needs g(1) != 0."""
@@ -133,19 +93,6 @@ class DirichletSeries:
             out[k**r - 1] = self.coeffs[k - 1]
             k += 1
         return DirichletSeries(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, DirichletSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:10])
-        tail = ", ..." if self.order > 10 else ""
-        return f"DirichletSeries([{head}{tail}], order={self.order})"
 
 
 def zeta_series(order: int) -> DirichletSeries:

@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .arith import divisors, sigma
 from .dirichlet import DirichletSeries, g_transform, zeta_series
-from .exactpoly import PowerSeriesQ, Q, cyclotomic, expand_fraction
+from .exactpoly import PowerSeriesQ, Q, _combine, cyclotomic, expand_fraction
 from .report import Report
 from .zetaprod import ZetaProduct, multiplicities, ramanujan_kernel
 
@@ -97,12 +97,7 @@ def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:
     m = multiplicities(z)
 
     def kernel_form(kernel_coeffs) -> PowerSeriesQ:
-        acc = [0] * (order + 1)
-        for d in divisors(n):
-            md = m(n // d)
-            if md:
-                for j, c in enumerate(kernel_coeffs(d, order + 1)):
-                    acc[j] += md * c
+        acc = _combine(((m(n // d), kernel_coeffs(d, order + 1)) for d in divisors(n)), order + 1)
         return q_series(weights * DirichletSeries(acc[1:]))
 
     sigmas = DirichletSeries(lambert_series(order + 1).coeffs[1:])

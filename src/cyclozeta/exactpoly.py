@@ -5,8 +5,9 @@ constructors alone (:func:`cyclozeta.arith.exact_values`), so integral values
 are stored as ints; the list kernels leave that to them.  Polynomials are
 dense tuples with trailing zeros stripped (the zero polynomial is the empty
 tuple).  Rational functions are kept reduced with a monic denominator.
-Power series are truncated hard at their stated order; mixed-order
-arithmetic truncates to the minimum rather than extending precision.
+Power series and ``dirichlet.DirichletSeries`` share one truncated-series
+container: truncated hard at their stated order, mixed-order arithmetic
+truncates to the minimum rather than extending precision.
 Every product of binomials (q**c - 1)**a, a of either sign, is built in
 one place, :func:`binomial_product`; products of cyclotomic powers
 (:func:`cyclotomic_product`, :func:`cyclotomic`) are such products by the
@@ -510,57 +511,60 @@ def log_derivative(f) -> RationalFunctionQ:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series
+# truncated series
 
 
-class PowerSeriesQ:
-    """Power series truncated at a fixed order: coefficients of q^0..q^(order-1)."""
+class _TruncatedSeries:
+    """Exact coefficients of a series truncated at a fixed order: the one
+    container of :class:`PowerSeriesQ` and ``dirichlet.DirichletSeries``.
 
-    __slots__ = ("order", "coeffs")
+    ``coeffs[0]`` is the coefficient at the class's index ``first`` (q**0,
+    or 1**(-s)); the order is the number of coefficients.  Sums and
+    differences truncate to the smaller order; a scalar adds at
+    ``coeffs[0]``, the unit of both kinds' products.  Each kind multiplies
+    two series in its own ``__mul__``; a series of the other kind is refused
+    by exact type.
+    """
 
-    def __init__(self, coeffs: Iterable = (), order: int | None = None):
-        cs = exact_values(coeffs)
-        if order is None:
-            order = len(cs)
-        if order < 1:
-            raise ValueError("PowerSeriesQ: order must be at least 1")
-        if len(cs) < order:
-            cs += [0] * (order - len(cs))
-        else:
-            cs = cs[:order]
-        self.order = order
-        self.coeffs = tuple(cs)
+    __slots__ = ("coeffs",)
+    first = 0
+
+    def __init__(self, coeffs: Iterable):
+        cs = tuple(exact_values(coeffs))
+        if not cs:
+            raise ValueError(f"{type(self).__name__} needs at least one coefficient")
+        self.coeffs = cs
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs)
 
     def coefficient(self, k: int):
-        if not 0 <= k < self.order:
+        if not 0 <= k - self.first < self.order:
             raise IndexError(f"coefficient {k} beyond truncation order {self.order}")
-        return self.coeffs[k]
+        return self.coeffs[k - self.first]
 
-    def truncate(self, order: int) -> "PowerSeriesQ":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return PowerSeriesQ(self.coeffs[:order], order)
-
-    def _common(self, other: "PowerSeriesQ") -> int:
-        return min(self.order, other.order)
+    def truncate(self, order: int):
+        if not 1 <= order <= self.order:
+            raise ValueError(f"cannot truncate a series of order {self.order} to order {order}")
+        return type(self)(self.coeffs[:order])
 
     def __add__(self, other):
-        if isinstance(other, PowerSeriesQ):
-            n = self._common(other)
-            return PowerSeriesQ([a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n)
+        if type(other) is type(self):
+            return type(self)(map(add, self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction)):
-            cs = list(self.coeffs)
-            cs[0] += other
-            return PowerSeriesQ(cs, self.order)
+            return type(self)((self.coeffs[0] + other, *self.coeffs[1:]))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeriesQ([-c for c in self.coeffs], self.order)
+        return type(self)(map(neg, self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (PowerSeriesQ, int, Fraction)):
+        if type(other) is type(self):
+            return type(self)(map(sub, self.coeffs, other.coeffs))
+        if isinstance(other, (int, Fraction)):
             return self + -other
         return NotImplemented
 
@@ -568,27 +572,51 @@ class PowerSeriesQ:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, PowerSeriesQ):
-            n = self._common(other)
-            return PowerSeriesQ(_mul(self.coeffs, other.coeffs, n), n)
+        """The scalar product; a subclass's ``__mul__`` defers to it for
+        anything but a series of its own kind."""
         if isinstance(other, (int, Fraction)):
-            return PowerSeriesQ([c * other for c in self.coeffs], self.order)
+            return type(self)([c * other for c in self.coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, PowerSeriesQ):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 8 else ""
-        return f"PowerSeriesQ([{head}{tail}], order={self.order})"
+        return f"{type(self).__name__}([{head}{tail}], order={self.order})"
+
+
+class PowerSeriesQ(_TruncatedSeries):
+    """Power series truncated at a fixed order: coefficients of q^0..q^(order-1).
+
+    With ``order``, the coefficients are cut or padded with zeros to it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Iterable = (), order: int | None = None):
+        cs = list(coeffs)
+        if order is not None:
+            if order < 1:
+                raise ValueError("PowerSeriesQ: order must be at least 1")
+            cs += [0] * (order - len(cs))
+        super().__init__(cs)
+        # cut only now, so values past the order are checked for exactness too
+        self.coeffs = self.coeffs[:order]
+
+    def __mul__(self, other):
+        if type(other) is not PowerSeriesQ:
+            return super().__mul__(other)
+        n = min(self.order, other.order)
+        return PowerSeriesQ(_mul(self.coeffs, other.coeffs, n), n)
 
 
 def expand_fraction(num: PolynomialQ, den: PolynomialQ, order: int) -> PowerSeriesQ:

@@ -96,3 +96,17 @@ class Report:
             "flags": list(self.flags),
             "notes": list(self.notes),
         }
+
+
+def summarize(reports: list[Report]) -> dict:
+    """The roll-up of a run's reports: it fails when any report failed
+    (:attr:`Report.failed`), else it is flagged when any report holds a flag."""
+    failures = sum(1 for r in reports if r.failed)
+    flags = sum(len(r.flags) for r in reports)
+    return {
+        "status": "fail" if failures else ("flagged" if flags else "pass"),
+        "suites": len(reports),
+        "failures": failures,
+        "flags": flags,
+        "checks": sum(r.checks for r in reports),
+    }

@@ -481,14 +481,3 @@ def run_scope(scope: str, cfg: SuiteConfig, timings: dict[str, float] | None = N
             timings[name] = time.perf_counter() - start
     return reports
 
-
-def summarize(reports: list[Report]) -> dict:
-    failures = sum(1 for r in reports if r.failed)
-    flags = sum(len(r.flags) for r in reports)
-    return {
-        "status": "fail" if failures else ("flagged" if flags else "pass"),
-        "suites": len(reports),
-        "failures": failures,
-        "flags": flags,
-        "checks": sum(r.checks for r in reports),
-    }

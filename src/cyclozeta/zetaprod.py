@@ -188,6 +188,9 @@ def _refuse_repeated_keys(pairs) -> dict:
 
 
 def _json_fields(obj: Mapping) -> tuple[int, dict[int, int]]:
+    for field in obj:
+        if field not in ("n", "e"):
+            raise ZetaParseError(f"unknown field {json.dumps(field)}")
     for field in ("n", "e"):
         if field not in obj:
             raise ZetaParseError(f"missing field {json.dumps(field)}")

@@ -75,6 +75,8 @@ COMBINE_POLY = f"{COMBINE}::test_a_polynomial_sum_equals_the_sum_of_scaled_polyn
 COMBINE_SERIES = f"{COMBINE}::test_a_series_sum_keeps_its_order_and_equals_the_sum_of_scaled_series"
 DRAWS = "tests/test_zetaprod.py::TestDraws"
 REPEATED_N = "test_a_repeated_conductor_runs_once_in_first_seen_order"
+CONTAINER = "tests/test_exactpoly.py::TestTruncatedSeries"
+PER_CLASS = "test_equals_the_per_class_comprehensions"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -147,8 +149,9 @@ MUTANTS = [
      f"{LAWS}::test_exact_values_is_as_exact_on_each_value"),
     (ARITH, "    return [as_exact(c) for c in cs]", "    return cs",
      f"{LAWS}::test_exact_values_is_as_exact_on_each_value"),
-    (DIRICHLET, "cs = tuple(exact_values(coeffs))", "cs = tuple(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
-    (EXACTPOLY, "cs = exact_values(coeffs)", "cs = list(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
+    (EXACTPOLY, "cs = tuple(exact_values(coeffs))", "cs = tuple(coeffs)", f"{LAWS}::test_series_results_are_demoted"),
+    (EXACTPOLY, "            cs += [0] * (order - len(cs))\n", "",
+     "tests/test_exactpoly.py::TestPowerSeriesQ::test_product_is_the_truncated_dense_product"),
     (EXACTPOLY, "tuple(_trim(exact_values(coeffs)))", "tuple(_trim(list(coeffs)))",
      (f"{LAWS}::test_polynomial_ring_laws",
       f"{POLY}::TestPolynomialQ::test_an_integral_coefficient_beside_a_fraction_prints_as_an_int",
@@ -298,7 +301,7 @@ MUTANTS = [
      "tests/test_imports.py::TestLazyNamespace::test_a_fresh_interpreter_lists_and_resolves_every_name"),
     (PACKAGE, "return sorted(set(globals()) | set(__all__))", "return sorted(globals())",
      "tests/test_imports.py::TestLazyNamespace::test_a_fresh_interpreter_lists_and_resolves_every_name"),
-    (CLI, "from .report import json_safe\n", "from .report import json_safe\nfrom . import verify\n",
+    (CLI, "from .report import json_safe, summarize\n", "from .report import json_safe, summarize\nfrom . import verify\n",
      "tests/test_imports.py::TestImportFootprint::test_the_package_and_the_cli_load_only_the_core"),
     (CLI, '"prop", "weights")', '"prop")',
      "tests/test_imports.py::TestLazyNamespace::test_the_cli_choices_are_the_ones_the_modules_define"),
@@ -423,7 +426,8 @@ MUTANTS = [
     (ETAPROD, 'g_transform(z, sigmas, "p")', 'g_transform(z, sigmas, "m")', f"{ETA}::test_parabolic_four_way_agreement"),
     (ETAPROD, "weights = zeta_series(order).shift()", "weights = zeta_series(order)",
      f"{ETA}::test_parabolic_four_way_agreement"),
-    (ETAPROD, "md = m(n // d)", "md = m(d)", f"{ETA}::test_parabolic_four_way_agreement"),
+    (ETAPROD, "(m(n // d), kernel_coeffs(d, order + 1))", "(m(d), kernel_coeffs(d, order + 1))",
+     f"{ETA}::test_parabolic_four_way_agreement"),
     # no command runs a polynomial gcd
     (ZETAPROD, "PolynomialQ.monomial(d) - 1, _normalized=True)", "PolynomialQ.monomial(d) - 1)",
      f"{VERIFY_CMD}::test_json_pins_the_check_count_of_every_suite_at_seed_42"),
@@ -482,6 +486,24 @@ MUTANTS = [
     # the e-free phi_inv series, built once per order
     (DIRICHLET, 'named_function("phi_inv").values(order))', 'named_function("phi_inv").values(order - 1))',
      (f"{EXAMPLES}::test_hand_instance_rank_two", f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity")),
+    # one truncated-series container for both kinds
+    (EXACTPOLY, "        if type(other) is not type(self):\n            return NotImplemented\n",
+     "        if not isinstance(other, _TruncatedSeries):\n            return NotImplemented\n",
+     f"{CONTAINER}::test_the_two_kinds_never_compare_equal_nor_mix"),
+    (EXACTPOLY, "return self.coeffs[k - self.first]", "return self.coeffs[k]", f"{CONTAINER}::{PER_CLASS}"),
+    (EXACTPOLY, "type(self)(map(add, self.coeffs, other.coeffs))",
+     "type(self)(__import__('itertools').starmap(add, __import__('itertools').zip_longest(self.coeffs, other.coeffs, fillvalue=0)))",
+     f"{CONTAINER}::{PER_CLASS}"),
+    # cutting the kernel sum to order is an equivalent mutant: q_series drops
+    # its last coefficient, the one at q**order
+    (ETAPROD, "for d in divisors(n)), order + 1)", "for d in divisors(n)), order - 1)",
+     f"{ETA}::test_parabolic_four_way_agreement"),
+    # JSON products take the fields n and e only
+    (ZETAPROD, '        if field not in ("n", "e"):\n', "        if False:\n",
+     "tests/test_cli.py::TestAnalyze::test_json_input_refuses_non_canonical_repeated_and_missing_keys"),
+    # report owns the failure rule
+    (REPORT, "failures = sum(1 for r in reports if r.failed)", "failures = sum(1 for r in reports if r.failed or r.flags)",
+     "tests/test_report.py::test_summarize_fails_a_run_only_on_a_failed_report"),
 ]
 
 

@@ -127,6 +127,7 @@ class TestAnalyze:
         ('{"n":3,"e":{"1":1,"3":1},"n":3}', 'duplicate key "n"'),
         ('{"e":{"1":1}}', 'missing field "n"'),
         ('{"n":3}', 'missing field "e"'),
+        ('{"n": 3, "e": {"1": -1, "3": 1}, "num": [1, 2]}', 'unknown field "num"'),
     ])
     def test_json_input_refuses_non_canonical_repeated_and_missing_keys(self, capsys, text, shown):
         code, out, err = run_cli(capsys, "dual", text)

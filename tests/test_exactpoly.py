@@ -4,10 +4,12 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate
+from operator import add, mul, sub
 
 import pytest
 
 from cyclozeta.arith import divisors, ramanujan_sum
+from cyclozeta.dirichlet import DirichletSeries
 from cyclozeta.exactpoly import (
     ONE,
     Q,
@@ -558,3 +560,46 @@ class TestCombine:
             assert len(out) == order, (terms, order)
             want = sum((c * PowerSeriesQ(cs, order) for c, cs in terms), PowerSeriesQ([0], order))
             assert PowerSeriesQ(out, order) == want, (terms, order)
+
+
+class TestTruncatedSeries:
+    """PowerSeriesQ and DirichletSeries share one container.  Each of its
+    operations is checked against the per-class comprehensions it replaced,
+    kept as its oracle."""
+
+    @pytest.mark.parametrize("kind, first", [(PowerSeriesQ, 0), (DirichletSeries, 1)], ids=["power", "dirichlet"])
+    def test_equals_the_per_class_comprehensions(self, kind, first):
+        rng = random.Random(f"container:{kind.__name__}")
+        for _ in range(40):
+            a, b = (OPERANDS["mixed"](rng, rng.randint(1, 12)) for _ in range(2))
+            c = SCALARS["mixed"](rng)
+            A, B = kind(a), kind(b)
+            n = min(len(a), len(b))
+            # mixed orders truncate to the smaller one
+            assert A + B == kind([x + y for x, y in zip(A.coeffs[:n], B.coeffs[:n])]) and (A + B).order == n
+            assert A - B == kind([x - y for x, y in zip(A.coeffs[:n], B.coeffs[:n])]) and (A - B).order == n
+            assert -A == kind([-x for x in A.coeffs])
+            assert A * c == c * A == kind([x * c for x in A.coeffs])
+            # a scalar adds at coeffs[0], the unit of both products
+            assert A + c == c + A == kind([A.coeffs[0] + c, *A.coeffs[1:]])
+            assert A - c == kind([A.coeffs[0] - c, *A.coeffs[1:]])
+            assert c - A == kind([c - A.coeffs[0], *(-x for x in A.coeffs[1:])])
+            assert A.coefficient(first) == A.coeffs[0] and A.coefficient(first + len(a) - 1) == A.coeffs[-1]
+            for k in (first - 1, first + len(a)):
+                with pytest.raises(IndexError):
+                    A.coefficient(k)
+            k = rng.randint(1, len(a))
+            assert A.truncate(k) == kind(A.coeffs[:k]) and A.truncate(len(a)) == A
+            for k in (0, len(a) + 1):
+                with pytest.raises(ValueError):
+                    A.truncate(k)
+
+    def test_the_two_kinds_never_compare_equal_nor_mix(self):
+        cs = [1, F(1, 2), 0, -3]
+        P, D = PowerSeriesQ(cs), DirichletSeries(cs)
+        assert P.coeffs == D.coeffs
+        assert P != D and D != P
+        for op in (add, sub, mul):
+            for x, y in ((P, D), (D, P)):
+                with pytest.raises(TypeError):
+                    op(x, y)

@@ -66,6 +66,9 @@ class TestImportFootprint:
         argv = ["series", "n=6; e={1:-1,2:1,3:1,6:-1}", "--kind", "power", "--order", "20"]
         assert loaded_after(argv) == CLI_CORE | {"cyclozeta.dirichlet"}
 
+    def test_catalog_verify_adds_only_catalog(self):
+        assert loaded_after(["catalog", "verify"]) == CLI_CORE | {"cyclozeta.catalog"}
+
     def test_verify_all_loads_every_module(self):
         argv = ["verify", "all", "--nmax", "6", "--order", "20", "--trials", "1", "--n", "6"]
         assert loaded_after(argv) == EVERY_MODULE

@@ -2,7 +2,7 @@
 
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.etaprod import check_eta_forms
-from cyclozeta.report import Report
+from cyclozeta.report import Report, summarize
 from cyclozeta.verify import SuiteConfig, suite_cyclotomic, suite_fourier, suite_root_data
 from cyclozeta.zetaprod import ZetaProduct, check_totient_pairing
 
@@ -33,6 +33,16 @@ def test_only_pass_and_flagged_leave_a_run_passing():
     assert checked("a", True, False).failed
     assert not checked("a", True).failed
     assert not checked("a", True).flag("known").failed
+
+
+def test_summarize_fails_a_run_only_on_a_failed_report():
+    passed, flagged = checked("a", True), checked("b", True).flag("known").flag("also known")
+    assert summarize([passed, flagged]) == {"status": "flagged", "suites": 2, "failures": 0, "flags": 2, "checks": 2}
+    assert summarize([passed]) == {"status": "pass", "suites": 1, "failures": 0, "flags": 0, "checks": 1}
+    # an empty report fails the run like a failing one, and a failure outranks a flag
+    for failed in (Report("c"), checked("c", True, False)):
+        summary = summarize([flagged, failed])
+        assert (summary["status"], summary["failures"], summary["flags"]) == ("fail", 1, 2)
 
 
 def test_expect_counts_every_instance_and_renders_only_a_failure():
