@@ -86,25 +86,31 @@ def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:
             for idx in range(step, order, step):
                 direct[idx] -= weight
 
+    series = PowerSeriesQ(direct, order)
     # The closed forms are Dirichlet convolutions in the exponent of q.  Their
-    # series run over the exponents 1..order; q_series places them at
-    # q**1..q**(order-1) and drops q**order.
+    # series run over the exponents 1..order-1, and q_series places them at
+    # q**1..q**(order-1).  At order 1 there is no such exponent (a Dirichlet
+    # series cannot be empty), and every closed form is the zero series.
+    if order == 1:
+        zero = PowerSeriesQ([0], 1)
+        return EtaExpansion(order, z.mu_e, series, zero, zero, zero)
+
     def q_series(ds: DirichletSeries) -> PowerSeriesQ:
-        return PowerSeriesQ((0,) + ds.coeffs, order)
+        return PowerSeriesQ((0,) + ds.coeffs)
 
     # the chain-rule weight k of the kernel evaluated along q**k
-    weights = zeta_series(order).shift()
+    weights = zeta_series(order - 1).shift()
     m = multiplicities(z)
 
     def kernel_form(kernel_coeffs) -> PowerSeriesQ:
-        acc = _combine(((m(n // d), kernel_coeffs(d, order + 1)) for d in divisors(n)), order + 1)
+        acc = _combine(((m(n // d), kernel_coeffs(d, order)) for d in divisors(n)), order)
         return q_series(weights * DirichletSeries(acc[1:]))
 
-    sigmas = DirichletSeries(lambert_series(order + 1).coeffs[1:])
+    sigmas = DirichletSeries(lambert_series(order).coeffs[1:])
     return EtaExpansion(
         order=order,
         mu_e=z.mu_e,
-        series=PowerSeriesQ(direct, order),
+        series=series,
         lambert_form=q_series(g_transform(z, sigmas, "p")),
         cyclotomic_form=kernel_form(_logderiv_coeffs),
         ramanujan_form=kernel_form(_ramanujan_kernel_coeffs),

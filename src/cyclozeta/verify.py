@@ -74,6 +74,12 @@ class SuiteConfig:
     index: int | None = None
 
     def rng(self, *key) -> random.Random:
+        """The one generator of a suite key and conductor, seeded from the
+        seed and the key.  A key holds no trial index: each (suite key, n)
+        gets one generator, and its trial loop draws from it in order, so
+        trial t draws right after trials 0 .. t - 1.  A smaller ``trials``
+        checks a prefix of the same instances, and ``ns`` reruns at n what
+        every other run draws at n."""
         return random.Random(f"{self.seed}:" + ":".join(str(k) for k in key))
 
     def pick_ns(self, default: Sequence[int]) -> Sequence[int]:
@@ -111,8 +117,9 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
     report = Report("root-data-coherence", context={"nmax": cfg.nmax, "trials": trials})
     ns = cfg.pick_ns(range(1, cfg.nmax + 1))
     for n in ns:
+        rng = cfg.rng("root", n)
         for t in range(trials):
-            z = random_zeta_product(cfg.rng("root", n, t), n)
+            z = random_zeta_product(rng, n)
             m = multiplicities(z)
             p = power_sums(z)
             if not report.expect(p == dft_power_sums(m), n=n, trial=t, identity="fourier-pairing"):
@@ -129,8 +136,9 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
             same_expo = [*expo.values.values()] == [*reversed(m.values.values())]
             report.expect(same_expo, n=n, trial=t, identity="cyclotomic-exponents")
         # additivity of the root data in the exponents
-        z1 = random_zeta_product(cfg.rng("root-add", n, 0), n)
-        z2 = random_zeta_product(cfg.rng("root-add", n, 1), n)
+        rng = cfg.rng("root-add", n)
+        z1 = random_zeta_product(rng, n)
+        z2 = random_zeta_product(rng, n)
         report.expect(
             multiplicities(z1 * z2) == multiplicities(z1) + multiplicities(z2),
             n=n,
@@ -143,8 +151,9 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
     for n in list(range(1, 25)) + [30, 36, 42, 48, 60]:
         if n not in ns:
             continue
+        rng = cfg.rng("root-direct", n)
         for t in range(3):
-            z = random_zeta_product(cfg.rng("root-direct", n, t), n)
+            z = random_zeta_product(rng, n)
             num, den = expand_divisor_product(z)
             rf = to_rational_function(z)
             report.expect(num * rf.den == rf.num * den, n=n, trial=t, identity="direct-product")
@@ -159,8 +168,9 @@ def suite_fourier(cfg: SuiteConfig) -> Report:
     trials = cfg.pick_trials(50)
     report = Report("fourier-roundtrip", context={"nmax": cfg.nmax, "trials": trials})
     for n in cfg.pick_ns(range(1, cfg.nmax + 1)):
+        rng = cfg.rng("fourier", n)
         for t in range(trials):
-            a = random_even_function(cfg.rng("fourier", n, t), n)
+            a = random_even_function(rng, n)
             r = ramanujan_coefficients(a)
             b = ramanujan_reconstruct(r)
             report.expect(b == a, n=n, trial=t, direction="analysis-synthesis")
@@ -206,8 +216,9 @@ def suite_weighted_sums(cfg: SuiteConfig) -> Report:
     for n in ns:
         for r in range(0, 5):
             for b, c in ((1, 0), (2, 3)):
-                for t in range(trials):
-                    z = random_zeta_product(cfg.rng("wsum", n, r, b, c, t), n)
+                rng = cfg.rng("wsum", n, r, b, c)
+                for _ in range(trials):
+                    z = random_zeta_product(rng, n)
                     report.absorb(check_weighted_sum_identities(z, b, c, r))
     return report
 
@@ -219,13 +230,13 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
     trials = cfg.pick_trials(20)
     report = Report("mobius-pairings", context={"ns": list(ns), "trials": trials})
     for n in ns:
-        for t in range(trials):
-            z = random_zeta_product(cfg.rng("pairing", n, t), n)
+        rng, xrng = cfg.rng("pairing", n), cfg.rng("pairing-x", n)
+        for _ in range(trials):
+            z = random_zeta_product(rng, n)
             if cfg.index in (None, 3):
                 report.absorb(check_totient_pairing(z, range(-2, 4)))
             if cfg.index in (None, 4):
                 report.absorb(check_pairing_preset(z, "ones"))
-                xrng = cfg.rng("pairing-x", n, t)
                 x = {d: Fraction(xrng.randint(-9, 9), xrng.randint(1, 4)) for d in divisors(n)}
                 report.absorb(check_mobius_pairing(z, x))
             if cfg.index in (None, 5):
@@ -244,8 +255,8 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
             inversion.expect(acc == PolynomialQ.monomial(dd), d=dd)
         report.absorb(inversion)
         # the two-parameter Fourier family, random tables at n = 12
-        for t in range(5):
-            rng = cfg.rng("pair-family", t)
+        rng = cfg.rng("pair-family")
+        for _ in range(5):
             F = DivisorMap(12, {d: Fraction(rng.randint(-8, 8), rng.randint(1, 3)) for d in divisors(12)})
             for s in (0, 1):
                 report.absorb(check_fourier_pair_family(12, F, s))
@@ -272,8 +283,9 @@ def suite_dirichlet(cfg: SuiteConfig) -> Report:
     report = Report("dirichlet-transfer", context={"ns": list(ns), "trials": trials, "order": cfg.order})
     star_order = min(cfg.order, 120)
     for n in ns:
-        for t in range(trials):
-            z = random_zeta_product(cfg.rng("dirichlet", n, t), n)
+        rng = cfg.rng("dirichlet", n)
+        for _ in range(trials):
+            z = random_zeta_product(rng, n)
             if cfg.index in (None, 8):
                 for G in (unit_series(star_order), zeta_series(star_order), mobius_series(star_order)):
                     report.absorb(check_star_series(z, G))
@@ -299,8 +311,9 @@ def suite_examples(cfg: SuiteConfig) -> Report:
         r_values = (1, 2, 3) if ex.needs_r else (None,)
         for n in ns:
             for r in r_values:
-                for t in range(trials):
-                    z = random_zeta_product(cfg.rng("example", index, n, r, t), n)
+                rng = cfg.rng("example", index, n, r)
+                for _ in range(trials):
+                    z = random_zeta_product(rng, n)
                     sub = convolution_example(index, z, r=r, order=cfg.order)
                     report.absorb(sub)
                     report.example_docs.append(example_report_json(sub))

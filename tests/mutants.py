@@ -77,6 +77,8 @@ DRAWS = "tests/test_zetaprod.py::TestDraws"
 REPEATED_N = "test_a_repeated_conductor_runs_once_in_first_seen_order"
 CONTAINER = "tests/test_exactpoly.py::TestTruncatedSeries"
 PER_CLASS = "test_equals_the_per_class_comprehensions"
+GENERATORS = "tests/test_zetaprod.py::TestSuiteGenerators"
+SMALLEST_ORDERS = "test_all_four_forms_at_the_smallest_orders_are_the_longer_expansion_cut"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -424,9 +426,9 @@ MUTANTS = [
     (APOSTOL, "PolynomialQ.monomial(power * count,", "PolynomialQ.monomial(count,",
      "tests/test_apostol.py::TestWeightedGeometricSum::test_closed_form_at_a_power_of_q"),
     (ETAPROD, 'g_transform(z, sigmas, "p")', 'g_transform(z, sigmas, "m")', f"{ETA}::test_parabolic_four_way_agreement"),
-    (ETAPROD, "weights = zeta_series(order).shift()", "weights = zeta_series(order)",
+    (ETAPROD, "weights = zeta_series(order - 1).shift()", "weights = zeta_series(order - 1)",
      f"{ETA}::test_parabolic_four_way_agreement"),
-    (ETAPROD, "(m(n // d), kernel_coeffs(d, order + 1))", "(m(d), kernel_coeffs(d, order + 1))",
+    (ETAPROD, "(m(n // d), kernel_coeffs(d, order))", "(m(d), kernel_coeffs(d, order))",
      f"{ETA}::test_parabolic_four_way_agreement"),
     # no command runs a polynomial gcd
     (ZETAPROD, "PolynomialQ.monomial(d) - 1, _normalized=True)", "PolynomialQ.monomial(d) - 1)",
@@ -494,10 +496,21 @@ MUTANTS = [
     (EXACTPOLY, "type(self)(map(add, self.coeffs, other.coeffs))",
      "type(self)(__import__('itertools').starmap(add, __import__('itertools').zip_longest(self.coeffs, other.coeffs, fillvalue=0)))",
      f"{CONTAINER}::{PER_CLASS}"),
-    # cutting the kernel sum to order is an equivalent mutant: q_series drops
-    # its last coefficient, the one at q**order
-    (ETAPROD, "for d in divisors(n)), order + 1)", "for d in divisors(n)), order - 1)",
+    # the eta closed forms built to order, with order 1 on its own
+    (ETAPROD, "for d in divisors(n)), order)", "for d in divisors(n)), order - 1)",
      f"{ETA}::test_parabolic_four_way_agreement"),
+    (ETAPROD, "    if order == 1:\n", "    if False:\n", f"{ETA}::{SMALLEST_ORDERS}[1]"),
+    # one generator per suite key and conductor: rebuilt for every trial, it
+    # draws one instance over and over; built once above the conductor loop,
+    # a conductor's instances depend on the conductors before it; a key
+    # without r gives the same instances at every r
+    (VERIFY, '        rng = cfg.rng("root", n)\n        for t in range(trials):\n',
+     '        for t in range(trials):\n            rng = cfg.rng("root", n)\n',
+     f"{GENERATORS}::test_the_hundred_root_data_products_at_60_are_not_all_equal"),
+    (VERIFY, '    for n in ns:\n        rng = cfg.rng("dirichlet", n)\n', '    rng = cfg.rng("dirichlet")\n    for n in ns:\n',
+     f"{GENERATORS}::test_one_conductor_draws_there_what_the_full_run_draws_there[dirichlet-transfer-12]"),
+    (VERIFY, 'cfg.rng("wsum", n, r, b, c)', 'cfg.rng("wsum", n, b, c)',
+     f"{GENERATORS}::test_a_default_verify_all_builds_one_generator_per_key"),
     # JSON products take the fields n and e only
     (ZETAPROD, '        if field not in ("n", "e"):\n', "        if False:\n",
      "tests/test_cli.py::TestAnalyze::test_json_input_refuses_non_canonical_repeated_and_missing_keys"),

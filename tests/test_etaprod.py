@@ -1,5 +1,7 @@
 """Eta-style product expansions and their closed forms."""
 
+import pytest
+
 from cyclozeta.arith import divisors
 from cyclozeta.catalog import entries
 from cyclozeta.etaprod import (
@@ -9,7 +11,7 @@ from cyclozeta.etaprod import (
     eta_log_derivative,
     lambert_series,
 )
-from cyclozeta.exactpoly import cyclotomic, expand, log_derivative
+from cyclozeta.exactpoly import PowerSeriesQ, cyclotomic, expand, log_derivative
 from cyclozeta.zetaprod import ZetaProduct
 
 
@@ -57,6 +59,18 @@ def test_parabolic_four_way_agreement():
     assert exp.series == exp.cyclotomic_form == exp.ramanujan_form == -exp.lambert_form
     rep = check_eta_forms(z, 100)
     assert rep.status == "flagged" and len(rep.flags) == 1
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_all_four_forms_at_the_smallest_orders_are_the_longer_expansion_cut(order):
+    """At order 1 every form is the zero series; at order 2 each holds the
+    coefficient of q, -e(1)."""
+    for entry in entries():
+        z = entry.zeta_product()
+        exp, longer = eta_log_derivative(z, order), eta_log_derivative(z, 12)
+        want = longer.series.truncate(order)
+        assert exp.series == exp.cyclotomic_form == exp.ramanujan_form == -exp.lambert_form == want, entry.name
+        assert want == PowerSeriesQ([0, -z.e[1]][:order]), entry.name
 
 
 def test_zero_product_is_silent():

@@ -1,5 +1,6 @@
 """Root data of cyclotomic products and the even-function machinery."""
 
+import functools
 import hashlib
 import math
 import random
@@ -424,8 +425,10 @@ class TestDegreeBudget:
         circle, in the numerator and the denominator."""
         cfg, rng = SuiteConfig(), random.Random(97)
         for n in range(1, 61):
+            root = cfg.rng("root", n)
+            drawn = [random_zeta_product(root, n) for _ in range(100)]
             for t in rng.sample(range(100), 3):
-                rf = to_rational_function(random_zeta_product(cfg.rng("root", n, t), n))
+                rf = to_rational_function(drawn[t])
                 factor = PolynomialQ.monomial(rng.randint(1, 9), Fraction(2, 3)) + rng.choice((-3, -1, 1, 3))
                 for p in (rf.num, rf.den, rf.num * factor, rf.den * factor):
                     assert zetaprod._cyclotomic_valuations(p, n) == per_divisor_valuations(p, n), (n, t, p)
@@ -942,16 +945,17 @@ class TestDraws:
             assert ours.getstate() == theirs.getstate(), seed
 
     @pytest.mark.parametrize("suite, digest", [
-        ("root-data-coherence", "3c679633233d5999b272ba831b2a3ee0a47f81d5caebc87ba56ae4f3abc5b749"),
-        ("fourier-roundtrip", "b62b3a4b4e1ed7e631e6faabe0af3ac1ac1647d49d3656f7d6e2e37e5bc12a7f"),
-        ("weighted-sums", "5dbef73fb787f2b9db49e08b9e9f044bf1da59fa4d10015d05e76e8619d0db31"),
-        ("mobius-pairings", "3f9294ea69000bd761cd264d15e73e4a85e084d3f0292f9188adfd8d0f9db030"),
-        ("dirichlet-transfer", "09f85968e409d2d8a4ba8abe94b6b89a798a2c3e5086959777794f7c7bc440fb"),
-        ("convolution-examples", "7555fa18a29cc7be635ac47c61ebcfb8cbea0c1bf51c86be613174c426efb535"),
+        ("root-data-coherence", "7af4efca4026124997a91cd611bf455f15d2708e652389f02144f97ad0a40183"),
+        ("fourier-roundtrip", "8a192323fd19fe208a3af1c49c3609a55d9dd2722643a20cf2b53b4a556fb198"),
+        ("weighted-sums", "4505e95d74efef0c0d6ce4959886c56ec94dee915af08a2e5b266ebfccdb38ee"),
+        ("mobius-pairings", "2e0f8df87bcd34533eb4e1b7f09992828abea8a31d7d7e4d2bc1aab162af8d91"),
+        ("dirichlet-transfer", "e06ac1625739ec503f020e09035f8cd2597dcbe1f4d285d810eb63113910153d"),
+        ("convolution-examples", "eec3fbbbde4d2844fa4015de453a04564ee57e3cd4f7e7a60a39cecb691fa1bb"),
     ])
     def test_what_each_random_suite_draws_at_seed_42_is_pinned(self, monkeypatch, suite, digest):
         """The SHA-256 of every product and even function the suite draws, in
-        order; these digests were computed with ``rng.randint`` draws."""
+        order; these digests were computed with ``rng.randint`` draws, one
+        generator per suite key and conductor."""
         drawn = []
 
         def product(rng, n, span=2):
@@ -968,3 +972,84 @@ class TestDraws:
         monkeypatch.setattr(verify, "random_even_function", even_function)
         assert dict(verify.SUITES)[suite](SuiteConfig(seed=42)).status == "pass"
         assert drawn and hashlib.sha256("\n".join(drawn).encode()).hexdigest() == digest
+
+
+RANDOM_SUITES = ("root-data-coherence", "fourier-roundtrip", "weighted-sums", "mobius-pairings",
+                 "dirichlet-transfer", "convolution-examples")
+# a few conductors of each random suite's default run
+SOME_CONDUCTORS = {"root-data-coherence": (1, 30, 60), "fourier-roundtrip": (1, 30, 60), "weighted-sums": (6, 12),
+                   "mobius-pairings": (6, 12, 30), "dirichlet-transfer": (6, 12, 30), "convolution-examples": (6, 12, 30)}
+
+
+@functools.lru_cache(maxsize=None)
+def draws_by_key(suite, trials=None, ns=None):
+    """What one random suite draws at seed 42, by the key of the generator
+    that drew it: each product and even function as text, and each
+    ``randint`` value, in order."""
+    drawn = {}
+    seeded = SuiteConfig.rng
+
+    class Logged(random.Random):
+        def randint(self, a, b):
+            v = super().randint(a, b)
+            self.log.append(v)
+            return v
+
+    def rng(cfg, *key):
+        gen = Logged()
+        gen.setstate(seeded(cfg, *key).getstate())
+        gen.log = drawn.setdefault(key, [])
+        return gen
+
+    def product(gen, n, span=2):
+        z = random_zeta_product(gen, n, span)
+        gen.log.append(z.to_text())
+        return z
+
+    def even_function(gen, n, span=6):
+        a = random_even_function(gen, n, span)
+        gen.log.append(repr(a))
+        return a
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SuiteConfig, "rng", rng)
+        mp.setattr(verify, "random_zeta_product", product)
+        mp.setattr(verify, "random_even_function", even_function)
+        assert dict(verify.SUITES)[suite](SuiteConfig(seed=42, trials=trials, ns=ns)).status == "pass"
+    return {key: tuple(log) for key, log in drawn.items()}
+
+
+class TestSuiteGenerators:
+    """One generator per suite key and conductor, whose trials draw from it
+    in order."""
+
+    @pytest.mark.parametrize("trials", (1, 3))
+    @pytest.mark.parametrize("suite", RANDOM_SUITES)
+    def test_fewer_trials_draw_a_prefix_of_what_the_default_run_draws(self, suite, trials):
+        full, few = draws_by_key(suite), draws_by_key(suite, trials=trials)
+        assert few.keys() == full.keys()
+        for key, values in few.items():
+            assert values and values == full[key][: len(values)], key
+        assert sum(map(len, few.values())) < sum(map(len, full.values()))
+
+    @pytest.mark.parametrize("suite, n", [(s, n) for s, ns in SOME_CONDUCTORS.items() for n in ns])
+    def test_one_conductor_draws_there_what_the_full_run_draws_there(self, suite, n):
+        full, alone = draws_by_key(suite), draws_by_key(suite, ns=(n,))
+        assert alone
+        for key, values in alone.items():
+            assert values == full[key], key
+
+    def test_the_hundred_root_data_products_at_60_are_not_all_equal(self):
+        products = draws_by_key("root-data-coherence")[("root", 60)]
+        assert len(products) == 100 and len(set(products)) > 1
+
+    def test_a_default_verify_all_builds_one_generator_per_key(self, monkeypatch):
+        keys, seeded = [], SuiteConfig.rng
+
+        def rng(cfg, *key):
+            keys.append(key)
+            return seeded(cfg, *key)
+
+        monkeypatch.setattr(SuiteConfig, "rng", rng)
+        verify.run_scope("all", SuiteConfig())
+        assert len(keys) == len(set(keys)) == 309
