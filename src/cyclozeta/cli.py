@@ -237,48 +237,18 @@ def _cmd_catalog(args) -> int:
     raise ValueError(f"unknown catalog action {args.action!r}")
 
 
-def _rerun(args, defaults, report) -> str | None:
-    """The command that repeats a failing report's first mismatch at its
-    conductor alone, or None when that mismatch names no conductor.
-
-    It keeps the scope, --index and --seed, and --nmax, --order and --trials
-    when they differ from the defaults; every instance is seeded from the
-    seed, the suite, n and the trial, so it runs the same instance again.
-    The catalog suite runs whole whatever --n says, so its command leaves
-    --n out; it is the one such suite whose mismatches name a conductor.
-    """
-    n = report.mismatches[0].get("n") if report.mismatches else None
-    if type(n) is not int or n < 1:
-        return None
-    words = ["cyclozeta", "verify", args.scope]
-    if args.index is not None:
-        words += ["--index", str(args.index)]
-    words += ["--seed", str(args.seed)]
-    if report.check != "catalog":
-        words += ["--n", str(n)]
-    for name in ("nmax", "order", "trials"):
-        if getattr(args, name) != getattr(defaults, name):
-            words += [f"--{name}", str(getattr(args, name))]
-    return " ".join(words)
-
-
 def _cmd_verify(args) -> int:
-    # a repeated --n runs once, at its first place; every --n, and then the
-    # sizes of the run, are held to the size contract before any suite runs
-    ns = tuple(dict.fromkeys(args.n)) if args.n else None
-    for n in ns or ():
+    # every --n, and then the sizes of the run, are held to the size
+    # contract before any suite runs
+    for n in args.n or ():
         if refusal := size_error(n):
             raise ValueError(refusal)
     from . import verify
 
-    cfg = verify.SuiteConfig(
-        seed=args.seed,
-        nmax=args.nmax,
-        order=args.order,
-        trials=args.trials,
-        ns=ns,
-        index=args.index,
-    )
+    # a flag that was not given keeps SuiteConfig's default
+    flags = {name: getattr(args, name) for name in ("seed", "nmax", "order", "trials")}
+    given = {name: value for name, value in flags.items() if value is not None}
+    cfg = verify.SuiteConfig(ns=args.n and tuple(args.n), index=args.index, **given)
     if refusal := verify.size_error(args.scope, cfg):
         raise ValueError(refusal)
     timings = {} if args.timings else None
@@ -286,8 +256,7 @@ def _cmd_verify(args) -> int:
     for name, seconds in (timings or {}).items():
         print(f"timing: {name} {seconds:.3f} s", file=sys.stderr)
     summary = summarize(reports)
-    defaults = verify.SuiteConfig()
-    reruns = [_rerun(args, defaults, r) for r in reports]
+    reruns = [verify.rerun_command(args.scope, cfg, r) for r in reports]
     if args.format == "json":
         suites = [r.to_dict() for r in reports]
         for suite, rerun in zip(suites, reruns):
@@ -295,7 +264,7 @@ def _cmd_verify(args) -> int:
                 suite["mismatches"][0]["rerun"] = rerun
         doc = {
             "command": args._echo,
-            "seed": args.seed,
+            "seed": cfg.seed,
             "suites": suites,
             "summary": summary,
         }
@@ -358,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparser("verify", help="run verification suites")
     p.add_argument("scope", choices=SCOPES)
-    p.add_argument("--index", type=_int, default=None, help="proposition or example index")
+    p.add_argument("--index", type=_int, help="proposition or example index")
     p.add_argument("--n", type=_positive_int, action="append", help="restrict to these conductors")
-    p.add_argument("--nmax", type=_positive_int, default=60)
-    p.add_argument("--order", type=_positive_int, default=200)
-    p.add_argument("--trials", type=_positive_int, default=None)
-    p.add_argument("--seed", type=_int, default=42)
+    p.add_argument("--nmax", type=_positive_int)
+    p.add_argument("--order", type=_positive_int)
+    p.add_argument("--trials", type=_positive_int)
+    p.add_argument("--seed", type=_int)
     p.add_argument("--timings", action="store_true", help="write each suite's wall time to stderr")
     p.set_defaults(func=_cmd_verify)
     return parser

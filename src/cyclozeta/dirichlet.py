@@ -20,7 +20,6 @@ the all-ones series recovers the even functions m, p, m*, p* of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
@@ -242,8 +241,7 @@ def check_transfer(z: ZetaProduct, G1: DirichletSeries, G2: DirichletSeries) -> 
 # the twelve convolution examples
 
 
-@dataclass(frozen=True)
-class TransferExample:
+class TransferExample(NamedTuple):
     """One instance of the transfer identity written as a plain convolution.
 
     ``build(n, r, order)`` returns (G1, G2, h) with h(1..order) the named

@@ -73,14 +73,23 @@ class SuiteConfig:
     ns: tuple[int, ...] | None = None
     index: int | None = None
 
+    def __post_init__(self):
+        # a repeated conductor checks nothing new: it runs once, at its first place
+        if self.ns is not None:
+            self.ns = tuple(dict.fromkeys(self.ns))
+
     def rng(self, *key) -> random.Random:
-        """The one generator of a suite key and conductor, seeded from the
-        seed and the key.  A key holds no trial index: each (suite key, n)
-        gets one generator, and its trial loop draws from it in order, so
-        trial t draws right after trials 0 .. t - 1.  A smaller ``trials``
-        checks a prefix of the same instances, and ``ns`` reruns at n what
-        every other run draws at n."""
+        """The generator of ``key``, seeded from the seed and the key."""
         return random.Random(f"{self.seed}:" + ":".join(str(k) for k in key))
+
+    def draw(self, key: tuple, count: int, make, n: int) -> list:
+        """``count`` instances ``make(rng, n)``, in order, from the one
+        generator of ``key`` (a suite key and the conductor n).  A key holds
+        no trial index, so trial t draws right after trials 0 .. t - 1: a
+        smaller ``trials`` checks a prefix of the same instances, and ``ns``
+        reruns at n what every other run draws at n."""
+        rng = self.rng(*key)
+        return [make(rng, n) for _ in range(count)]
 
     def pick_ns(self, default: Sequence[int]) -> Sequence[int]:
         return default if self.ns is None else self.ns
@@ -117,9 +126,7 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
     report = Report("root-data-coherence", context={"nmax": cfg.nmax, "trials": trials})
     ns = cfg.pick_ns(range(1, cfg.nmax + 1))
     for n in ns:
-        rng = cfg.rng("root", n)
-        for t in range(trials):
-            z = random_zeta_product(rng, n)
+        for t, z in enumerate(cfg.draw(("root", n), trials, random_zeta_product, n)):
             m = multiplicities(z)
             p = power_sums(z)
             if not report.expect(p == dft_power_sums(m), n=n, trial=t, identity="fourier-pairing"):
@@ -136,9 +143,7 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
             same_expo = [*expo.values.values()] == [*reversed(m.values.values())]
             report.expect(same_expo, n=n, trial=t, identity="cyclotomic-exponents")
         # additivity of the root data in the exponents
-        rng = cfg.rng("root-add", n)
-        z1 = random_zeta_product(rng, n)
-        z2 = random_zeta_product(rng, n)
+        z1, z2 = cfg.draw(("root-add", n), 2, random_zeta_product, n)
         report.expect(
             multiplicities(z1 * z2) == multiplicities(z1) + multiplicities(z2),
             n=n,
@@ -151,9 +156,7 @@ def suite_root_data(cfg: SuiteConfig) -> Report:
     for n in list(range(1, 25)) + [30, 36, 42, 48, 60]:
         if n not in ns:
             continue
-        rng = cfg.rng("root-direct", n)
-        for t in range(3):
-            z = random_zeta_product(rng, n)
+        for t, z in enumerate(cfg.draw(("root-direct", n), 3, random_zeta_product, n)):
             num, den = expand_divisor_product(z)
             rf = to_rational_function(z)
             report.expect(num * rf.den == rf.num * den, n=n, trial=t, identity="direct-product")
@@ -168,9 +171,7 @@ def suite_fourier(cfg: SuiteConfig) -> Report:
     trials = cfg.pick_trials(50)
     report = Report("fourier-roundtrip", context={"nmax": cfg.nmax, "trials": trials})
     for n in cfg.pick_ns(range(1, cfg.nmax + 1)):
-        rng = cfg.rng("fourier", n)
-        for t in range(trials):
-            a = random_even_function(rng, n)
+        for t, a in enumerate(cfg.draw(("fourier", n), trials, random_even_function, n)):
             r = ramanujan_coefficients(a)
             b = ramanujan_reconstruct(r)
             report.expect(b == a, n=n, trial=t, direction="analysis-synthesis")
@@ -216,9 +217,7 @@ def suite_weighted_sums(cfg: SuiteConfig) -> Report:
     for n in ns:
         for r in range(0, 5):
             for b, c in ((1, 0), (2, 3)):
-                rng = cfg.rng("wsum", n, r, b, c)
-                for _ in range(trials):
-                    z = random_zeta_product(rng, n)
+                for z in cfg.draw(("wsum", n, r, b, c), trials, random_zeta_product, n):
                     report.absorb(check_weighted_sum_identities(z, b, c, r))
     return report
 
@@ -230,9 +229,8 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
     trials = cfg.pick_trials(20)
     report = Report("mobius-pairings", context={"ns": list(ns), "trials": trials})
     for n in ns:
-        rng, xrng = cfg.rng("pairing", n), cfg.rng("pairing-x", n)
-        for _ in range(trials):
-            z = random_zeta_product(rng, n)
+        xrng = cfg.rng("pairing-x", n)
+        for z in cfg.draw(("pairing", n), trials, random_zeta_product, n):
             if cfg.index in (None, 3):
                 report.absorb(check_totient_pairing(z, range(-2, 4)))
             if cfg.index in (None, 4):
@@ -262,7 +260,7 @@ def suite_pairings(cfg: SuiteConfig) -> Report:
                 report.absorb(check_fourier_pair_family(12, F, s))
         # the starred Fourier pair as a family member
         for n in ns:
-            z = random_zeta_product(cfg.rng("pair-family-star", n), n)
+            [z] = cfg.draw(("pair-family-star", n), 1, random_zeta_product, n)
             F = DivisorMap(n, root_weights(z, "pstar"))
             mstar, pstar = star_functions(z)
             sub = Report("star-fourier-pair", context={"n": n})
@@ -283,9 +281,7 @@ def suite_dirichlet(cfg: SuiteConfig) -> Report:
     report = Report("dirichlet-transfer", context={"ns": list(ns), "trials": trials, "order": cfg.order})
     star_order = min(cfg.order, 120)
     for n in ns:
-        rng = cfg.rng("dirichlet", n)
-        for _ in range(trials):
-            z = random_zeta_product(rng, n)
+        for z in cfg.draw(("dirichlet", n), trials, random_zeta_product, n):
             if cfg.index in (None, 8):
                 for G in (unit_series(star_order), zeta_series(star_order), mobius_series(star_order)):
                     report.absorb(check_star_series(z, G))
@@ -311,9 +307,7 @@ def suite_examples(cfg: SuiteConfig) -> Report:
         r_values = (1, 2, 3) if ex.needs_r else (None,)
         for n in ns:
             for r in r_values:
-                rng = cfg.rng("example", index, n, r)
-                for _ in range(trials):
-                    z = random_zeta_product(rng, n)
+                for z in cfg.draw(("example", index, n, r), trials, random_zeta_product, n):
                     sub = convolution_example(index, z, r=r, order=cfg.order)
                     report.absorb(sub)
                     report.example_docs.append(example_report_json(sub))
@@ -494,3 +488,30 @@ def run_scope(scope: str, cfg: SuiteConfig, timings: dict[str, float] | None = N
             timings[name] = time.perf_counter() - start
     return reports
 
+
+def rerun_command(scope: str, cfg: SuiteConfig, report: Report) -> str | None:
+    """The command that repeats a failing report's first mismatch at its
+    conductor alone, or None when that mismatch names no conductor.
+
+    It keeps the scope, --index and --seed, and --nmax, --order and --trials
+    when they differ from the defaults.  Each suite key and conductor n has
+    one generator, seeded from the seed and the key, whose trials draw from
+    it in order (:meth:`SuiteConfig.draw`), so ``--n`` draws at n what the
+    failing run drew there.  The catalog suite runs whole whatever --n says,
+    so its command leaves --n out; it is the one such suite whose mismatches
+    name a conductor.
+    """
+    n = report.mismatches[0].get("n") if report.mismatches else None
+    if type(n) is not int or n < 1:
+        return None
+    words = ["cyclozeta", "verify", scope]
+    if cfg.index is not None:
+        words += ["--index", str(cfg.index)]
+    words += ["--seed", str(cfg.seed)]
+    if report.check != "catalog":
+        words += ["--n", str(n)]
+    defaults = SuiteConfig()
+    for name in ("nmax", "order", "trials"):
+        if getattr(cfg, name) != getattr(defaults, name):
+            words += [f"--{name}", str(getattr(cfg, name))]
+    return " ".join(words)

@@ -203,6 +203,8 @@ def _json_fields(obj: Mapping) -> tuple[int, dict[int, int]]:
     for label, v in [("n", n)] + [(f"e({k})", v) for k, v in e.items()]:
         if type(v) is not int:
             raise ZetaParseError(f"{label} must be an integer, got {json.dumps(v)}")
+    if n < 1:
+        raise ZetaParseError(f"n must be a positive integer, got {n}")
     return n, {int(k): v for k, v in e.items()}
 
 

@@ -67,6 +67,7 @@ PRESETS = "tests/test_zetaprod.py::TestCachedPairingTables"
 BUDGET = "tests/test_zetaprod.py::TestDegreeBudget"
 VERIFY_CMD = "tests/test_cli.py::TestVerifyCommand"
 RERUN = f"{VERIFY_CMD}::test_the_rerun_command_repeats_the_first_mismatch_at_its_n_alone"
+RERUN_ALONE = f"{VERIFY_CMD}::test_each_random_suite_fails_again_at_its_rerun_conductor_alone"
 MUL = "TestMul::test_equals_the_schoolbook_loop_in_both_orders_at_every_limit"
 PRIME_SCAN = "tests/test_arith.py::test_divisor_sums_equal_the_prime_scan_they_replace"
 SIZES = "tests/test_cli.py::TestSizeContract"
@@ -233,7 +234,7 @@ MUTANTS = [
     (CLI, "_read_product(args.input, order=args.order)", "_read_product(args.input)",
      "tests/test_cli.py::TestSizeContract::test_series_refuses_an_order_above_the_limit_before_any_series"),
     # verify --n within the size contract
-    (CLI, "    for n in ns or ():\n", "    for n in ():\n",
+    (CLI, "    for n in args.n or ():\n", "    for n in ():\n",
      "tests/test_cli.py::TestSizeContract::test_verify_refuses_a_conductor_above_the_limit_before_any_suite"),
     # earlier hand-seeded faults, where the code they broke still exists
     (ARITH, "if (mu := mobius(g // d))", "if (mu := abs(mobius(g // d)))",
@@ -397,7 +398,7 @@ MUTANTS = [
     (ZETAPROD, "kernels = {d: (d * necklace(d), ONE) for d in divs}", "kernels = {}",
      f"{PRESETS}::test_preset_tables_equal_the_per_trial_oracle"),
     (CLI, "                if i == 0 and rerun:\n", "                if rerun:\n", RERUN),
-    (CLI, "        if getattr(args, name) != getattr(defaults, name):\n", "        if True:\n", RERUN),
+    (VERIFY, "        if getattr(cfg, name) != getattr(defaults, name):\n", "        if True:\n", RERUN),
     (CLI, '                suite["mismatches"][0]["rerun"] = rerun\n', "                pass\n", RERUN),
     # cyclotomic valuations within a degree budget, --n for the eta suite,
     # and the catalog's rerun command
@@ -409,7 +410,7 @@ MUTANTS = [
      f"{VERIFY_CMD}::test_the_eta_rerun_command_reports_its_conductor_alone"),
     (VERIFY, "e.n in cfg.pick_ns(())] or entries", "e.n in cfg.pick_ns(())]",
      f"{VERIFY_CMD}::test_a_conductor_with_no_catalog_entry_runs_every_eta_entry"),
-    (CLI, '    if report.check != "catalog":\n', "    if True:\n",
+    (VERIFY, '    if report.check != "catalog":\n', "    if True:\n",
      f"{VERIFY_CMD}::test_a_catalog_failure_gets_a_rerun_command_without_n"),
     # one canonical-integer reader, a number split by spaces names no catalog
     # entry, and one long-division loop behind poly_gcd
@@ -482,9 +483,9 @@ MUTANTS = [
      "tests/test_zetaprod.py::TestSaito::test_transform_and_dual_equal_the_per_key_reads"),
     (VERIFY, "[*expo.values.values()] == [*reversed(m.values.values())]", "[*expo.values.values()] == [*m.values.values()]",
      f"{VERIFY_CMD}::test_json_pins_the_check_count_of_every_suite_at_seed_42"),
-    # a repeated --n runs once, in first-seen order
-    (CLI, "tuple(dict.fromkeys(args.n))", "tuple(args.n)", f"{VERIFY_CMD}::{REPEATED_N}"),
-    (CLI, "tuple(dict.fromkeys(args.n))", "tuple(sorted(set(args.n)))", f"{VERIFY_CMD}::{REPEATED_N}"),
+    # a repeated conductor runs once, in first-seen order
+    (VERIFY, "tuple(dict.fromkeys(self.ns))", "tuple(self.ns)", f"{VERIFY_CMD}::{REPEATED_N}"),
+    (VERIFY, "tuple(dict.fromkeys(self.ns))", "tuple(sorted(set(self.ns)))", f"{VERIFY_CMD}::{REPEATED_N}"),
     # the e-free phi_inv series, built once per order
     (DIRICHLET, 'named_function("phi_inv").values(order))', 'named_function("phi_inv").values(order - 1))',
      (f"{EXAMPLES}::test_hand_instance_rank_two", f"{EXAMPLES}::test_corrupted_inverse_table_reports_the_inverse_identity")),
@@ -500,17 +501,30 @@ MUTANTS = [
     (ETAPROD, "for d in divisors(n)), order)", "for d in divisors(n)), order - 1)",
      f"{ETA}::test_parabolic_four_way_agreement"),
     (ETAPROD, "    if order == 1:\n", "    if False:\n", f"{ETA}::{SMALLEST_ORDERS}[1]"),
-    # one generator per suite key and conductor: rebuilt for every trial, it
-    # draws one instance over and over; built once above the conductor loop,
-    # a conductor's instances depend on the conductors before it; a key
-    # without r gives the same instances at every r
-    (VERIFY, '        rng = cfg.rng("root", n)\n        for t in range(trials):\n',
-     '        for t in range(trials):\n            rng = cfg.rng("root", n)\n',
+    # one generator per suite key and conductor, in SuiteConfig.draw: rebuilt
+    # for every instance, it draws one instance over and over; shared by the
+    # conductors of a suite key, a conductor's instances depend on the
+    # conductors before it; a key without r gives the same instances at every r
+    (VERIFY, "        return [make(rng, n) for _ in range(count)]\n",
+     "        return [make(self.rng(*key), n) for _ in range(count)]\n",
      f"{GENERATORS}::test_the_hundred_root_data_products_at_60_are_not_all_equal"),
-    (VERIFY, '    for n in ns:\n        rng = cfg.rng("dirichlet", n)\n', '    rng = cfg.rng("dirichlet")\n    for n in ns:\n',
+    (VERIFY, "        rng = self.rng(*key)\n", "        rng = self.__dict__.setdefault(key[0], self.rng(key[0]))\n",
      f"{GENERATORS}::test_one_conductor_draws_there_what_the_full_run_draws_there[dirichlet-transfer-12]"),
-    (VERIFY, 'cfg.rng("wsum", n, r, b, c)', 'cfg.rng("wsum", n, b, c)',
+    (VERIFY, 'cfg.draw(("wsum", n, r, b, c)', 'cfg.draw(("wsum", n, b, c)',
      f"{GENERATORS}::test_a_default_verify_all_builds_one_generator_per_key"),
+    # a generator per instance, seeded from its trial index as well, draws
+    # other instances than the pinned ones
+    (VERIFY, "        return [make(rng, n) for _ in range(count)]\n",
+     "        return [make(self.rng(*key, t), n) for t in range(count)]\n",
+     f"{DRAWS}::test_what_each_random_suite_draws_at_seed_42_is_pinned"),
+    # the rerun command keeps every non-default size
+    (VERIFY, 'for name in ("nmax", "order", "trials"):', 'for name in ("nmax", "trials"):', RERUN_ALONE),
+    # SuiteConfig, not the CLI, drops a repeated conductor
+    (VERIFY, "        if self.ns is not None:\n            self.ns = tuple(dict.fromkeys(self.ns))\n",
+     "        pass\n", "tests/test_report.py::TestCounts::test_a_repeated_conductor_is_checked_and_counted_once"),
+    # a JSON n below 1 is a parse error
+    (ZETAPROD, '    if n < 1:\n        raise ZetaParseError(f"n must be a positive integer, got {n}")\n', "",
+     "tests/test_cli.py::TestAnalyze::test_json_input_refuses_non_canonical_repeated_and_missing_keys"),
     # JSON products take the fields n and e only
     (ZETAPROD, '        if field not in ("n", "e"):\n', "        if False:\n",
      "tests/test_cli.py::TestAnalyze::test_json_input_refuses_non_canonical_repeated_and_missing_keys"),

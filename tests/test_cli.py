@@ -128,6 +128,8 @@ class TestAnalyze:
         ('{"e":{"1":1}}', 'missing field "n"'),
         ('{"n":3}', 'missing field "e"'),
         ('{"n": 3, "e": {"1": -1, "3": 1}, "num": [1, 2]}', 'unknown field "num"'),
+        ('{"n": 0, "e": {}}', "n must be a positive integer, got 0"),
+        ('{"n": -4, "e": {"1": 1}}', "n must be a positive integer, got -4"),
     ])
     def test_json_input_refuses_non_canonical_repeated_and_missing_keys(self, capsys, text, shown):
         code, out, err = run_cli(capsys, "dual", text)
@@ -390,6 +392,34 @@ class TestCatalogCommand:
         assert code == 0 and "FLAGGED" in out
 
 
+def picked(z: ZetaProduct) -> bool:
+    """The products that a planted fault picks: about one in five."""
+    return z.n > 2 and z.e.values[1] == 2
+
+
+def failing_on_picked(real, at=0):
+    """``real``, a check that returns a report, plus one failing check naming
+    the product (its argument at ``at``) for each picked product."""
+    def faulty(*args, **kwargs):
+        report, z = real(*args, **kwargs), args[at]
+        if picked(z):
+            report.expect(False, n=z.n, instance=z.to_text())
+        return report
+    return faulty
+
+
+# a fault planted in each random suite, through a name that verify imports
+# and that suite alone calls: (the name, the faulty version of it)
+PLANTED = {
+    "root-data-coherence": ("saito_transform", lambda real: lambda z: real(z) * real(z) if picked(z) else real(z)),
+    "fourier-roundtrip": ("ramanujan_reconstruct",
+                          lambda real: lambda r: real(r) + real(r) if r.n > 2 and r.values[r.n] > 0 else real(r)),
+    "weighted-sums": ("check_weighted_sum_identities", failing_on_picked),
+    "dirichlet-transfer": ("check_transfer", failing_on_picked),
+    "convolution-examples": ("convolution_example", lambda real: failing_on_picked(real, at=1)),
+}
+
+
 class TestVerifyCommand:
     def test_example_scope(self, capsys):
         code, out, _ = run_cli(
@@ -644,6 +674,38 @@ class TestVerifyCommand:
         mismatches = json.loads(out)["suites"][0]["mismatches"]
         assert code == 1 and {m["n"] for m in mismatches} == {12}
         assert mismatches[0]["rerun"] == want and not any("rerun" in m for m in mismatches[1:])
+
+    @pytest.mark.parametrize("suite, argv, want", [
+        ("root-data-coherence", "all --nmax 12 --trials 3 --order 20",
+         "cyclozeta verify all --seed 42 --n 3 --nmax 12 --order 20 --trials 3"),
+        ("fourier-roundtrip", "all --nmax 12 --trials 3 --order 20",
+         "cyclozeta verify all --seed 42 --n 3 --nmax 12 --order 20 --trials 3"),
+        ("weighted-sums", "prop --index 2 --trials 2 --seed 7",
+         "cyclozeta verify prop --index 2 --seed 7 --n 6 --trials 2"),
+        ("dirichlet-transfer", "prop --index 9 --trials 8 --order 30",
+         "cyclozeta verify prop --index 9 --seed 42 --n 6 --order 30 --trials 8"),
+        ("convolution-examples", "example --index 1 --trials 3 --order 40",
+         "cyclozeta verify example --index 1 --seed 42 --n 6 --order 40 --trials 3"),
+    ])
+    def test_each_random_suite_fails_again_at_its_rerun_conductor_alone(self, capsys, monkeypatch, suite, argv,
+                                                                       want):
+        """The printed command keeps every non-default size, and at its
+        conductor draws the instances that the failing run drew there: it
+        reports exactly the mismatches that run had at that conductor."""
+        name, fault = PLANTED[suite]
+        monkeypatch.setattr(cyclozeta.verify, name, fault(getattr(cyclozeta.verify, name)))
+
+        def mismatches(*words):
+            code, out, _ = run_cli(capsys, "--format", "json", "verify", *words)
+            found = next(s for s in json.loads(out)["suites"] if s["check"] == suite)["mismatches"]
+            assert code == 1 and found
+            return found[0].pop("rerun"), found
+
+        rerun, full = mismatches(*argv.split())
+        n = full[0]["n"]
+        assert rerun == want and {m["n"] for m in full} > {n}
+        again, alone = mismatches(*rerun.split()[2:])
+        assert again == rerun and alone == [m for m in full if m["n"] == n]
 
     def test_the_eta_rerun_command_reports_its_conductor_alone(self, capsys, monkeypatch):
         """``--n`` keeps the catalog entries of that conductor, so the printed

@@ -66,6 +66,14 @@ class TestImportFootprint:
         argv = ["series", "n=6; e={1:-1,2:1,3:1,6:-1}", "--kind", "power", "--order", "20"]
         assert loaded_after(argv) == CLI_CORE | {"cyclozeta.dirichlet"}
 
+    def test_series_loads_neither_dataclasses_nor_what_they_pull_in(self):
+        """``dirichlet``'s one record type is a NamedTuple, so neither kind of
+        series compiles ``dataclasses`` and the modules it imports."""
+        product = "n=6; e={1:-1,2:1,3:1,6:-1}"
+        argvs = (["series", product, "--order", "20"], ["series", product, "--kind", "power", "--order", "20"])
+        watch = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+        assert loaded_after(*argvs, watch=watch) == set()
+
     def test_catalog_verify_adds_only_catalog(self):
         assert loaded_after(["catalog", "verify"]) == CLI_CORE | {"cyclozeta.catalog"}
 

@@ -3,7 +3,14 @@
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.etaprod import check_eta_forms
 from cyclozeta.report import Report, summarize
-from cyclozeta.verify import SuiteConfig, suite_cyclotomic, suite_fourier, suite_root_data
+from cyclozeta.verify import (
+    SuiteConfig,
+    run_scope,
+    size_error,
+    suite_cyclotomic,
+    suite_fourier,
+    suite_root_data,
+)
 from cyclozeta.zetaprod import ZetaProduct, check_totient_pairing
 
 
@@ -122,6 +129,15 @@ class TestCounts:
         assert suite_root_data(cfg).checks == 5 * 2 + 2 + 3
         # the direct products run for a listed n above nmax, and for no other n
         assert suite_root_data(SuiteConfig(nmax=20, trials=1, ns=(30,))).checks == 5 + 2 + 3
+
+    def test_a_repeated_conductor_is_checked_and_counted_once(self):
+        """``SuiteConfig`` keeps the first place of each conductor, so library
+        callers count ``ns=(6, 6, 12)`` as ``(6, 12)``, as the CLI does."""
+        repeated, once = SuiteConfig(trials=1, order=20, ns=(6, 6, 12)), SuiteConfig(trials=1, order=20, ns=(6, 12))
+        assert repeated.ns == (6, 12) and SuiteConfig(ns=(12, 6, 12)).ns == (12, 6)
+        assert [r.to_dict() for r in run_scope("all", repeated)] == [r.to_dict() for r in run_scope("all", once)]
+        # one n = 360 is within the work limit, and so is its repeat
+        assert size_error("all", SuiteConfig(ns=(360, 360))) is None
 
     def test_a_fourier_suite_without_trials_is_not_a_pass(self):
         report = suite_fourier(SuiteConfig(nmax=6, trials=0))
