@@ -167,15 +167,18 @@ def suite_fourier(cfg: SuiteConfig) -> Report:
     """Ramanujan-sum expansion round trips on random even functions.
 
     Both directions read one reconstruction b of r = coefficients(a):
-    b == a, and coefficients(b) == r."""
+    b == a, and coefficients(b) == r.  coefficients is a function of the
+    values alone, so when b == a it gives r again: the second direction is
+    computed only when the first failed, and otherwise recorded as passed.
+    So synthesis-analysis can fail only where analysis-synthesis did."""
     trials = cfg.pick_trials(50)
     report = Report("fourier-roundtrip", context={"nmax": cfg.nmax, "trials": trials})
     for n in cfg.pick_ns(range(1, cfg.nmax + 1)):
         for t, a in enumerate(cfg.draw(("fourier", n), trials, random_even_function, n)):
             r = ramanujan_coefficients(a)
             b = ramanujan_reconstruct(r)
-            report.expect(b == a, n=n, trial=t, direction="analysis-synthesis")
-            report.expect(ramanujan_coefficients(b) == r, n=n, trial=t, direction="synthesis-analysis")
+            same = report.expect(b == a, n=n, trial=t, direction="analysis-synthesis")
+            report.expect(same or ramanujan_coefficients(b) == r, n=n, trial=t, direction="synthesis-analysis")
     return report
 
 
@@ -279,15 +282,18 @@ def suite_dirichlet(cfg: SuiteConfig) -> Report:
     ns = cfg.pick_ns((6, 12, 30))
     trials = cfg.pick_trials(20)
     report = Report("dirichlet-transfer", context={"ns": list(ns), "trials": trials, "order": cfg.order})
+    # the series G do not depend on the product: built once per run
     star_order = min(cfg.order, 120)
+    star_gs = (unit_series(star_order), zeta_series(star_order), mobius_series(star_order))
+    zeta, mu = zeta_series(cfg.order), mobius_series(cfg.order)
     for n in ns:
         for z in cfg.draw(("dirichlet", n), trials, random_zeta_product, n):
             if cfg.index in (None, 8):
-                for G in (unit_series(star_order), zeta_series(star_order), mobius_series(star_order)):
+                for G in star_gs:
                     report.absorb(check_star_series(z, G))
             if cfg.index in (None, 9):
-                report.absorb(check_transfer(z, zeta_series(cfg.order), zeta_series(cfg.order)))
-                report.absorb(check_transfer(z, zeta_series(cfg.order), mobius_series(cfg.order)))
+                report.absorb(check_transfer(z, zeta, zeta))
+                report.absorb(check_transfer(z, zeta, mu))
     return report
 
 

@@ -80,6 +80,15 @@ CONTAINER = "tests/test_exactpoly.py::TestTruncatedSeries"
 PER_CLASS = "test_equals_the_per_class_comprehensions"
 GENERATORS = "tests/test_zetaprod.py::TestSuiteGenerators"
 SMALLEST_ORDERS = "test_all_four_forms_at_the_smallest_orders_are_the_longer_expansion_cut"
+FOURIER_SUITE = "tests/test_zetaprod.py::TestFourierRoundTripSuite"
+PLANTED_FOURIER = f"{FOURIER_SUITE}::test_a_planted_fault_gives_the_mismatches_of_the_unconditional_round_trip"
+ONCE_FOURIER = f"{FOURIER_SUITE}::test_a_passing_run_equals_the_unconditional_one_and_analyses_each_instance_once"
+PER_PRODUCT = f"{PRESETS}::test_each_product_records_the_per_product_kernel_comparisons"
+TWO_SEARCHES = f"{BUDGET}::test_the_denominator_search_equals_two_full_searches_on_every_seed_42_root_data_product"
+TRANSFER_SERIES = "tests/test_dirichlet.py::TestTransferSuiteSeries"
+RATIONAL_FUNCTIONS = "tests/test_exactpoly.py::TestRationalFunctionQ"
+REFLECTED = "tests/test_exactpoly.py::TestPolynomialReflectedAndScalarComparison"
+CATALOG_CMD = "tests/test_cli.py::TestCatalogCommand"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -528,6 +537,47 @@ MUTANTS = [
     # JSON products take the fields n and e only
     (ZETAPROD, '        if field not in ("n", "e"):\n', "        if False:\n",
      "tests/test_cli.py::TestAnalyze::test_json_input_refuses_non_canonical_repeated_and_missing_keys"),
+    # verify skips what a run has already determined: the second Fourier
+    # direction where the first passed, each preset kernel comparison per
+    # key, the denominator's search where the numerator holds Phi_d, and the
+    # series G per trial
+    (VERIFY, "same or ramanujan_coefficients(b) == r", "True or ramanujan_coefficients(b) == r", PLANTED_FOURIER),
+    (VERIFY, "same or ramanujan_coefficients(b) == r", "ramanujan_coefficients(b) == r", ONCE_FOURIER),
+    (ZETAPROD, "outcomes = {d: Z[d] * kden == knum * D for", "outcomes = {d: True for",
+     (PER_PRODUCT, f"{PRESETS}::test_preset_tables_equal_the_per_trial_oracle")),
+    (ZETAPROD, "        report.expect(ok, identity=", "        report.expect(True, identity=", PER_PRODUCT),
+    (ZETAPROD, "den = _cyclotomic_valuations(f.den, n, num)", "den = _cyclotomic_valuations(f.den, n)", TWO_SEARCHES),
+    (ZETAPROD, "        if coprime and coprime[d]:\n", "        if coprime and not coprime[d]:\n", TWO_SEARCHES),
+    (VERIFY, "zeta, mu = zeta_series(cfg.order), mobius_series(cfg.order)",
+     "zeta, mu = zeta_series(star_order), mobius_series(star_order)",
+     f"{TRANSFER_SERIES}::test_the_five_series_are_built_once_per_run"),
+    (VERIFY, "check_transfer(z, zeta, mu)", "check_transfer(z, zeta, zeta)",
+     f"{TRANSFER_SERIES}::test_the_suite_equals_the_one_that_builds_the_series_per_trial"),
+    # public algebra that the suites never reach
+    (EXACTPOLY, "RationalFunctionQ(self.den ** (-k), self.num ** (-k))",
+     "RationalFunctionQ(self.num ** (-k), self.den ** (-k))",
+     f"{RATIONAL_FUNCTIONS}::test_a_power_is_the_power_of_each_value"),
+    (EXACTPOLY, '        if self.is_zero:\n            raise ZeroDivisionError("negative power of zero")\n', "",
+     f"{RATIONAL_FUNCTIONS}::test_a_negative_power_of_zero_is_refused"),
+    (EXACTPOLY, "self.num.derivative() * self.den - self.num", "self.num.derivative() * self.den + self.num",
+     f"{RATIONAL_FUNCTIONS}::test_the_derivative_is_the_quotient_rule_at_each_point"),
+    (EXACTPOLY, "        return o - self\n", "        return self - o\n",
+     f"{RATIONAL_FUNCTIONS}::test_reflected_subtraction_and_division_take_the_left_operand_first"),
+    (EXACTPOLY, "        return o / self\n", "        return self / o\n",
+     f"{RATIONAL_FUNCTIONS}::test_reflected_subtraction_and_division_take_the_left_operand_first"),
+    (EXACTPOLY, "PolynomialQ(_add(o.coeffs, _neg(self.coeffs)))", "PolynomialQ(_add(self.coeffs, _neg(o.coeffs)))",
+     f"{REFLECTED}::test_a_number_less_a_polynomial"),
+    (EXACTPOLY, "return self.coeffs == PolynomialQ.constant(other).coeffs", "return self.coeffs == (other,)",
+     f"{REFLECTED}::test_a_polynomial_equals_a_number_only_as_a_constant"),
+    # catalog commands that the verify suites never run
+    (CLI, '"families": ["A_<rank>", "D_<rank>"]', '"families": ["A_<rank>"]',
+     f"{CATALOG_CMD}::test_json_list_names_every_entry_and_both_families"),
+    (CLI, '_emit(args, summary["status"], {"reports"', '_emit(args, "pass", {"reports"',
+     f"{CATALOG_CMD}::test_json_verify_is_flagged_with_one_report_per_check"),
+    (CLI, "reports = [catalog_mod.verify_entry(_catalog_entry(args.name))]", "reports = catalog_mod.verify_catalog()",
+     f"{CATALOG_CMD}::test_json_verify_of_one_entry"),
+    (CLI, '        if not args.name:\n            raise ValueError("catalog get needs an entry name")\n', "",
+     f"{CATALOG_CMD}::test_get_without_a_name_exits_two"),
     # report owns the failure rule
     (REPORT, "failures = sum(1 for r in reports if r.failed)", "failures = sum(1 for r in reports if r.failed or r.flags)",
      "tests/test_report.py::test_summarize_fails_a_run_only_on_a_failed_report"),

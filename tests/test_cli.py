@@ -391,6 +391,40 @@ class TestCatalogCommand:
         code, out, _ = run_cli(capsys, "catalog", "verify", "X_9")
         assert code == 0 and "FLAGGED" in out
 
+    def test_json_list_names_every_entry_and_both_families(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "list")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["command"] == "cyclozeta --format json catalog list" and doc["status"] == "pass"
+        want = [{"name": e.name, "n": e.n, "source": e.source} for e in cyclozeta.catalog.entries()]
+        assert doc["payload"] == {"entries": want, "families": ["A_<rank>", "D_<rank>"]}
+        assert len(want) == 20 and {"name": "E_8", "n": 30, "source": "simple-parabolic"} in want
+
+    def test_json_verify_is_flagged_with_one_report_per_check(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "verify")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "flagged"
+        reports = doc["payload"]["reports"]
+        assert len(reports) == 44
+        assert reports == [r.to_dict() for r in cyclozeta.catalog.verify_catalog()]
+        assert [r["status"] for r in reports].count("flagged") == 2
+        assert all(r["status"] in ("pass", "flagged") and not r["mismatches"] for r in reports)
+
+    def test_json_verify_of_one_entry(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "catalog", "verify", "E8")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "pass"
+        [report] = doc["payload"]["reports"]
+        assert report["check"] == "catalog-entry" and report["status"] == "pass"
+        assert report["context"] == {"n": 30, "name": "E_8"} and report["checks"] > 0
+
+    def test_get_without_a_name_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "catalog", "get")
+        assert code == 2 and not out
+        assert err == "error: catalog get needs an entry name\n"
+
 
 def picked(z: ZetaProduct) -> bool:
     """The products that a planted fault picks: about one in five."""

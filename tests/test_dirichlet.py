@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import cyclozeta.dirichlet
+import cyclozeta.verify as verify
 from cyclozeta.arith import divisors, liouville, mobius, named_function, ramanujan_sum
 from cyclozeta.dirichlet import (
     DirichletSeries,
@@ -25,6 +27,7 @@ from cyclozeta.dirichlet import (
 )
 from cyclozeta.exactpoly import PolynomialQ, PowerSeriesQ, RationalFunctionQ, expand
 from cyclozeta.report import Report
+from cyclozeta.verify import SuiteConfig
 from cyclozeta.zetaprod import (
     ZetaProduct,
     multiplicities,
@@ -327,6 +330,61 @@ class TestTransfer:
             z = random_zeta_product(rng, n)
             assert check_transfer(z, zeta_series(N), zeta_series(N)).status == "pass"
             assert check_transfer(z, zeta_series(N), mobius_series(N)).status == "pass"
+
+
+def dirichlet_transfer_per_trial(cfg) -> Report:
+    """``suite_dirichlet`` as it built its five series for every product:
+    the oracle of the series built once per run."""
+    ns, trials = cfg.pick_ns((6, 12, 30)), cfg.pick_trials(20)
+    report = Report("dirichlet-transfer", context={"ns": list(ns), "trials": trials, "order": cfg.order})
+    star_order = min(cfg.order, 120)
+    for n in ns:
+        for z in cfg.draw(("dirichlet", n), trials, random_zeta_product, n):
+            if cfg.index in (None, 8):
+                for G in (unit_series(star_order), zeta_series(star_order), mobius_series(star_order)):
+                    report.absorb(check_star_series(z, G))
+            if cfg.index in (None, 9):
+                report.absorb(check_transfer(z, zeta_series(cfg.order), zeta_series(cfg.order)))
+                report.absorb(check_transfer(z, zeta_series(cfg.order), mobius_series(cfg.order)))
+    return report
+
+
+class TestTransferSuiteSeries:
+    """dirichlet-transfer builds its product-independent series once per run."""
+
+    @pytest.mark.parametrize("order, index", [(200, None), (90, None), (150, 9)])
+    def test_the_five_series_are_built_once_per_run(self, monkeypatch, order, index):
+        built = []
+        for name in ("unit_series", "zeta_series", "mobius_series"):
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda k, real=real, name=name: built.append((name, k)) or real(k))
+        report = verify.suite_dirichlet(SuiteConfig(trials=2, order=order, index=index))
+        assert report.status == "pass"
+        star = min(order, 120)
+        assert sorted(built) == sorted([("unit_series", star), ("zeta_series", star), ("mobius_series", star),
+                                        ("zeta_series", order), ("mobius_series", order)])
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_the_suite_equals_the_one_that_builds_the_series_per_trial(self, monkeypatch, planted):
+        """Also with a planted fault in the transforms of the Möbius series
+        (coefficient 2 is -1) at k = 5, which fails the star check and the
+        transfer check that read it, each at its own order."""
+        if planted:
+            real = cyclozeta.dirichlet.g_transform
+
+            def faulty(z, G, kind):
+                out = real(z, G, kind)
+                if G.coefficient(2) != -1:
+                    return out
+                return DirichletSeries([c + (k == 5) for k, c in enumerate(out.coeffs, 1)])
+
+            monkeypatch.setattr(cyclozeta.dirichlet, "g_transform", faulty)
+        cfg = SuiteConfig(trials=3)
+        got, want = verify.suite_dirichlet(cfg), dirichlet_transfer_per_trial(cfg)
+        assert got.to_dict() == want.to_dict()
+        assert got.status == ("fail" if planted else "pass")
+        if planted:
+            assert {(m["check"], m["order"]) for m in got.mismatches} == {("star-series", 120), ("transfer", 200)}
 
 
 class TestConvolutionExamples:

@@ -477,6 +477,99 @@ class TestRationalFunctionQ:
         with pytest.raises(ZeroDivisionError):
             f(1)
 
+    # Powers, derivatives and reflected operations against evaluation at
+    # rational points; a point where a side has a pole is left out.
+    POINTS = (F(-7, 3), F(-1), F(-1, 2), F(0), F(2, 5), F(1), F(3), F(11, 4))
+
+    @staticmethod
+    def functions() -> list:
+        rng = random.Random(137)
+
+        def poly(degree):
+            coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(degree)]
+            return PolynomialQ(coeffs + [rng.choice((-2, 1, F(3, 2)))])
+
+        return [RationalFunctionQ(poly(rng.randint(0, 3)), poly(rng.randint(0, 3))) for _ in range(12)] + [
+            RationalFunctionQ(F(-3, 2) * (Q - 1) * (Q + 2), Q**2 + 1),
+            RationalFunctionQ(Q**3, ONE),
+            RationalFunctionQ(ONE, Q - 1),
+        ]
+
+    @staticmethod
+    def value(f, x):
+        """f(x), or None at a pole of f."""
+        return None if f.den(x) == 0 else f(x)
+
+    def test_a_power_is_the_power_of_each_value(self):
+        for f in self.functions():
+            for k in (0, 1, 2, 3, -1, -2, -3):
+                power = f**k
+                assert power.den.is_monic and poly_gcd(power.num, power.den) == ONE, (f, k)
+                for x in self.POINTS:
+                    v = self.value(f, x)
+                    if v is not None and (k >= 0 or v != 0):
+                        assert power(x) == F(v) ** k, (f, k, x)
+
+    def test_a_negative_power_of_zero_is_refused(self):
+        zero = RationalFunctionQ(ZERO)
+        assert zero**0 == ONE and zero**3 == ZERO
+        for k in (-1, -4):
+            with pytest.raises(ZeroDivisionError, match="negative power of zero"):
+                zero**k
+
+    def test_the_derivative_is_the_quotient_rule_at_each_point(self):
+        """f = a / b has f'(x) = (a'(x) b(x) - a(x) b'(x)) / b(x)**2, with
+        each polynomial's value and slope read by Horner's rule on dual
+        numbers, not from PolynomialQ.derivative."""
+
+        def value_and_slope(p, x):
+            value = slope = 0
+            for c in reversed(p.coeffs):
+                value, slope = value * x + c, slope * x + value
+            return value, slope
+
+        for f in self.functions():
+            df = f.derivative()
+            assert df.den.is_monic and poly_gcd(df.num, df.den) == ONE, f
+            for x in self.POINTS:
+                (a, da), (b, db) = value_and_slope(f.num, x), value_and_slope(f.den, x)
+                if b != 0:
+                    assert df(x) == (da * b - a * db) / b**2, (f, x)
+
+    def test_reflected_subtraction_and_division_take_the_left_operand_first(self):
+        for f in self.functions():
+            for c in (3, F(-2, 5), Q + 1, PolynomialQ([F(1, 2), 0, -2])):
+                difference, quotient = c - f, c / f
+                assert isinstance(difference, RationalFunctionQ) and isinstance(quotient, RationalFunctionQ)
+                for x in self.POINTS:
+                    v = self.value(f, x)
+                    left = c(x) if isinstance(c, PolynomialQ) else c
+                    if v is not None:
+                        assert difference(x) == left - v, (c, f, x)
+                    if v:
+                        assert quotient(x) == F(left) / v, (c, f, x)
+        with pytest.raises(ZeroDivisionError):
+            2 / RationalFunctionQ(ZERO)
+
+
+class TestPolynomialReflectedAndScalarComparison:
+    def test_a_number_less_a_polynomial(self):
+        rng = random.Random(139)
+        for _ in range(20):
+            p = PolynomialQ([F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 5))])
+            for c in (0, 5, -3, F(7, 2)):
+                got = c - p
+                assert isinstance(got, PolynomialQ) and got == -(p - c), (c, p)
+                for x in (F(-3, 2), 0, 1, F(5, 3)):
+                    assert got(x) == c - p(x), (c, p, x)
+        assert 2 - (Q + 2) == -Q and [type(c) for c in (4 - 2 * Q).coeffs] == [int, int]
+
+    def test_a_polynomial_equals_a_number_only_as_a_constant(self):
+        assert ZERO == 0 and 0 == ZERO and ONE == 1 and ONE == F(1)
+        assert PolynomialQ([F(3, 2)]) == F(3, 2) and PolynomialQ([F(8, 2)]) == 4
+        assert ZERO != 1 and ONE != 0 and ONE != F(1, 2) and Q != 1 and Q + 1 != 1
+        assert PolynomialQ([F(3, 2)]) != F(2, 3) and -ONE == -1 and -ONE != 1
+
 
 class TestPowerSeriesQ:
     def test_truncation_is_hard(self):

@@ -25,6 +25,7 @@ from cyclozeta.arith import (
 )
 from cyclozeta.catalog import get as catalog_get
 from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic, necklace
+from cyclozeta.report import Report
 from cyclozeta.verify import SuiteConfig, suite_pairings
 from cyclozeta.zetaprod import (
     ZetaParseError,
@@ -433,6 +434,32 @@ class TestDegreeBudget:
                 for p in (rf.num, rf.den, rf.num * factor, rf.den * factor):
                     assert zetaprod._cyclotomic_valuations(p, n) == per_divisor_valuations(p, n), (n, t, p)
 
+    def test_the_denominator_search_equals_two_full_searches_on_every_seed_42_root_data_product(
+            self, monkeypatch):
+        """The 6,000 products of the root-data suite at seed 42: the
+        exponents equal the numerator's valuations less the denominator's,
+        each searched at every d | n.  The denominator is not tested where
+        the numerator's valuation is positive, so the fold tests fall from
+        70,141 to 67,741."""
+        tests = {"two searches": 0, "one and a half": 0}
+        vanishes, counting = zetaprod._vanishes_at_primitive_root, "two searches"
+
+        def count(h, d, shifts):
+            tests[counting] += 1
+            return vanishes(h, d, shifts)
+
+        monkeypatch.setattr(zetaprod, "_vanishes_at_primitive_root", count)
+        cfg = SuiteConfig()
+        for n in range(1, 61):
+            for t, z in enumerate(cfg.draw(("root", n), 100, random_zeta_product, n)):
+                rf = to_rational_function(z)
+                counting = "two searches"
+                num, den = zetaprod._cyclotomic_valuations(rf.num, n), zetaprod._cyclotomic_valuations(rf.den, n)
+                counting = "one and a half"
+                got = cyclotomic_exponents(rf, n)
+                assert got.values == {d: num[d] - den[d] for d in divisors(n)}, (n, t)
+        assert tests == {"two searches": 70_141, "one and a half": 67_741}
+
     def test_a_cyclotomic_power_that_spends_the_whole_degree(self):
         """deg Phi_d**k = k phi(d): the budget fits exactly."""
         for n in (12, 30, 60):
@@ -554,6 +581,69 @@ class TestFourier:
         for n in (6, 12, 30):
             z = random_zeta_product(rng, n)
             assert dft_power_sums(multiplicities(z)) == power_sums(z)
+
+
+def fourier_roundtrip_unconditional(cfg: SuiteConfig) -> Report:
+    """``suite_fourier`` as it analysed every reconstruction, also where it
+    equals its input: the oracle of the suite's second direction."""
+    trials = cfg.pick_trials(50)
+    report = Report("fourier-roundtrip", context={"nmax": cfg.nmax, "trials": trials})
+    for n in cfg.pick_ns(range(1, cfg.nmax + 1)):
+        for t, a in enumerate(cfg.draw(("fourier", n), trials, random_even_function, n)):
+            r = verify.ramanujan_coefficients(a)
+            b = verify.ramanujan_reconstruct(r)
+            report.expect(b == a, n=n, trial=t, direction="analysis-synthesis")
+            report.expect(verify.ramanujan_coefficients(b) == r, n=n, trial=t, direction="synthesis-analysis")
+    return report
+
+
+class TestFourierRoundTripSuite:
+    """The second direction is computed only where the first failed."""
+
+    CFG = SuiteConfig(nmax=36, trials=12)
+
+    @staticmethod
+    def shifted(real, n_divisible_by: int, at_one: bool = False):
+        """``real`` with 1 added at d = n (or 1) when n_divisible_by divides n."""
+
+        def faulty(x):
+            out = real(x)
+            if x.n % n_divisible_by:
+                return out
+            d = 1 if at_one else x.n
+            return DivisorMap(x.n, {**out.values, d: out[d] + 1})
+
+        return faulty
+
+    def test_a_passing_run_equals_the_unconditional_one_and_analyses_each_instance_once(self, monkeypatch):
+        cfg = SuiteConfig()
+        want = fourier_roundtrip_unconditional(cfg)
+        calls = {"coefficients": 0, "reconstruct": 0}
+        for name in calls:
+            real = getattr(verify, f"ramanujan_{name}")
+            monkeypatch.setattr(verify, f"ramanujan_{name}",
+                                lambda x, real=real, name=name: calls.__setitem__(name, calls[name] + 1) or real(x))
+        got = verify.suite_fourier(cfg)
+        assert got.status == "pass" and got.checks == 6000
+        assert got.to_dict() == want.to_dict()
+        assert calls == {"coefficients": 3000, "reconstruct": 3000}
+
+    @pytest.mark.parametrize("fault", [
+        ("ramanujan_reconstruct", 4, False),
+        ("ramanujan_reconstruct", 3, True),
+        ("ramanujan_coefficients", 5, False),
+        ("ramanujan_coefficients", 6, True),
+    ])
+    def test_a_planted_fault_gives_the_mismatches_of_the_unconditional_round_trip(self, monkeypatch, fault):
+        name, divisible_by, at_one = fault
+        monkeypatch.setattr(verify, name, self.shifted(getattr(verify, name), divisible_by, at_one))
+        got, want = verify.suite_fourier(self.CFG), fourier_roundtrip_unconditional(self.CFG)
+        assert got.status == "fail" and got.to_dict() == want.to_dict()
+        directions = {m["direction"] for m in got.mismatches}
+        assert directions == {"analysis-synthesis", "synthesis-analysis"}, directions
+        # synthesis-analysis fails only where analysis-synthesis failed
+        first = {(m["n"], m["trial"]) for m in got.mismatches if m["direction"] == "analysis-synthesis"}
+        assert {(m["n"], m["trial"]) for m in got.mismatches if m["direction"] == "synthesis-analysis"} <= first
 
 
 class TestPartialZeta:
@@ -788,14 +878,30 @@ def per_trial_pairing_tables(name: str, n: int):
     xf = {d: RationalFunctionQ.from_value(x[d]) for d in divisors(n)}
     D = math.prod(dict.fromkeys(f.den for f in xf.values()), start=ONE)
     X = {d: f.num * D.exact_div(f.den) for d, f in xf.items()}
-    kernels = {}
+    Z = mobius_inversion(n, X)
+    kernels, outcomes = {}, {}
     for d in divisors(n):
         if name in ("log-derivative", "ramanujan"):
             phi = cyclotomic(d)
             kernels[d] = (Q * phi.derivative(), phi) if name == "log-derivative" else zetaprod.ramanujan_kernel(d)
         elif name == "necklace":
             kernels[d] = (d * necklace(d), ONE)
-    return X, mobius_inversion(n, X), D, kernels
+        if d in kernels:
+            knum, kden = kernels[d]
+            outcomes[d] = Z[d] * kden == knum * D
+    return X, Z, D, kernels, outcomes
+
+
+def pairing_preset_per_product(z: ZetaProduct, name: str) -> Report:
+    """``check_pairing_preset`` as it compared each kernel for every
+    product: the oracle of the per-key outcomes."""
+    X, Z, D, kernels, _ = per_trial_pairing_tables(name, z.n)
+    report = zetaprod._mobius_pairing(z, X, Z)
+    report.check = f"mobius-pairing[{name}]"
+    label = "necklace kernel" if name == "necklace" else "kernel"
+    for d, (knum, kden) in kernels.items():
+        report.expect(Z[d] * kden == knum * D, identity=f"{label} at d={d}")
+    return report
 
 
 def per_trial_totient_tables(n: int, s: int):
@@ -820,6 +926,34 @@ class TestCachedPairingTables:
         assert len(keys) == 12
         for name, n in keys:
             assert zetaprod._preset_tables(name, n) == per_trial_pairing_tables(name, n), (name, n)
+
+    @pytest.mark.parametrize("corrupt", [None, "ramanujan_kernel", "necklace"])
+    def test_each_product_records_the_per_product_kernel_comparisons(self, monkeypatch, corrupt):
+        """The 60 products of a seed-42 pairing run at trials 20 against
+        every preset: the per-key outcomes give each product the report
+        that comparing its kernels one by one gives, also when a kernel is
+        corrupted at some d (then every product fails there)."""
+        zetaprod._preset_tables.cache_clear()
+        if corrupt == "ramanujan_kernel":
+            real = zetaprod.ramanujan_kernel
+            monkeypatch.setattr(zetaprod, corrupt, lambda d: (real(d)[0] + (Q if d in (2, 15) else 0), real(d)[1]))
+        elif corrupt == "necklace":
+            # the oracle reads this module's necklace
+            real = zetaprod.necklace
+            monkeypatch.setattr(zetaprod, corrupt, lambda d: real(d) + (1 if d == 4 else 0))
+            monkeypatch.setitem(globals(), corrupt, zetaprod.necklace)
+        cfg, failed = SuiteConfig(), 0
+        try:
+            for n in (6, 12, 30):
+                for z in cfg.draw(("pairing", n), 20, random_zeta_product, n):
+                    for name in ("ones", "necklace", "log-derivative", "ramanujan"):
+                        got, want = check_pairing_preset(z, name), pairing_preset_per_product(z, name)
+                        assert got.to_dict() == want.to_dict(), (z, name)
+                        assert got.checks == 2 + (0 if name == "ones" else len(divisors(n)))
+                        failed += got.status == "fail"
+        finally:
+            zetaprod._preset_tables.cache_clear()
+        assert failed == {None: 0, "ramanujan_kernel": 60, "necklace": 20}[corrupt]
 
     def test_totient_tables_equal_the_per_trial_oracle(self, monkeypatch):
         keys = self.keys_used(monkeypatch, "_totient_tables")
