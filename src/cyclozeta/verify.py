@@ -119,29 +119,50 @@ def suite_cyclotomic(cfg: SuiteConfig) -> Report:
     return report
 
 
+_ROOT_IDENTITIES = ("fourier-pairing", "total-multiplicity", "involution", "star-functions", "cyclotomic-exponents")
+
+
+def _root_outcomes(z: ZetaProduct) -> tuple[bool, ...]:
+    """The outcomes of z's identities, in the order of _ROOT_IDENTITIES; a
+    failed fourier-pairing is the only one."""
+    m = multiplicities(z)
+    p = power_sums(z)
+    if p != dft_power_sums(m):
+        return (False,)
+    star = saito_transform(z)
+    mstar, pstar = star_functions(z)
+    expo = cyclotomic_exponents(to_rational_function(z), z.n)
+    return (
+        True,
+        m(0) == z.mu_e,
+        saito_transform(star) == z,
+        multiplicities(star) == mstar and power_sums(star) == pstar,
+        # both in divisor order, so m(n/d) at the i-th divisor d is m's i-th value from the end
+        [*expo.values.values()] == [*reversed(m.values.values())],
+    )
+
+
 def suite_root_data(cfg: SuiteConfig) -> Report:
     """Factorization exponents, Fourier pairing and Saito involution on
-    seeded random products for every conductor."""
+    seeded random products for every conductor.
+
+    A conductor n has only 5**tau(n) products, so its 100 draws repeat some
+    (1,662 of the 6,000 at seed 42).  The outcomes of a product's identities
+    are a function of the product alone: they are computed at its first draw
+    at n, and every draw records its instances from them under its own trial
+    index.  The same exponent tuple at another conductor is another product,
+    so the outcomes are kept per conductor."""
     trials = cfg.pick_trials(100)
     report = Report("root-data-coherence", context={"nmax": cfg.nmax, "trials": trials})
     ns = cfg.pick_ns(range(1, cfg.nmax + 1))
     for n in ns:
+        outcomes = {}
         for t, z in enumerate(cfg.draw(("root", n), trials, random_zeta_product, n)):
-            m = multiplicities(z)
-            p = power_sums(z)
-            if not report.expect(p == dft_power_sums(m), n=n, trial=t, identity="fourier-pairing"):
-                continue
-            report.expect(m(0) == z.mu_e, n=n, trial=t, identity="total-multiplicity")
-            star = saito_transform(z)
-            mstar, pstar = star_functions(z)
-            report.expect(saito_transform(star) == z, n=n, trial=t, identity="involution")
-            same_star = multiplicities(star) == mstar and power_sums(star) == pstar
-            report.expect(same_star, n=n, trial=t, identity="star-functions")
-            rf = to_rational_function(z)
-            expo = cyclotomic_exponents(rf, n)
-            # both in divisor order, so m(n/d) at the i-th divisor d is m's i-th value from the end
-            same_expo = [*expo.values.values()] == [*reversed(m.values.values())]
-            report.expect(same_expo, n=n, trial=t, identity="cyclotomic-exponents")
+            key = tuple(z.e.values.values())
+            if key not in outcomes:
+                outcomes[key] = _root_outcomes(z)
+            for identity, ok in zip(_ROOT_IDENTITIES, outcomes[key]):
+                report.expect(ok, n=n, trial=t, identity=identity)
         # additivity of the root data in the exponents
         z1, z2 = cfg.draw(("root-add", n), 2, random_zeta_product, n)
         report.expect(
@@ -424,21 +445,24 @@ _PROP_INDEX_SUITE = {
 # (Python 3.11.7); cli exits 2 with the message of size_error.
 # --nmax sets the conductors 1..nmax of cyclotomic-products,
 # root-data-coherence (100 trials by default) and fourier-roundtrip (50):
-# `verify all` took 3.3 s at --nmax 60 and 4.7 s at 120.  --trials replaces
-# every random suite's default; 100 is the largest one.  The other random
-# suites run at the conductors (6, 12, 30), or at the --n list, which
-# replaces every suite's conductors.  At each such n, weighted-sums and
-# mobius-pairings build their e-free tables once (1.8 s at n = 360, 14 s at
-# 1260, with one trial) and then check each trial (0.24 s at n = 360);
-# dirichlet-transfer and convolution-examples cost about the same per trial
-# at every n, and grow with --order.  So a run's work is (trials + 8) times
-# the sum over its conductors of n**2 (when it runs the first two suites)
-# plus 30 * order (when it runs the last two): the tables cost about as much
-# as eight trials, and trials counts as 20 when --trials is not given.
-# `verify all` has work 534,240.  The slowest accepted runs
-# measured: --nmax 120 --trials 100 --order 399 in 12.7 s, --nmax 120
-# --trials 100 in 10.0 s, --n 360 in 6.4 s, --n 190 --trials 100 --order 1
-# in 6.4 s and --n 660 --trials 1 --order 1 in 3.8 s.
+# `verify all` took 1.5-1.9 s at --nmax 60 and 3.3-3.4 s at 120 (two runs
+# each, fresh interpreters).  --trials replaces every random suite's
+# default; 100 is the largest one.  The other random suites run at the
+# conductors (6, 12, 30), or at the --n list, which replaces every suite's
+# conductors.  At each such n, weighted-sums and mobius-pairings build their
+# e-free tables once (1.2-1.4 s at n = 360, 8.6 s at 1260, with one trial)
+# and then check each trial (0.09-0.11 s at n = 360); dirichlet-transfer and
+# convolution-examples cost about the same per trial at every n, and grow
+# with --order.  So a run's work is (trials + 8) times the sum over its
+# conductors of n**2 (when it runs the first two suites) plus 30 * order
+# (when it runs the last two): trials counts as 20 when --trials is not
+# given.  The 8 dates from when the tables cost about as much as eight
+# trials; at n = 360 they now cost about twelve, so the work weighs the
+# tables a little below their time.
+# `verify all` has work 534,240.  The slowest accepted runs measured (two
+# runs each): --nmax 120 --trials 100 --order 399 in 6.6-7.1 s, --nmax 120
+# --trials 100 in 6.0-6.5 s, --n 360 in 3.2-3.4 s, --n 660 --trials 1
+# --order 1 in 2.7-3.1 s and --n 190 --trials 100 --order 1 in 2.4-2.9 s.
 MAX_NMAX = 120
 MAX_TRIALS = 100
 MAX_ORDER = 1000

@@ -86,6 +86,8 @@ ONCE_FOURIER = f"{FOURIER_SUITE}::test_a_passing_run_equals_the_unconditional_on
 PER_PRODUCT = f"{PRESETS}::test_each_product_records_the_per_product_kernel_comparisons"
 TWO_SEARCHES = f"{BUDGET}::test_the_denominator_search_equals_two_full_searches_on_every_seed_42_root_data_product"
 TRANSFER_SERIES = "tests/test_dirichlet.py::TestTransferSuiteSeries"
+ROOT_OUTCOMES = "tests/test_zetaprod.py::TestRootDataOutcomes"
+ROOT_FAULT = f"{ROOT_OUTCOMES}::test_a_fault_on_one_product_fails_at_each_of_its_draws_there_alone"
 RATIONAL_FUNCTIONS = "tests/test_exactpoly.py::TestRationalFunctionQ"
 REFLECTED = "tests/test_exactpoly.py::TestPolynomialReflectedAndScalarComparison"
 CATALOG_CMD = "tests/test_cli.py::TestCatalogCommand"
@@ -539,8 +541,8 @@ MUTANTS = [
      "tests/test_cli.py::TestAnalyze::test_json_input_refuses_non_canonical_repeated_and_missing_keys"),
     # verify skips what a run has already determined: the second Fourier
     # direction where the first passed, each preset kernel comparison per
-    # key, the denominator's search where the numerator holds Phi_d, and the
-    # series G per trial
+    # key, the denominator's search where the numerator holds Phi_d, the
+    # series G per trial, and a root-data product drawn again at its conductor
     (VERIFY, "same or ramanujan_coefficients(b) == r", "True or ramanujan_coefficients(b) == r", PLANTED_FOURIER),
     (VERIFY, "same or ramanujan_coefficients(b) == r", "ramanujan_coefficients(b) == r", ONCE_FOURIER),
     (ZETAPROD, "outcomes = {d: Z[d] * kden == knum * D for", "outcomes = {d: True for",
@@ -553,6 +555,14 @@ MUTANTS = [
      f"{TRANSFER_SERIES}::test_the_five_series_are_built_once_per_run"),
     (VERIFY, "check_transfer(z, zeta, mu)", "check_transfer(z, zeta, zeta)",
      f"{TRANSFER_SERIES}::test_the_suite_equals_the_one_that_builds_the_series_per_trial"),
+    # root data: each distinct product's outcomes once per conductor, every
+    # draw recorded under its own trial index
+    (VERIFY, "    for n in ns:\n        outcomes = {}\n", "    outcomes = {}\n    for n in ns:\n", ROOT_FAULT),
+    (VERIFY, "            if key not in outcomes:\n                outcomes[key] = _root_outcomes(z)\n",
+     "            if key in outcomes:\n                continue\n            outcomes[key] = _root_outcomes(z)\n",
+     f"{ROOT_OUTCOMES}::test_a_passing_run_equals_the_per_trial_loop"),
+    (VERIFY, "report.expect(ok, n=n, trial=t, identity=identity)",
+     "report.expect(ok, n=n, trial=outcomes.setdefault((key,), t), identity=identity)", ROOT_FAULT),
     # public algebra that the suites never reach
     (EXACTPOLY, "RationalFunctionQ(self.den ** (-k), self.num ** (-k))",
      "RationalFunctionQ(self.num ** (-k), self.den ** (-k))",

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -636,10 +637,20 @@ class TestVerifyCommand:
     def test_json_pins_the_check_count_of_every_suite_at_seed_42(self, capsys, monkeypatch):
         """Text output shows statuses only; a change that drops an identity
         instance moves one of these counts.  No suite runs a polynomial gcd:
-        every rational function it builds is reduced by construction."""
-        gcds = []
+        every rational function it builds is reduced by construction.  The
+        root-data suite factors each distinct product of its draws once per
+        conductor."""
+        gcds, factored = [], []
         real = cyclozeta.exactpoly.poly_gcd
         monkeypatch.setattr(cyclozeta.exactpoly, "poly_gcd", lambda a, b: gcds.append((a, b)) or real(a, b))
+        real_exponents = cyclozeta.verify.cyclotomic_exponents
+        monkeypatch.setattr(cyclozeta.verify, "cyclotomic_exponents",
+                            lambda f, n: factored.append(n) or real_exponents(f, n))
+        cfg = SuiteConfig()
+        distinct = {
+            n: len({tuple(z.e.values.values()) for z in cfg.draw(("root", n), 100, random_zeta_product, n)})
+            for n in range(1, 61)
+        }
         code, out, _ = run_cli(capsys, "--format", "json", "verify", "all", "--seed", "42")
         doc = json.loads(out)
         assert code == 0 and [(s["check"], s["checks"]) for s in doc["suites"]] == [
@@ -658,6 +669,8 @@ class TestVerifyCommand:
         assert doc["summary"]["checks"] == 42857
         assert sha256(out) == "afd2be8b9a5f44b32605c8dfaf5ee9746a26e6125e5aaa004f091550266306b8"
         assert gcds == []
+        # 6,000 draws, of which 1,662 repeat a product drawn before at their n
+        assert Counter(factored) == distinct and sum(distinct.values()) == 4338
 
     @pytest.mark.parametrize("argv, digest", [
         ("--format json verify all --seed 7 --nmax 20", "ec6fb2e5f89b3c14ddd3ca213b5e72df617cd8b92a59ac4f6d87a403fafc8bde"),

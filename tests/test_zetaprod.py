@@ -646,6 +646,94 @@ class TestFourierRoundTripSuite:
         assert {(m["n"], m["trial"]) for m in got.mismatches if m["direction"] == "synthesis-analysis"} <= first
 
 
+def root_data_per_trial(cfg: SuiteConfig) -> Report:
+    """``suite_root_data`` as it checked every draw, also a product already
+    drawn at the same conductor: the oracle of its per-conductor outcomes."""
+    trials = cfg.pick_trials(100)
+    report = Report("root-data-coherence", context={"nmax": cfg.nmax, "trials": trials})
+    ns = cfg.pick_ns(range(1, cfg.nmax + 1))
+    for n in ns:
+        for t, z in enumerate(cfg.draw(("root", n), trials, random_zeta_product, n)):
+            m = verify.multiplicities(z)
+            p = verify.power_sums(z)
+            if not report.expect(p == verify.dft_power_sums(m), n=n, trial=t, identity="fourier-pairing"):
+                continue
+            report.expect(m(0) == z.mu_e, n=n, trial=t, identity="total-multiplicity")
+            star = verify.saito_transform(z)
+            mstar, pstar = verify.star_functions(z)
+            report.expect(verify.saito_transform(star) == z, n=n, trial=t, identity="involution")
+            same_star = verify.multiplicities(star) == mstar and verify.power_sums(star) == pstar
+            report.expect(same_star, n=n, trial=t, identity="star-functions")
+            rf = verify.to_rational_function(z)
+            expo = verify.cyclotomic_exponents(rf, n)
+            same_expo = [*expo.values.values()] == [*reversed(m.values.values())]
+            report.expect(same_expo, n=n, trial=t, identity="cyclotomic-exponents")
+        z1, z2 = cfg.draw(("root-add", n), 2, random_zeta_product, n)
+        report.expect(
+            verify.multiplicities(z1 * z2) == verify.multiplicities(z1) + verify.multiplicities(z2),
+            n=n,
+            identity="multiplicity-additivity",
+        )
+        report.expect(
+            verify.power_sums(z1 * z2) == verify.power_sums(z1) + verify.power_sums(z2),
+            n=n,
+            identity="power-sum-additivity",
+        )
+    for n in list(range(1, 25)) + [30, 36, 42, 48, 60]:
+        if n not in ns:
+            continue
+        for t, z in enumerate(cfg.draw(("root-direct", n), 3, random_zeta_product, n)):
+            num, den = verify.expand_divisor_product(z)
+            rf = verify.to_rational_function(z)
+            report.expect(num * rf.den == rf.num * den, n=n, trial=t, identity="direct-product")
+    return report
+
+
+class TestRootDataOutcomes:
+    """Each distinct product is checked once per conductor, and every draw
+    records its own instances."""
+
+    NS = (1, 2, 3, 5, 12, 30, 60)
+
+    @staticmethod
+    def tuples(cfg: SuiteConfig, n: int) -> list[tuple]:
+        return [tuple(z.e.values.values()) for z in cfg.draw(("root", n), 100, random_zeta_product, n)]
+
+    @staticmethod
+    def summary(report: Report) -> tuple:
+        return report.checks, report.status, report.mismatches
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_a_passing_run_equals_the_per_trial_loop(self, seed):
+        cfg = SuiteConfig(seed=seed, ns=self.NS)
+        got = verify.suite_root_data(cfg)
+        assert got.status == "pass"
+        assert self.summary(got) == self.summary(root_data_per_trial(cfg))
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_a_fault_on_one_product_fails_at_each_of_its_draws_there_alone(self, monkeypatch, seed):
+        """A product drawn more than once at n = 5 whose exponent tuple is
+        drawn at n = 3 too: the fault fires at n = 5 only."""
+        cfg = SuiteConfig(seed=seed, ns=self.NS)
+        at5, at3 = self.tuples(cfg, 5), self.tuples(cfg, 3)
+        e = next(e for e in at5 if at5.count(e) > 1 and e in at3)
+        target = to_rational_function(ZetaProduct(5, dict(zip(divisors(5), e))))
+        real = verify.cyclotomic_exponents
+
+        def faulty(rf, n):
+            out = real(rf, n)
+            if n == 5 and rf == target:
+                return DivisorMap(n, {**out.values, 1: out[1] + 1})
+            return out
+
+        monkeypatch.setattr(verify, "cyclotomic_exponents", faulty)
+        got = verify.suite_root_data(cfg)
+        assert got.status == "fail"
+        assert self.summary(got) == self.summary(root_data_per_trial(cfg))
+        want = [{"n": 5, "trial": t, "identity": "cyclotomic-exponents"} for t, x in enumerate(at5) if x == e]
+        assert len(want) > 1 and got.mismatches == want
+
+
 class TestPartialZeta:
     def test_coprime_index(self):
         z = ZetaProduct(6, {1: 2, 2: 1, 3: -1, 6: 4})
