@@ -14,13 +14,16 @@ series G induces four generalized root transforms
 
 (the bracketed sequences are supported on divisors of n).  Taking G to be
 the all-ones series recovers the even functions m, p, m*, p* of
-:mod:`cyclozeta.zetaprod` on indices k >= 1.
+:mod:`cyclozeta.zetaprod` on indices k >= 1.  :func:`g_transform` builds
+each one from the weight table :func:`~cyclozeta.zetaprod.root_weights`
+directly, a strided row of G per non-zero weight, not as a product of series.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add
 from typing import Callable, Mapping, NamedTuple
 
 from .arith import (
@@ -136,10 +139,21 @@ class GTransforms(NamedTuple):
 
 
 def g_transform(z: ZetaProduct, G: DirichletSeries, kind: str) -> DirichletSeries:
-    """One of the series m_G, p_G, m*_G, p*_G (kind "m", "p", "mstar", "pstar")."""
-    # the divisor-supported weights go on the left: the convolution skips
-    # their zero coefficients
-    return divisor_polynomial(root_weights(z, kind), G.order) * G
+    """One of the series m_G, p_G, m*_G, p*_G (kind "m", "p", "mstar", "pstar").
+
+    The k-th coefficient is the sum of w(d) G(k/d) over d | k, d | n, for the
+    root weights w of the kind: each non-zero w(d) adds the row w(d) G(1),
+    w(d) G(2), ... at the multiples of d up to the order (none when d is
+    past it) with one strided slice assignment, so no divisor polynomial is
+    built and no index off the divisors of n is visited.
+    """
+    order = G.order
+    out = [0] * order
+    for d, w in root_weights(z, kind).items():
+        if w:
+            row = G.coeffs if w == 1 else [c * w for c in G.coeffs[: order // d]]
+            out[d - 1 :: d] = map(add, out[d - 1 :: d], row)
+    return DirichletSeries(out)
 
 
 def g_transforms(z: ZetaProduct, G: DirichletSeries) -> GTransforms:
@@ -175,7 +189,9 @@ def check_star_series(z: ZetaProduct, G: DirichletSeries) -> Report:
     """Star transforms of G against totient-paired root data, coefficientwise.
 
     * G(s) sum_d m(n/d) phi_{-s}(d) must be the series of m*_G;
-    * (1/n) G(s) sum_d p(n/d) phi_{2-s}(d) must be the series of p*_G.
+    * (1/n) G(s) sum_d p(n/d) phi_{2-s}(d) must be the series of p*_G,
+      compared undivided, as G(s) sum_d p(n/d) phi_{2-s}(d) == n p*_G; only
+      a mismatch builds the quotient, to record its coefficient.
 
     Each totient phi_{t-s}(d) is built from its multiplicative form
     (:func:`_totient_polynomial`): the totient side calls neither
@@ -189,8 +205,12 @@ def check_star_series(z: ZetaProduct, G: DirichletSeries) -> Report:
     u = DirichletSeries(_combine(((m(n // d), _totient_polynomial(d, 0, order).coeffs) for d in divs), order))
     v = DirichletSeries(_combine(((p(n // d), _totient_polynomial(d, 2, order).coeffs) for d in divs), order))
     report = Report("star-series", context={"n": n, "order": order})
-    for kind, lhs in (("mstar", G * u), ("pstar", div_exact(1, n) * (G * v))):
-        _record_first_difference(report, lhs, g_transform(z, G, kind), identity=kind)
+    _record_first_difference(report, G * u, g_transform(z, G, "mstar"), identity="mstar")
+    Gv, pstar = G * v, g_transform(z, G, "pstar")
+    if Gv == n * pstar:
+        report.expect(True, identity="pstar")
+    else:
+        report.expect(False, **_first_difference(div_exact(1, n) * Gv, pstar, identity="pstar"))
     return report
 
 
@@ -205,19 +225,23 @@ def _totient_polynomial(d: int, t: int, order: int) -> DirichletSeries:
 
 
 def _record_first_difference(report: Report, lhs: DirichletSeries, rhs: DirichletSeries, **labels) -> bool:
-    """Expect the two series equal; if they differ, record the labels, the
-    first index k where their coefficients differ and both coefficients there
-    (or, when they agree up to the smaller order, both orders).  True when
-    they differ."""
+    """Expect the two series equal; if they differ, record
+    :func:`_first_difference`'s labels.  True when they differ."""
     same = lhs == rhs
-    if not same:
-        common = range(1, min(lhs.order, rhs.order) + 1)
-        k = next((k for k in common if lhs.coefficient(k) != rhs.coefficient(k)), None)
-        if k is None:
-            labels.update(lhs_order=lhs.order, rhs_order=rhs.order)
-        else:
-            labels.update(k=k, lhs=lhs.coefficient(k), rhs=rhs.coefficient(k))
-    return not report.expect(same, **labels)
+    return not report.expect(same, **(labels if same else _first_difference(lhs, rhs, **labels)))
+
+
+def _first_difference(lhs: DirichletSeries, rhs: DirichletSeries, **labels) -> dict:
+    """The labels, the first index k where the coefficients of two differing
+    series differ and both coefficients there (or, when they agree up to the
+    smaller order, both orders)."""
+    common = range(1, min(lhs.order, rhs.order) + 1)
+    k = next((k for k in common if lhs.coefficient(k) != rhs.coefficient(k)), None)
+    if k is None:
+        labels.update(lhs_order=lhs.order, rhs_order=rhs.order)
+    else:
+        labels.update(k=k, lhs=lhs.coefficient(k), rhs=rhs.coefficient(k))
+    return labels
 
 
 def check_transfer(z: ZetaProduct, G1: DirichletSeries, G2: DirichletSeries) -> Report:
@@ -393,12 +417,12 @@ def convolution_example(index: int, z: ZetaProduct, r: int | None = None, order:
 
     The left side k m_{G1}(k) comes from :func:`g_transform`; the right side
     h * p*_{G2}, with h the independently evaluated named sequence, is read
-    as the p* transform of h * G2 (the weights times h * G2, a sparse times
-    a dense series).  G1, G2 and h * G2 depend on the example, n, r and
-    order but not on the product, so they are built once per such key and
-    shared by every product checked against it.  Example 1 additionally
-    checks the inverse direction p*(k) = sum of phi_inv(k/d) d m(d), with
-    phi_inv evaluated on its own, once per order.
+    as the p* transform of h * G2 (a strided row of h * G2 per p* weight).
+    G1, G2 and h * G2 depend on the example, n, r and order but not on the
+    product, so they are built once per such key and shared by every
+    product checked against it.  Example 1 additionally checks the inverse
+    direction p*(k) = sum of phi_inv(k/d) d m(d), with phi_inv evaluated on
+    its own, once per order.
     """
     if index not in TRANSFER_EXAMPLES:
         raise ValueError(f"unknown example index {index}")

@@ -49,6 +49,7 @@ EVEN = "tests/test_arith.py::TestDivisorMapAtResidues"
 RATIONAL = "tests/test_zetaprod.py::TestRationalForm"
 FOURIER = "tests/test_zetaprod.py::TestFourier"
 EXAMPLES = "tests/test_dirichlet.py::TestConvolutionExamples"
+G_WEIGHTS = "tests/test_dirichlet.py::TestGTransforms::test_each_transform_is_G_times_its_weight_polynomial"
 KERNEL = "tests/test_exactpoly.py::TestCyclotomicProduct"
 BINOMIAL = "tests/test_exactpoly.py::TestBinomialProduct"
 FAMILIES = "tests/test_apostol.py::TestFamilies"
@@ -140,8 +141,15 @@ MUTANTS = [
      "def _example_series(ex, n, r, order):\n    return _example_series_by_index(ex.index, n, r, order)\n\n\n"
      "@lru_cache\ndef _example_series_by_index(index, n, r, order):\n    ex = TRANSFER_EXAMPLES[index]\n",
      f"{EXAMPLES}::test_a_replaced_example_is_built_afresh"),
-    (DIRICHLET, "root_weights(z, kind), G.order)", 'root_weights(z, "mstar" if kind == "pstar" else kind), G.order)',
-     "tests/test_dirichlet.py::TestGTransforms::test_each_transform_is_G_times_its_weight_polynomial"),
+    (DIRICHLET, "root_weights(z, kind).items()", 'root_weights(z, "mstar" if kind == "pstar" else kind).items()',
+     G_WEIGHTS),
+    # g_transform's strided rows; the star series' p* side compared undivided
+    (DIRICHLET, "G.coeffs if w == 1", "G.coeffs if w", G_WEIGHTS),
+    (DIRICHLET, "out[d - 1 :: d] = map(add, out[d - 1 :: d], row)", "out[: order // d] = map(add, out[: order // d], row)",
+     G_WEIGHTS),
+    (DIRICHLET, "if Gv == n * pstar:", "if Gv == pstar:", "tests/test_dirichlet.py::TestStarSeries::test_zeta_and_mobius"),
+    (DIRICHLET, "_first_difference(div_exact(1, n) * Gv, pstar,", "_first_difference(Gv, pstar,",
+     "tests/test_dirichlet.py::TestStarSeries::test_corrupted_weight_table_fails"),
     # the totient side of the star series from its multiplicative form
     (DIRICHLET, "_totient_polynomial(d, 2, order)", "_totient_polynomial(d, 1, order)",
      "tests/test_dirichlet.py::TestStarSeries::test_zeta_and_mobius"),

@@ -218,12 +218,19 @@ class TestGTransforms:
         assert t.pstar.coeffs[:6] == (1, 1, -2, 1, 1, -2)
 
     def test_each_transform_is_G_times_its_weight_polynomial(self):
-        """Each transform's k-th coefficient is the sum of w(d) G(k/d) over d | k, d | n;
-        g_transform computes the one transform of its kind."""
-        order = 120
-        for n in (1, 6, 12, 30, 60):
+        """Each transform's k-th coefficient is the sum of w(d) G(k/d) over d | k, d | n,
+        and equals the product kernel it replaced, the weights' divisor polynomial
+        times G; g_transform computes the one transform of its kind.  Orders below
+        n drop the divisors past the order; G runs over dense, Fraction-valued
+        and sparse series."""
+        for n, order in [(n, 120) for n in (1, 6, 12, 30, 60)] + [(60, 50), (30, 7)]:
             z = random_zeta_product(random.Random(f"g-weights:{n}"), n)
-            for G in (unit_series(order), zeta_series(order), mobius_series(order), zeta_series(order).shift()):
+            rng = random.Random(f"g-fractions:{n}:{order}")
+            fractions = DirichletSeries([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(order)])
+            # example 2's G1 at r = 6: the divisor polynomial of 6's divisors
+            sparse = TRANSFER_EXAMPLES[2].build(n, 6, order)[0]
+            for G in (unit_series(order), zeta_series(order), mobius_series(order), zeta_series(order).shift(),
+                      fractions, sparse):
                 t = g_transforms(z, G)
                 for kind in t._fields:
                     w = root_weights(z, kind)
@@ -231,7 +238,8 @@ class TestGTransforms:
                         sum(w[d] * G.coefficient(k // d) for d in divisors(n) if k % d == 0)
                         for k in range(1, order + 1)
                     ]
-                    assert getattr(t, kind).coeffs == tuple(want), (n, kind)
+                    assert getattr(t, kind).coeffs == tuple(want), (n, order, kind)
+                    assert getattr(t, kind) == divisor_polynomial(w, order) * G, (n, order, kind)
                     assert g_transform(z, G, kind) == getattr(t, kind)
 
     def test_unit_supports_on_divisors(self):
@@ -316,6 +324,24 @@ class TestStarSeries:
             rep = check_star_series(z, G)
             assert rep.status == "fail"
             assert {mm["identity"] for mm in rep.mismatches} == {"mstar" if "m" in kind else "pstar"}
+            if "p" in kind:
+                # the record holds the identity's own sides: the first k where
+                # (1/n) sum of G(k/j) v(j) over j | k, for v(j) the sum of
+                # p(n/d) mu(d/j) j**2 over j | d | n, differs from p*_G(k)
+                n, p, w = z.n, power_sums(z), corrupted(z, "pstar")
+
+                def v(j):
+                    return sum(p(n // d) * mobius(d // j) * j**2 for d in divisors(n) if d % j == 0)
+
+                def lhs(k):
+                    return Fraction(sum(G.coefficient(k // j) * v(j) for j in divisors(k)), n)
+
+                def rhs(k):
+                    return sum(w[d] * G.coefficient(k // d) for d in divisors(n) if k % d == 0)
+
+                k = next(k for k in range(1, 61) if lhs(k) != rhs(k))
+                (mm,) = rep.mismatches
+                assert (mm["k"], mm["lhs"], mm["rhs"]) == (k, str(lhs(k)), str(rhs(k)))
 
 
 class TestTransfer:
