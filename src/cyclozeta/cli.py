@@ -141,6 +141,20 @@ def _emit(args, status: str, payload: dict) -> None:
             print(f"{key}: {value}")
 
 
+def _print_reports(reports, reruns) -> None:
+    """Each report's status, name, flags and first mismatches, the first with its rerun."""
+    for r, rerun in zip(reports, reruns):
+        print(f"[{r.status.upper():7s}] {r.context.get('name', r.check)}")
+        for f in r.flags:
+            print(f"          flag: {f}")
+        for i, mm in enumerate(r.mismatches[:_SHOWN_MISMATCHES]):
+            print(f"          mismatch: {json_safe(mm)}")
+            if i == 0 and rerun:
+                print(f"          rerun: {rerun}")
+        if len(r.mismatches) > _SHOWN_MISMATCHES:
+            print(f"          (+{len(r.mismatches) - _SHOWN_MISMATCHES} more)")
+
+
 def _cmd_analyze(args) -> int:
     z = _read_product(args.input, bound_degree=True)
     payload = _analyze_payload(z)
@@ -225,13 +239,7 @@ def _cmd_catalog(args) -> int:
         if args.format == "json":
             _emit(args, summary["status"], {"reports": [r.to_dict() for r in reports]})
         else:
-            for r in reports:
-                name = r.context.get("name", r.check)
-                print(f"[{r.status.upper():7s}] {name}")
-                for f in r.flags:
-                    print(f"          flag: {f}")
-                for mm in r.mismatches:
-                    print(f"          mismatch: {mm}")
+            _print_reports(reports, [None] * len(reports))
             print(f"status: {summary['status']}  flags: {summary['flags']}  failures: {summary['failures']}")
         return 1 if summary["failures"] else 0
     raise ValueError(f"unknown catalog action {args.action!r}")
@@ -272,16 +280,7 @@ def _cmd_verify(args) -> int:
             doc["examples"] = [d for r in reports for d in r.example_docs]
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        for r, rerun in zip(reports, reruns):
-            print(f"[{r.status.upper():7s}] {r.check}")
-            for f in r.flags:
-                print(f"          flag: {f}")
-            for i, mm in enumerate(r.mismatches[:_SHOWN_MISMATCHES]):
-                print(f"          mismatch: {json_safe(mm)}")
-                if i == 0 and rerun:
-                    print(f"          rerun: {rerun}")
-            if len(r.mismatches) > _SHOWN_MISMATCHES:
-                print(f"          (+{len(r.mismatches) - _SHOWN_MISMATCHES} more)")
+        _print_reports(reports, reruns)
         print(
             f"status: {'pass' if summary['failures'] == 0 else 'fail'}"
             f"  flags: {summary['flags']}  failures: {summary['failures']}"

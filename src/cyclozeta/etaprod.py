@@ -26,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import zetaprod
 from .arith import divisors, sigma
 from .dirichlet import DirichletSeries, g_transform, zeta_series
-from .exactpoly import PowerSeriesQ, Q, _combine, cyclotomic, expand_fraction
+from .exactpoly import PowerSeriesQ, _combine, expand_fraction
 from .report import Report
-from .zetaprod import ZetaProduct, multiplicities, ramanujan_kernel
+from .zetaprod import ZetaProduct, multiplicities
 
 
 def lambert_series(order: int) -> PowerSeriesQ:
@@ -52,17 +53,11 @@ class EtaExpansion:
     ramanujan_form: PowerSeriesQ
 
 
-# Both kernels are expanded from unreduced pairs: q Phi_d' / Phi_d is already
-# in lowest terms, and the Ramanujan kernel needs no reduction to expand.
+# A zetaprod kernel (num, den) at d, expanded unreduced.  Keyed by the kernel,
+# read from zetaprod at each call, so a kernel replaced there expands afresh.
 @lru_cache(maxsize=None)
-def _logderiv_coeffs(d: int, order: int) -> tuple:
-    phi = cyclotomic(d)
-    return expand_fraction(Q * phi.derivative(), phi, order).coeffs
-
-
-@lru_cache(maxsize=None)
-def _ramanujan_kernel_coeffs(d: int, order: int) -> tuple:
-    return expand_fraction(*ramanujan_kernel(d), order).coeffs
+def _kernel_coeffs(kernel, d: int, order: int) -> tuple:
+    return expand_fraction(*kernel(d), order).coeffs
 
 
 def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:
@@ -102,8 +97,8 @@ def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:
     weights = zeta_series(order - 1).shift()
     m = multiplicities(z)
 
-    def kernel_form(kernel_coeffs) -> PowerSeriesQ:
-        acc = _combine(((m(n // d), kernel_coeffs(d, order)) for d in divisors(n)), order)
+    def kernel_form(kernel) -> PowerSeriesQ:
+        acc = _combine(((m(n // d), _kernel_coeffs(kernel, d, order)) for d in divisors(n)), order)
         return q_series(weights * DirichletSeries(acc[1:]))
 
     sigmas = DirichletSeries(lambert_series(order).coeffs[1:])
@@ -112,8 +107,8 @@ def eta_log_derivative(z: ZetaProduct, order: int) -> EtaExpansion:
         mu_e=z.mu_e,
         series=series,
         lambert_form=q_series(g_transform(z, sigmas, "p")),
-        cyclotomic_form=kernel_form(_logderiv_coeffs),
-        ramanujan_form=kernel_form(_ramanujan_kernel_coeffs),
+        cyclotomic_form=kernel_form(zetaprod.logderiv_kernel),
+        ramanujan_form=kernel_form(zetaprod.ramanujan_kernel),
     )
 
 

@@ -201,15 +201,8 @@ class PolynomialQ:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, PolynomialQ):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PolynomialQ.constant(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return PolynomialQ(_add(self.coeffs, o.coeffs))
@@ -217,13 +210,13 @@ class PolynomialQ:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return PolynomialQ(_add(self.coeffs, _neg(o.coeffs)))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         return PolynomialQ(_add(o.coeffs, _neg(self.coeffs)))
@@ -244,7 +237,7 @@ class PolynomialQ:
         return PolynomialQ(_pow(self.coeffs, k))
 
     def __divmod__(self, other):
-        o = self._coerce(other)
+        o = _lift(other)
         if o is None:
             return NotImplemented
         q, r = _divmod(self.coeffs, o.coeffs)
@@ -283,11 +276,10 @@ class PolynomialQ:
     # -- comparison / display ------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, PolynomialQ):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == PolynomialQ.constant(other).coeffs
-        return NotImplemented
+        o = _lift(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -324,6 +316,15 @@ class PolynomialQ:
 ZERO = PolynomialQ()
 ONE = PolynomialQ.constant(1)
 Q = PolynomialQ.monomial(1)
+
+
+def _lift(x) -> PolynomialQ | None:
+    """x as a polynomial (an exact number as a constant), or None."""
+    if isinstance(x, PolynomialQ):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return PolynomialQ.constant(x)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +374,8 @@ class RationalFunctionQ:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=ONE, *, _normalized=False):
-        if not isinstance(num, PolynomialQ):
-            num = PolynomialQ.constant(num) if isinstance(num, (int, Fraction)) else num
-        if not isinstance(den, PolynomialQ):
-            den = PolynomialQ.constant(den) if isinstance(den, (int, Fraction)) else den
-        if not isinstance(num, PolynomialQ) or not isinstance(den, PolynomialQ):
+        num, den = _lift(num), _lift(den)
+        if num is None or den is None:
             raise TypeError("RationalFunctionQ needs polynomial or rational arguments")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
@@ -400,9 +398,7 @@ class RationalFunctionQ:
     def from_value(cls, x) -> "RationalFunctionQ":
         if isinstance(x, RationalFunctionQ):
             return x
-        if isinstance(x, PolynomialQ):
-            return cls(x, ONE, _normalized=True)
-        return cls(PolynomialQ.constant(x), ONE, _normalized=True)
+        return cls(x, ONE, _normalized=True)
 
     @property
     def is_zero(self) -> bool:
@@ -415,9 +411,8 @@ class RationalFunctionQ:
     def _coerce(self, other):
         if isinstance(other, RationalFunctionQ):
             return other
-        if isinstance(other, (PolynomialQ, int, Fraction)):
-            return RationalFunctionQ.from_value(other)
-        return None
+        p = _lift(other)
+        return None if p is None else RationalFunctionQ(p, ONE, _normalized=True)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -431,13 +426,13 @@ class RationalFunctionQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunctionQ(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + -self
 
     def __neg__(self):
         return RationalFunctionQ(-self.num, self.den, _normalized=True)
@@ -450,13 +445,18 @@ class RationalFunctionQ:
 
     __rmul__ = __mul__
 
+    def _inverse(self, message: str) -> "RationalFunctionQ":
+        """1 / self, refused at zero with ``message``: the coprime pair swapped, made monic."""
+        if self.is_zero:
+            raise ZeroDivisionError(message)
+        scale = div_exact(1, self.num.leading)
+        return RationalFunctionQ(self.den * scale, self.num * scale, _normalized=True)
+
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunctionQ(self.num * o.den, self.den * o.num)
+        return self * o._inverse("division by the zero rational function")
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -465,11 +465,9 @@ class RationalFunctionQ:
         return o / self
 
     def __pow__(self, k: int):
-        if k >= 0:
-            return RationalFunctionQ(self.num**k, self.den**k, _normalized=True)
-        if self.is_zero:
-            raise ZeroDivisionError("negative power of zero")
-        return RationalFunctionQ(self.den ** (-k), self.num ** (-k))
+        if k < 0:
+            return self._inverse("negative power of zero") ** -k
+        return RationalFunctionQ(self.num**k, self.den**k, _normalized=True)
 
     def derivative(self) -> "RationalFunctionQ":
         return RationalFunctionQ(

@@ -419,15 +419,6 @@ SUITES = (
     ("catalog", suite_catalog),
 )
 
-SCOPE_SUITES = {
-    "all": [name for name, _ in SUITES],
-    "prop": ["tensor-powers", "weighted-sums", "mobius-pairings", "dirichlet-transfer"],
-    "example": ["convolution-examples"],
-    "catalog": ["catalog"],
-    "eta": ["eta-expansion"],
-    "weights": ["weight-systems"],
-}
-
 _PROP_INDEX_SUITE = {
     1: "tensor-powers",
     2: "weighted-sums",
@@ -438,6 +429,15 @@ _PROP_INDEX_SUITE = {
     7: "mobius-pairings",
     8: "dirichlet-transfer",
     9: "dirichlet-transfer",
+}
+
+SCOPE_SUITES = {
+    "all": [name for name, _ in SUITES],
+    "prop": list(dict.fromkeys(_PROP_INDEX_SUITE.values())),
+    "example": ["convolution-examples"],
+    "catalog": ["catalog"],
+    "eta": ["eta-expansion"],
+    "weights": ["weight-systems"],
 }
 
 

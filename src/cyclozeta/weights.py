@@ -243,7 +243,7 @@ def check_weight_consistency(w: WeightSystem) -> Report:
     m_line = m_line_from_weights(w)
     p_line = p_line_from_weights(w)
     m_even, p_even = mobius_transform(m_line), mobius_transform(p_line)
-    reduced = spectral_mod(w)
+    _, reduced = divmod(spec, PolynomialQ.monomial(n) - 1)
     from_m = PolynomialQ(m_even.residues())
     report.expect(reduced == from_m, identity="spectral-mod", lhs=reduced, rhs=from_m)
     report.expect(dft_power_sums(m_even) == p_even, identity="fourier-pairing")

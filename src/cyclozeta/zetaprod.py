@@ -600,6 +600,11 @@ def pairing_preset(name: str, n: int) -> dict[int, object]:
     raise ValueError(f"unknown pairing preset {name!r}")
 
 
+def logderiv_kernel(d: int) -> tuple[PolynomialQ, PolynomialQ]:
+    """(q Phi_d', Phi_d), already in lowest terms."""
+    return Q * cyclotomic(d).derivative(), cyclotomic(d)
+
+
 def ramanujan_kernel(d: int) -> tuple[PolynomialQ, PolynomialQ]:
     """(sum of c_d(k) q**k for k = 1..d, q**d - 1) without reduction."""
     num = PolynomialQ([0] + [ramanujan_sum(d, k) for k in range(1, d + 1)])
@@ -617,7 +622,7 @@ def _preset_tables(name: str, n: int):
     X, Z, D = _pairing_tables(n, pairing_preset(name, n))
     divs = divisors(n)
     if name == "log-derivative":
-        kernels = {d: (Q * cyclotomic(d).derivative(), cyclotomic(d)) for d in divs}
+        kernels = {d: logderiv_kernel(d) for d in divs}
     elif name == "ramanujan":
         kernels = {d: ramanujan_kernel(d) for d in divs}
     elif name == "necklace":

@@ -92,6 +92,8 @@ ROOT_FAULT = f"{ROOT_OUTCOMES}::test_a_fault_on_one_product_fails_at_each_of_its
 RATIONAL_FUNCTIONS = "tests/test_exactpoly.py::TestRationalFunctionQ"
 REFLECTED = "tests/test_exactpoly.py::TestPolynomialReflectedAndScalarComparison"
 CATALOG_CMD = "tests/test_cli.py::TestCatalogCommand"
+KERNEL_OWNERS = "tests/test_zetaprod.py::TestPairingChecksCanFail::test_a_corrupted_kernel_fails_its_pairing_preset_and_its_eta_form"
+PRINTER = f"{VERIFY_CMD}::test_catalog_verify_and_verify_print_each_report_the_same_way"
 
 MUTANTS = [
     (ARITH, "return self.values[math.gcd(k, self.n)]", "return self.values[math.gcd(k + 1, self.n)]",
@@ -416,7 +418,7 @@ MUTANTS = [
     (ZETAPROD, "for t in (1 - s, -s))", "for t in (-s, 1 - s))", f"{PRESETS}::test_totient_tables_equal_the_per_trial_oracle"),
     (ZETAPROD, "kernels = {d: (d * necklace(d), ONE) for d in divs}", "kernels = {}",
      f"{PRESETS}::test_preset_tables_equal_the_per_trial_oracle"),
-    (CLI, "                if i == 0 and rerun:\n", "                if rerun:\n", RERUN),
+    (CLI, "            if i == 0 and rerun:\n", "            if rerun:\n", RERUN),
     (VERIFY, "        if getattr(cfg, name) != getattr(defaults, name):\n", "        if True:\n", RERUN),
     (CLI, '                suite["mismatches"][0]["rerun"] = rerun\n', "                pass\n", RERUN),
     # cyclotomic valuations within a degree budget, --n for the eta suite,
@@ -448,7 +450,7 @@ MUTANTS = [
     (ETAPROD, 'g_transform(z, sigmas, "p")', 'g_transform(z, sigmas, "m")', f"{ETA}::test_parabolic_four_way_agreement"),
     (ETAPROD, "weights = zeta_series(order - 1).shift()", "weights = zeta_series(order - 1)",
      f"{ETA}::test_parabolic_four_way_agreement"),
-    (ETAPROD, "(m(n // d), kernel_coeffs(d, order))", "(m(d), kernel_coeffs(d, order))",
+    (ETAPROD, "(m(n // d), _kernel_coeffs(kernel, d, order))", "(m(d), _kernel_coeffs(kernel, d, order))",
      f"{ETA}::test_parabolic_four_way_agreement"),
     # no command runs a polynomial gcd
     (ZETAPROD, "PolynomialQ.monomial(d) - 1, _normalized=True)", "PolynomialQ.monomial(d) - 1)",
@@ -572,20 +574,21 @@ MUTANTS = [
     (VERIFY, "report.expect(ok, n=n, trial=t, identity=identity)",
      "report.expect(ok, n=n, trial=outcomes.setdefault((key,), t), identity=identity)", ROOT_FAULT),
     # public algebra that the suites never reach
-    (EXACTPOLY, "RationalFunctionQ(self.den ** (-k), self.num ** (-k))",
-     "RationalFunctionQ(self.num ** (-k), self.den ** (-k))",
+    (EXACTPOLY, 'return self._inverse("negative power of zero") ** -k',
+     'return self._inverse("negative power of zero") ** (1 - k)',
      f"{RATIONAL_FUNCTIONS}::test_a_power_is_the_power_of_each_value"),
-    (EXACTPOLY, '        if self.is_zero:\n            raise ZeroDivisionError("negative power of zero")\n', "",
-     f"{RATIONAL_FUNCTIONS}::test_a_negative_power_of_zero_is_refused"),
+    (EXACTPOLY, "        if self.is_zero:\n            raise ZeroDivisionError(message)\n", "",
+     (f"{RATIONAL_FUNCTIONS}::test_a_negative_power_of_zero_is_refused",
+      f"{RATIONAL_FUNCTIONS}::test_division_by_zero_is_refused")),
     (EXACTPOLY, "self.num.derivative() * self.den - self.num", "self.num.derivative() * self.den + self.num",
      f"{RATIONAL_FUNCTIONS}::test_the_derivative_is_the_quotient_rule_at_each_point"),
-    (EXACTPOLY, "        return o - self\n", "        return self - o\n",
+    (EXACTPOLY, "        return o + -self\n", "        return self + -o\n",
      f"{RATIONAL_FUNCTIONS}::test_reflected_subtraction_and_division_take_the_left_operand_first"),
     (EXACTPOLY, "        return o / self\n", "        return self / o\n",
      f"{RATIONAL_FUNCTIONS}::test_reflected_subtraction_and_division_take_the_left_operand_first"),
     (EXACTPOLY, "PolynomialQ(_add(o.coeffs, _neg(self.coeffs)))", "PolynomialQ(_add(self.coeffs, _neg(o.coeffs)))",
      f"{REFLECTED}::test_a_number_less_a_polynomial"),
-    (EXACTPOLY, "return self.coeffs == PolynomialQ.constant(other).coeffs", "return self.coeffs == (other,)",
+    (EXACTPOLY, "        return self.coeffs == o.coeffs\n", "        return self.coeffs == (other,)\n",
      f"{REFLECTED}::test_a_polynomial_equals_a_number_only_as_a_constant"),
     # catalog commands that the verify suites never run
     (CLI, '"families": ["A_<rank>", "D_<rank>"]', '"families": ["A_<rank>"]',
@@ -596,6 +599,28 @@ MUTANTS = [
      f"{CATALOG_CMD}::test_json_verify_of_one_entry"),
     (CLI, '        if not args.name:\n            raise ValueError("catalog get needs an entry name")\n', "",
      f"{CATALOG_CMD}::test_get_without_a_name_exits_two"),
+    # one owner per rule: the int/Fraction lift, the inverse of a rational
+    # function, each Möbius-pair kernel, the report printer and the prop scope
+    (EXACTPOLY, "    if isinstance(x, (int, Fraction)):\n        return PolynomialQ.constant(x)\n", "",
+     (f"{REFLECTED}::test_a_polynomial_equals_a_number_only_as_a_constant",
+      f"{RATIONAL_FUNCTIONS}::test_field_arithmetic")),
+    (EXACTPOLY, "scale = div_exact(1, self.num.leading)", "scale = 1",
+     (f"{RATIONAL_FUNCTIONS}::test_a_power_is_the_power_of_each_value",
+      f"{LAWS}::test_division_and_negative_powers_equal_the_formulas_they_replaced")),
+    (EXACTPOLY, "        return self * o._inverse(", "        return o * self._inverse(",
+     f"{LAWS}::test_division_and_negative_powers_equal_the_formulas_they_replaced"),
+    (ETAPROD, "ramanujan_form=kernel_form(zetaprod.ramanujan_kernel)",
+     "ramanujan_form=kernel_form(zetaprod.logderiv_kernel)", KERNEL_OWNERS),
+    (ETAPROD, "cyclotomic_form=kernel_form(zetaprod.logderiv_kernel)",
+     "cyclotomic_form=kernel_form(zetaprod.ramanujan_kernel)", KERNEL_OWNERS),
+    (ZETAPROD, "kernels = {d: logderiv_kernel(d) for d in divs}", "kernels = {d: ramanujan_kernel(d) for d in divs}",
+     KERNEL_OWNERS),
+    (CLI, "{r.context.get('name', r.check)}", "{r.check}", PRINTER),
+    (CLI, "            _print_reports(reports, [None] * len(reports))\n",
+     "            for r in reports:\n                print(f\"[{r.status.upper():7s}] {r.context.get('name', r.check)}\")\n",
+     PRINTER),
+    (VERIFY, '"prop": list(dict.fromkeys(_PROP_INDEX_SUITE.values())),', '"prop": list(_PROP_INDEX_SUITE.values()),',
+     f"{VERIFY_CMD}::test_the_prop_scope_runs_the_suite_of_each_proposition_once_in_index_order"),
     # report owns the failure rule
     (REPORT, "failures = sum(1 for r in reports if r.failed)", "failures = sum(1 for r in reports if r.failed or r.flags)",
      "tests/test_report.py::test_summarize_fails_a_run_only_on_a_failed_report"),

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,12 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("flag:") == 1
 
+    def test_the_prop_scope_runs_the_suite_of_each_proposition_once_in_index_order(self):
+        suites = ["tensor-powers", "weighted-sums", "mobius-pairings", "dirichlet-transfer"]
+        assert cyclozeta.verify.suite_names("prop") == suites
+        by_index = [cyclozeta.verify.suite_names("prop", i)[0] for i in range(1, 10)]
+        assert list(dict.fromkeys(by_index)) == suites
+
     def test_prop_scope_index(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "prop", "--index", "1")
         assert code == 0 and "tensor-powers" in out
@@ -586,6 +593,34 @@ class TestVerifyCommand:
     def test_prop_index_zero_is_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "verify", "prop", "--index", "0")
         assert code == 2 and "1..9" in err
+
+    def test_catalog_verify_and_verify_print_each_report_the_same_way(self, capsys, monkeypatch):
+        """Both commands print reports through one printer: on one planted
+        list their lines agree up to each command's own status line.  A report
+        is named by its catalog entry when it has one."""
+        seven = Report("stub-seven", context={"name": "planted-entry"})
+        seven.flag("a documented discrepancy")
+        for k in range(7):
+            seven.expect(False, k=k, value=Fraction(k, 2))
+        passing = Report("stub-pass")
+        passing.expect(True)
+        reports = [seven, passing, Report("stub-empty")]
+        monkeypatch.setattr(cyclozeta.catalog, "verify_catalog", lambda: reports)
+        monkeypatch.setattr(cyclozeta.verify, "run_scope", lambda scope, cfg, timings=None: reports)
+        lines = {}
+        for argv in (["catalog", "verify"], ["verify", "all"]):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 1
+            *lines[argv[0]], status = out.splitlines()
+            assert status.endswith("  flags: 1  failures: 2")
+        assert lines["catalog"] == lines["verify"] == [
+            "[FAIL   ] planted-entry",
+            "          flag: a documented discrepancy",
+            *(f"          mismatch: {{'k': {k}, 'value': '{Fraction(k, 2)}'}}" for k in range(5)),
+            "          (+2 more)",
+            "[PASS   ] stub-pass",
+            "[EMPTY  ] stub-empty",
+        ]
 
     def test_text_mode_counts_mismatches_beyond_the_shown_five(self, capsys, monkeypatch):
         report = Report("stub-suite")

@@ -4,22 +4,16 @@ import pytest
 
 from cyclozeta.arith import divisors
 from cyclozeta.catalog import entries
-from cyclozeta.etaprod import (
-    _logderiv_coeffs,
-    _ramanujan_kernel_coeffs,
-    check_eta_forms,
-    eta_log_derivative,
-    lambert_series,
-)
+from cyclozeta.etaprod import _kernel_coeffs, check_eta_forms, eta_log_derivative, lambert_series
 from cyclozeta.exactpoly import PowerSeriesQ, cyclotomic, expand, log_derivative
-from cyclozeta.zetaprod import ZetaProduct
+from cyclozeta.zetaprod import ZetaProduct, logderiv_kernel, ramanujan_kernel
 
 
 def test_kernels_expand_the_reduced_log_derivative():
     for d in range(1, 41):
         want = expand(log_derivative(cyclotomic(d)), 70).coeffs
-        assert _logderiv_coeffs(d, 70) == want, d
-        assert _ramanujan_kernel_coeffs(d, 70) == want, d
+        assert _kernel_coeffs(logderiv_kernel, d, 70) == want, d
+        assert _kernel_coeffs(ramanujan_kernel, d, 70) == want, d
 
 
 def test_lambert_coefficients():

@@ -510,6 +510,14 @@ class TestRationalFunctionQ:
                     if v is not None and (k >= 0 or v != 0):
                         assert power(x) == F(v) ** k, (f, k, x)
 
+    def test_division_by_zero_is_refused(self):
+        f = RationalFunctionQ(Q + 2, Q - 1)
+        for divisor in (ZERO, 0, RationalFunctionQ(ZERO)):
+            with pytest.raises(ZeroDivisionError, match="division by the zero rational function"):
+                f / divisor
+        with pytest.raises(ZeroDivisionError, match="division by the zero rational function"):
+            Q / RationalFunctionQ(ZERO)
+
     def test_a_negative_power_of_zero_is_refused(self):
         zero = RationalFunctionQ(ZERO)
         assert zero**0 == ONE and zero**3 == ZERO

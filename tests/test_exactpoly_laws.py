@@ -12,6 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import cyclozeta.exactpoly as exactpoly
 from cyclozeta.arith import DivisorMap, as_exact, divisors, exact_values
 from cyclozeta.dirichlet import DirichletSeries
 from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, PowerSeriesQ, RationalFunctionQ, poly_gcd
@@ -128,3 +129,27 @@ def test_rational_normal_form_under_field_operations(f, g):
         quot = f / g
         assert_normal_form(quot)
         assert quot.num * f.den * g.num == f.num * g.den * quot.den
+
+
+@LAWS
+@given(rational_functions, rational_functions, st.integers(1, 3))
+def test_division_and_negative_powers_equal_the_formulas_they_replaced(f, g, k):
+    """/, reflected / and negative powers share one inverse, which swaps the
+    coprime pair without a gcd.  The oracles are the formulas it replaced,
+    each reduced by a gcd in the constructor."""
+    if not g.is_zero:
+        assert f / g == RationalFunctionQ(f.num * g.den, f.den * g.num)
+        assert f.num / g == RationalFunctionQ(f.num * g.den, g.num)
+        assert Fraction(-3, 2) / g == RationalFunctionQ(Fraction(-3, 2) * g.den, g.num)
+    if f.is_zero:
+        return
+    gcds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactpoly, "poly_gcd", lambda a, b: gcds.append((a, b)) or poly_gcd(a, b))
+        power = f**-k
+        assert gcds == []
+        want = RationalFunctionQ(f.den**k, f.num**k)
+        # the wrapper sees the gcd of the constructor's reduction
+        assert len(gcds) == 1
+    assert_normal_form(power)
+    assert power == want

@@ -24,6 +24,7 @@ from cyclozeta.arith import (
     rational_power,
 )
 from cyclozeta.catalog import get as catalog_get
+from cyclozeta.etaprod import check_eta_forms
 from cyclozeta.exactpoly import ONE, ZERO, PolynomialQ, Q, RationalFunctionQ, cyclotomic, necklace
 from cyclozeta.report import Report
 from cyclozeta.verify import SuiteConfig, suite_pairings
@@ -913,22 +914,33 @@ class TestPairingChecksCanFail:
         for z in zs:
             assert check_mobius_pairing(z, self.X6).mismatches == [{"identity": side}], z
 
-    def test_corrupted_ramanujan_kernel_is_reported_at_its_divisor(self, monkeypatch):
+    def test_corrupted_cyclotomic_is_reported_in_the_log_derivative_kernel(self, monkeypatch):
         z = ZetaProduct(6, {1: 1, 2: -1, 3: 2, 6: 0})
-        real = zetaprod.ramanujan_kernel
+        monkeypatch.setattr(zetaprod, "cyclotomic", lambda d: cyclotomic(d) * (Q + 1 if d == 6 else 1))
+        assert check_pairing_preset(z, "log-derivative").mismatches == [{"identity": "kernel at d=6"}]
+
+    @pytest.mark.parametrize("kernel, preset, eta_form", [
+        ("logderiv_kernel", "log-derivative", "cyclotomic"),
+        ("ramanujan_kernel", "ramanujan", "ramanujan"),
+    ])
+    def test_a_corrupted_kernel_fails_its_pairing_preset_and_its_eta_form(self, monkeypatch, kernel, preset,
+                                                                          eta_form):
+        """Each Möbius-pair kernel has one owner in zetaprod, which both the
+        pairing preset and the eta closed form read: a fault at one d fails
+        both, and the other kernel's checks still pass."""
+        z = ZetaProduct(6, {1: 1, 2: -1, 3: 2, 6: 0})
+        assert multiplicities(z)(2) != 0  # the weight of the kernel at d = 3 in the eta forms
+        real = getattr(zetaprod, kernel)
 
         def corrupted(d):
             num, den = real(d)
             return (num + Q if d == 3 else num), den
 
-        monkeypatch.setattr(zetaprod, "ramanujan_kernel", corrupted)
-        assert check_pairing_preset(z, "ramanujan").mismatches == [{"identity": "kernel at d=3"}]
-        assert check_pairing_preset(z, "log-derivative").status == "pass"
-
-    def test_corrupted_cyclotomic_is_reported_in_the_log_derivative_kernel(self, monkeypatch):
-        z = ZetaProduct(6, {1: 1, 2: -1, 3: 2, 6: 0})
-        monkeypatch.setattr(zetaprod, "cyclotomic", lambda d: cyclotomic(d) * (Q + 1 if d == 6 else 1))
-        assert check_pairing_preset(z, "log-derivative").mismatches == [{"identity": "kernel at d=6"}]
+        monkeypatch.setattr(zetaprod, kernel, corrupted)
+        assert check_pairing_preset(z, preset).mismatches == [{"identity": "kernel at d=3"}]
+        assert check_eta_forms(z, 40).mismatches == [{"identity": eta_form}]
+        other = "ramanujan" if preset == "log-derivative" else "log-derivative"
+        assert check_pairing_preset(z, other).status == "pass"
 
     def test_corrupted_necklace_is_reported_at_its_divisor(self, monkeypatch):
         z = ZetaProduct(12, {1: -1, 2: 0, 3: 1, 4: 0, 6: 2, 12: 1})
